@@ -1,21 +1,32 @@
-"""Unsupervised EM many-to-many alignment and two-pass precision alignment.
+"""Unsupervised EM alignment: many-to-many and two-pass precision alignment.
 
-The standard aligner links source substrings (up to max_x symbols) with
-target substrings (up to max_y symbols), optionally allowing deletions
-(source substring to nothing) and insertions (nothing to target
-substring), and trains link probabilities by EM over the joint
-likelihood of all monotone alignments.
+The many-to-many aligner (Jiampojamarn, Kondrak & Sherif 2007) links
+source substrings (up to max_x symbols) with target substrings (up to
+max_y symbols), optionally allowing deletions (source substring to
+nothing) and insertions (nothing to target substring), and trains link
+probabilities by EM over the joint likelihood of all monotone alignments.
 
 Precision alignment runs two passes: a strict 1-1 alignment with nulls
 on either side, then a re-alignment of the padded output in which every
-source-side null must merge into an adjacent substitution, using the
-insertion-merging recurrence.  All charts store log-domain values;
-probabilities are recovered on read.
+source-side null must merge into an adjacent substitution (the
+insertion-merging lattice).
+
+Both run on one engine, after Goodman's (1999) semiring parsing: one
+inside/Viterbi algorithm over a hypergraph, each lattice shape supplying
+only its edges.  `_m2m_edges` and `_merge_edges` build a pair's lattice as
+a list of (from node, to node, span-key id) edges, once per pair for all
+of EM; one forward/backward, one E-step and one n-best Viterbi run over
+either, with δ as log-probabilities indexed by key id.  All charts store
+log-domain values; probabilities are recovered on read.
 """
 
 import logging
 import math
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .core import NULL, TrainingPair
 
@@ -87,54 +98,23 @@ class DeltaTable:
     def __contains__(self, key):
         return key in self.probs
 
-    @classmethod
-    def uniform(cls, pairs, params):
-        """Uniform over every substring pair co-occurring in some training
-        pair under the given limits (plus deletions/insertions if allowed)."""
-        keys = set()
-        for pair in pairs:
-            x, y = pair.source, pair.target
-            for i in range(len(x)):
-                for di in range(1, params.max_x + 1):
-                    if i + di > len(x):
-                        break
-                    s = x[i : i + di]
-                    if params.allow_deletion:
-                        keys.add((s, ()))
-                    for j in range(len(y)):
-                        for dj in range(1, params.max_y + 1):
-                            if j + dj > len(y):
-                                break
-                            keys.add((s, y[j : j + dj]))
-            if params.allow_insertion:
-                for j in range(len(y)):
-                    for dj in range(1, params.max_y + 1):
-                        if j + dj > len(y):
-                            break
-                        keys.add(((), y[j : j + dj]))
-        if not keys:
-            return cls({})
-        p = 1.0 / len(keys)
-        return cls({k: p for k in keys})
-
 
 class Chart:
-    """(T+1) x (V+1) table of monotone path sums, stored as logs."""
+    """Table of monotone path sums over (source prefix, target prefix)
+    cells, given as a list of rows of logs."""
 
-    def __init__(self, rows, cols):
-        self.rows = rows
-        self.cols = cols
-        self.log = [[NEG_INF] * cols for _ in range(rows)]
+    def __init__(self, log):
+        self.log = log
 
     def value(self, t, v):
         lv = self.log[t][v]
         return math.exp(lv) if lv > NEG_INF else 0.0
 
     def corner(self):
-        return self.value(self.rows - 1, self.cols - 1)
+        return self.value(-1, -1)
 
     def log_corner(self):
-        return self.log[self.rows - 1][self.cols - 1]
+        return self.log[-1][-1]
 
 
 def _logsum(values):
@@ -166,101 +146,144 @@ class Alignment:
         return tuple(t for link in self.links for t in link.target)
 
 
-def forward(x, y, delta, params):
-    """Sum over all admissible monotone alignments; alpha(T, V) is the
-    total likelihood."""
-    T, V = len(x), len(y)
-    chart = Chart(T + 1, V + 1)
-    chart.log[0][0] = 0.0
-    moves = params.moves()
-    for t in range(T + 1):
-        for v in range(V + 1):
-            if t == 0 and v == 0:
-                continue
-            terms = []
+# One pair's lattice: nodes numbered in topological order (0 the start, the
+# last the goal) and a flat array('i') of (from node, to node, key id) edges
+# grouped by ascending to node; flat ints keep a training set's edges small
+# enough to cache across EM iterations.  Within a group, edges keep their
+# builder's order, which fixes every floating-point sum and Viterbi tie.
+# With gamma_from_goal the E-step visits the groups from the goal down.
+Lattice = namedtuple("Lattice", "nodes edges gamma_from_goal", defaults=(False,))
+
+
+def _m2m_edges(x, y, moves, keys):
+    """Many-to-many grid: node t * (V + 1) + v is the prefix pair
+    (x[:t], y[:v]); each admissible move (i, j) into it is an edge labelled
+    with the spans it consumes, numbered in keys (span pair → id).  Edges
+    into a node follow the order of moves.  Every span pair of the grid
+    gets a key, reachable or not, so EM starts uniform over every substring
+    pair co-occurring in some training pair under the limits."""
+    width = len(y) + 1
+    edges = array("i")
+    for t in range(len(x) + 1):
+        for v in range(width):
+            node = t * width + v
             for i, j in moves:
-                if i > t or j > v:
-                    continue
-                prev = chart.log[t - i][v - j]
-                if prev == NEG_INF:
-                    continue
-                ld = delta.logp(x[t - i : t], y[v - j : v])
-                if ld == NEG_INF:
-                    continue
-                terms.append(prev + ld)
-            if terms:
-                chart.log[t][v] = _logsum(terms)
-    return chart
+                if i <= t and j <= v:
+                    key = keys.setdefault((x[t - i : t], y[v - j : v]), len(keys))
+                    edges.extend((node - i * width - j, node, key))
+    return Lattice((len(x) + 1) * width, edges)
 
 
-def backward(x, y, delta, params):
-    """Mirror of forward: beta(t, v) sums suffix paths; beta(0, 0) equals
-    alpha(T, V)."""
-    T, V = len(x), len(y)
-    chart = Chart(T + 1, V + 1)
-    chart.log[T][V] = 0.0
-    moves = params.moves()
-    for t in range(T, -1, -1):
-        for v in range(V, -1, -1):
-            if t == T and v == V:
-                continue
-            terms = []
-            for i, j in moves:
-                if t + i > T or v + j > V:
-                    continue
-                nxt = chart.log[t + i][v + j]
-                if nxt == NEG_INF:
-                    continue
-                ld = delta.logp(x[t : t + i], y[v : v + j])
-                if ld == NEG_INF:
-                    continue
-                terms.append(nxt + ld)
-            if terms:
-                chart.log[t][v] = _logsum(terms)
-    return chart
+def _strip(span):
+    return tuple(s for s in span if s != NULL)
 
 
-def _estep_pair(x, y, delta, params, gamma):
-    """Accumulate expected link counts for one pair; returns its log-likelihood."""
-    alpha = forward(x, y, delta, params)
-    ll = alpha.log_corner()
+def _leading_nulls(x):
+    """Length of the null run that opens x."""
+    return next((i for i, s in enumerate(x) if s != NULL), len(x))
+
+
+def _merge_edges(x, y, keys):
+    """Insertion-merging lattice over a padded pair: node t is position t.
+
+    The edges into t are the spans x[start:t] holding exactly one
+    substitution (non-null source symbol), labelled with their spans with
+    nulls stripped: the nulls after the substitution merge into it, and so
+    do any number k of the nulls just before it.  Edges run in increasing
+    k, so a Viterbi tie goes to the fewest merged insertions.  A leading
+    null run must merge rightward in full, which keeps every path covering
+    the whole target: no span starts inside it.  Expected counts accumulate
+    from the goal down; that order sets the last bits of δ, and through
+    near-ties the alignments written.
+    """
+    lead = _leading_nulls(x)
+    edges = array("i")
+    for t in range(1, len(x) + 1):
+        subs = 0
+        for start in range(t - 1, -1, -1):
+            subs += x[start] != NULL
+            if subs > 1:
+                break
+            if subs == 1 and (start == 0 or start > lead):
+                span = (_strip(x[start:t]), _strip(y[start:t]))
+                edges.extend((start, t, keys.setdefault(span, len(keys))))
+    return Lattice(len(x) + 1, edges, gamma_from_goal=True)
+
+
+def _triples(edges):
+    it = iter(edges)
+    return zip(it, it, it)
+
+
+def _groups(lattice):
+    """(to node, its incoming (from, to, key) edges) per to node, in order."""
+    return groupby(_triples(lattice.edges), key=itemgetter(1))
+
+
+def _forward(lattice, logd):
+    """alpha[node]: log-sum over the paths from the start to node, each
+    node's incoming terms summed in edge order."""
+    alpha = [NEG_INF] * lattice.nodes
+    alpha[0] = 0.0
+    for node, edges in _groups(lattice):
+        terms = [alpha[src] + logd[key] for src, _, key in edges
+                 if alpha[src] != NEG_INF and logd[key] != NEG_INF]
+        if terms:
+            alpha[node] = _logsum(terms)
+    return alpha
+
+
+def _backward(lattice, logd):
+    """beta[node]: log-sum over the paths from node to the goal, each
+    node's outgoing terms summed in edge order, as _forward sums its
+    incoming ones."""
+    out = [[] for _ in range(lattice.nodes)]
+    for src, dst, key in _triples(lattice.edges):
+        if logd[key] != NEG_INF:
+            out[src].append((dst, logd[key]))
+    beta = [NEG_INF] * lattice.nodes
+    beta[-1] = 0.0
+    for node in range(lattice.nodes - 2, -1, -1):
+        terms = [beta[dst] + ld for dst, ld in out[node] if beta[dst] != NEG_INF]
+        if terms:
+            beta[node] = _logsum(terms)
+    return beta
+
+
+def _estep(lattice, logd, gamma):
+    """Add one pair's expected key counts to gamma (key id → count);
+    returns its log-likelihood, NEG_INF when no path reaches the goal."""
+    alpha = _forward(lattice, logd)
+    ll = alpha[-1]
     if ll == NEG_INF:
         return NEG_INF
-    beta = backward(x, y, delta, params)
-    moves = params.moves()
-    for t in range(len(x) + 1):
-        for v in range(len(y) + 1):
-            b = beta.log[t][v]
-            if b == NEG_INF:
-                continue
-            for i, j in moves:
-                if i > t or j > v:
-                    continue
-                a = alpha.log[t - i][v - j]
-                if a == NEG_INF:
-                    continue
-                key = (x[t - i : t], y[v - j : v])
-                ld = delta.logp(*key)
-                if ld == NEG_INF:
-                    continue
-                gamma[key] = gamma.get(key, 0.0) + math.exp(a + ld + b - ll)
+    beta = _backward(lattice, logd)
+    edges = _triples(lattice.edges)
+    if lattice.gamma_from_goal:
+        edges = sorted(edges, key=itemgetter(1), reverse=True)
+    for src, dst, key in edges:
+        a, b, ld = alpha[src], beta[dst], logd[key]
+        if a != NEG_INF and b != NEG_INF and ld != NEG_INF:
+            gamma[key] = gamma.get(key, 0.0) + math.exp(a + ld + b - ll)
     return ll
 
 
-def _em_loop(pairs, init, params, estep, history=None):
-    """Shared EM shell: iterate E/M until the relative log-likelihood
-    change drops below tol.  Unalignable pairs are excluded with a warning
-    on the first iteration.  history, when given, collects one
-    (log-likelihood, delta total mass) entry per iteration."""
-    delta = init
-    active = list(range(len(pairs)))
+def _em(lattices, spans, params, history=None):
+    """EM over lattices whose key ids index spans, from δ uniform over the
+    spans until the relative log-likelihood change drops below tol.
+    Unalignable pairs are excluded with a warning on the first iteration.
+    history, when given, collects one (log-likelihood, delta total mass)
+    entry per iteration.  Returns (delta, indices of the pairs kept)."""
+    delta = DeltaTable(dict.fromkeys(spans, 1.0 / len(spans)) if spans else {})
+    active = list(range(len(lattices)))
     prev_ll = None
     for iteration in range(params.max_iterations):
+        logd = [delta.logp(*span) for span in spans]
         gamma = {}
         total_ll = 0.0
         kept = []
         for idx in active:
-            ll = estep(pairs[idx], delta, gamma)
+            ll = _estep(lattices[idx], logd, gamma)
             if ll == NEG_INF:
                 if iteration == 0:
                     log.warning("pair %d cannot be aligned; excluded", idx)
@@ -272,76 +295,102 @@ def _em_loop(pairs, init, params, estep, history=None):
         total = sum(gamma.values())
         if total <= 0:
             break
-        delta = DeltaTable({k: v / total for k, v in gamma.items()})
+        delta = DeltaTable({spans[k]: v / total for k, v in gamma.items()})
         if history is not None:
             history.append((total_ll, delta.total()))
         if prev_ll is not None:
             rel = abs(total_ll - prev_ll) / max(abs(prev_ll), 1e-300)
             if rel < params.tol:
-                prev_ll = total_ll
                 break
         prev_ll = total_ll
     return delta, active
 
 
+def _viterbi(lattice, logd, links, ties, n):
+    """Up to n max-product alignments of the lattice, best first, with
+    links[key] the key's link.  Paths into a node rank by score, then by
+    the concatenation of their edges' tie keys ties[key] from the start;
+    the stable sort leaves full ties in edge order."""
+    cells = [None] * lattice.nodes
+    cells[0] = [(0.0, (), ())]
+    for node, edges in _groups(lattice):
+        entries = []
+        for src, _, key in edges:
+            if cells[src] and logd[key] != NEG_INF:
+                ld, link, tie = logd[key], links[key], ties[key]
+                entries += [(neg - ld, rank + tie, path + (link,))
+                            for neg, rank, path in cells[src]]
+        if entries:
+            cells[node] = sorted(entries, key=itemgetter(0, 1))[:n]
+    return [
+        Alignment(links=path, likelihood=math.exp(-neg))
+        for neg, _, path in cells[-1] or ()
+    ]
+
+
+def _m2m_chart(x, y, delta, params, run):
+    keys = {}
+    lattice = _m2m_edges(x, y, params.moves(), keys)
+    flat = run(lattice, [delta.logp(*key) for key in keys])
+    width = len(y) + 1
+    return Chart([flat[r : r + width] for r in range(0, len(flat), width)])
+
+
+def forward(x, y, delta, params):
+    """Sum over all admissible monotone alignments; alpha(T, V) is the
+    total likelihood."""
+    return _m2m_chart(x, y, delta, params, _forward)
+
+
+def backward(x, y, delta, params):
+    """Mirror of forward: beta(t, v) sums suffix paths; beta(0, 0) equals
+    alpha(T, V)."""
+    return _m2m_chart(x, y, delta, params, _backward)
+
+
 def em_train(pairs, params, history=None):
     """EM over the joint likelihood of all admissible monotone alignments."""
-    init = DeltaTable.uniform(pairs, params)
-
-    def estep(pair, delta, gamma):
-        return _estep_pair(pair.source, pair.target, delta, params, gamma)
-
-    delta, _ = _em_loop(pairs, init, params, estep, history)
-    return delta
-
-
-def _link_key(link):
-    # Shorter source spans first, then lexicographic target, then source.
-    return (len(link.source), link.target, link.source)
+    keys = {}
+    moves = params.moves()
+    lattices = [_m2m_edges(p.source, p.target, moves, keys) for p in pairs]
+    return _em(lattices, list(keys), params, history)[0]
 
 
 def viterbi_nbest(x, y, delta, params, n):
     """N-best max-product alignments, best first.
 
     Ties break toward shorter source spans, then lexicographic target
-    spans.  Returns fewer than n alignments when fewer paths exist.
+    spans, compared link by link from the start of the path.  Returns
+    fewer than n alignments when fewer paths exist.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    T, V = len(x), len(y)
-    moves = params.moves()
-    # Each cell holds up to n partial paths as (neg log score, tiebreak, links).
-    cells = [[None] * (V + 1) for _ in range(T + 1)]
-    cells[0][0] = [(0.0, (), ())]
-    for t in range(T + 1):
-        for v in range(V + 1):
-            if t == 0 and v == 0:
-                continue
-            entries = []
-            for i, j in moves:
-                if i > t or j > v:
-                    continue
-                prev = cells[t - i][v - j]
-                if not prev:
-                    continue
-                ld = delta.logp(x[t - i : t], y[v - j : v])
-                if ld == NEG_INF:
-                    continue
-                link = AlignmentLink(x[t - i : t], y[v - j : v])
-                for neg, key, links in prev:
-                    entries.append(
-                        (neg - ld, key + (_link_key(link),), links + (link,))
-                    )
-            if entries:
-                entries.sort(key=lambda e: (e[0], e[1]))
-                cells[t][v] = entries[:n]
-    goal = cells[T][V]
-    if not goal:
-        return []
-    return [
-        Alignment(links=links, likelihood=math.exp(-neg))
-        for neg, _, links in goal
-    ]
+    keys = {}
+    lattice = _m2m_edges(x, y, params.moves(), keys)
+    links = [AlignmentLink(*key) for key in keys]
+    ties = [((len(s), u, s),) for s, u in keys]
+    logd = [delta.logp(*key) for key in keys]
+    return _viterbi(lattice, logd, links, ties, n)
+
+
+def _align_each(pairs, params, stage):
+    """EM, then each pair's 1-best alignment; a pair with none is dropped
+    with a warning naming its index and stage."""
+    delta = em_train(pairs, params)
+    alignments = []
+    for idx, pair in enumerate(pairs):
+        best = viterbi_nbest(pair.source, pair.target, delta, params, 1)
+        if not best:
+            log.warning("pair %d cannot be aligned%s; excluded", idx, stage)
+            continue
+        alignments.append(best[0])
+    return alignments
+
+
+def baseline_align(pairs, params=None):
+    """Single-pass many-to-many alignment (the 2-2-with-deletions default):
+    EM then 1-best decode per pair."""
+    return _align_each(pairs, params or AlignParams(), "")
 
 
 def pass1_align(pairs, params=None):
@@ -351,234 +400,65 @@ def pass1_align(pairs, params=None):
     on the source and deletion links contribute "_" on the target.
     Unalignable pairs are dropped with a warning.
     """
-    padded = [p for _, p in _pass1_indexed(pairs, params)]
-    return padded
-
-
-def _pass1_indexed(pairs, params=None):
-    params = params or ONE_TO_ONE
-    delta = em_train(pairs, params)
-    out = []
-    for idx, pair in enumerate(pairs):
-        best = viterbi_nbest(pair.source, pair.target, delta, params, 1)
-        if not best:
-            log.warning("pair %d cannot be aligned in pass 1; excluded", idx)
-            continue
-        src, tgt = [], []
-        for link in best[0].links:
-            src.append(link.source[0] if link.source else NULL)
-            tgt.append(link.target[0] if link.target else NULL)
-        out.append((idx, TrainingPair(tuple(src), tuple(tgt))))
-    return out
-
-
-def _null_counters(x):
-    """Per-position CI (nulls since the last substitution, inclusive of the
-    current one) and PI (nulls immediately before that substitution), using
-    the scan order of the insertion-merging recurrence.  1-based position 0
-    is the start-of-word cell."""
-    T = len(x)
-    ci = [0] * (T + 1)
-    pi = [0] * (T + 1)
-    cur_ci, cur_pi = 0, 0
-    for t in range(T + 1):
-        if t > 0 and x[t - 1] == NULL:
-            cur_ci += 1
-        else:
-            cur_pi = cur_ci
-            cur_ci = 0
-        ci[t], pi[t] = cur_ci, cur_pi
-    return ci, pi
-
-
-def _strip(span):
-    return tuple(s for s in span if s != NULL)
+    return [
+        TrainingPair(
+            tuple(link.source[0] if link.source else NULL for link in a.links),
+            tuple(link.target[0] if link.target else NULL for link in a.links),
+        )
+        for a in _align_each(pairs, params or ONE_TO_ONE, " in pass 1")
+    ]
 
 
 def forward_insertion_merging(x, y, delta):
-    """Forward recurrence over padded equal-length sequences in which
+    """Forward sums of the insertion-merging lattice pass 2 trains on, as a
+    (T+1) x (T+1) chart over padded equal-length sequences in which
     source-side nulls merge into adjacent substitutions.
 
-    Cells whose source prefix is entirely nulls (t - CI == 0) hold 1, the
-    base for merging leading insertions rightward.  Elsewhere
-    alpha(t, v) sums, over k = 0..PI, the probability of the span ending
-    at (t, v) that absorbs the CI trailing nulls plus k nulls from before
-    the last substitution, times alpha at the cell before that span.
-    Null tokens are dropped when looking up span probabilities.
+    alpha(t, t) sums, over k = 0..PI, the probability of the span ending
+    at t that absorbs the CI trailing nulls plus k nulls from before the
+    last substitution, times alpha at the cell before that span.  Null
+    tokens are dropped when looking up span probabilities.  Cells whose
+    source prefix is entirely nulls (t - CI == 0) hold 1 in every column,
+    the base for merging leading insertions rightward.  Other cells off
+    the diagonal hold 0.  alpha(T, T) is the likelihood pass 2 gives the
+    pair: 0 when the source is all nulls, as nothing can absorb them.
     """
     if len(x) != len(y):
         raise ValueError(f"padded lengths differ: {len(x)} vs {len(y)}")
-    T = len(x)
-    ci, pi = _null_counters(x)
-    chart = Chart(T + 1, T + 1)
-    for t in range(T + 1):
-        for v in range(T + 1):
-            if t - ci[t] == 0:
-                chart.log[t][v] = 0.0
-                continue
-            if t > 0 and v > 0:
-                terms = []
-                for k in range(pi[t] + 1):
-                    start = t - ci[t] - k - 1
-                    if v - ci[t] - k - 1 < 0:
-                        continue
-                    prev = chart.log[start][v - ci[t] - k - 1]
-                    if prev == NEG_INF:
-                        continue
-                    ld = delta.logp(
-                        _strip(x[start:t]), _strip(y[v - ci[t] - k - 1 : v])
-                    )
-                    if ld == NEG_INF:
-                        continue
-                    terms.append(prev + ld)
-                if terms:
-                    chart.log[t][v] = _logsum(terms)
-    return chart
+    keys = {}
+    lattice = _merge_edges(x, y, keys)
+    alpha = _forward(lattice, [delta.logp(*key) for key in keys])
+    lead = _leading_nulls(x)
+    rows = [[0.0 if t <= lead else NEG_INF] * len(alpha) for t in range(len(alpha))]
+    for t in range(lead + 1, len(alpha)):
+        rows[t][t] = alpha[t]
+    rows[-1][-1] = alpha[-1]
+    return Chart(rows)
 
 
-def _merge_terms(x, y):
-    """Diagonal span terms for the insertion-merging lattice.
-
-    For each 1-based position t, lists (base cell, source span, target
-    span) triples with nulls stripped.  Cells inside a leading null run
-    get no terms: a leading run must merge rightward in full, so only the
-    term reaching back to cell 0 survives, which keeps every path covering
-    the whole target.
-    """
-    T = len(x)
-    ci, pi = _null_counters(x)
-    terms = [[] for _ in range(T + 1)]
-    for t in range(1, T + 1):
-        if t - ci[t] == 0:
-            continue
-        for k in range(pi[t] + 1):
-            start = t - ci[t] - k - 1
-            if start > 0 and start - ci[start] == 0:
-                # Base inside a leading null run: target prefix would be dropped.
-                continue
-            terms[t].append((start, _strip(x[start:t]), _strip(y[start:t])))
-    return terms
-
-
-def _merge_estep(padded, delta, gamma):
-    x, _y = padded.source, padded.target
-    terms = _merge_terms(x, padded.target)
-    T = len(x)
-    fwd = [NEG_INF] * (T + 1)
-    fwd[0] = 0.0
-    for t in range(1, T + 1):
-        vals = [
-            fwd[b] + delta.logp(s, u)
-            for b, s, u in terms[t]
-            if fwd[b] > NEG_INF and delta.logp(s, u) > NEG_INF
-        ]
-        if vals:
-            fwd[t] = _logsum(vals)
-    ll = fwd[T]
-    if ll == NEG_INF:
-        return NEG_INF
-    bwd = [NEG_INF] * (T + 1)
-    bwd[T] = 0.0
-    for t in range(T, 0, -1):
-        if bwd[t] == NEG_INF:
-            continue
-        for b, s, u in terms[t]:
-            ld = delta.logp(s, u)
-            if ld == NEG_INF or fwd[b] == NEG_INF:
-                continue
-            bwd[b] = _logsum([bwd[b], ld + bwd[t]])
-            gamma[(s, u)] = gamma.get((s, u), 0.0) + math.exp(
-                fwd[b] + ld + bwd[t] - ll
-            )
-    return ll
-
-
-def _merge_uniform(padded_pairs):
-    keys = set()
-    for pair in padded_pairs:
-        for cell in _merge_terms(pair.source, pair.target):
-            for _, s, u in cell:
-                keys.add((s, u))
-    if not keys:
-        return DeltaTable({})
-    p = 1.0 / len(keys)
-    return DeltaTable({k: p for k in keys})
-
-
-def _merge_decode(x, y, delta):
-    """Max-product decode of the merging lattice; smaller k (fewer merged
-    insertions) wins ties.  Returns links or None when no path covers the
-    pair."""
-    terms = _merge_terms(x, y)
-    T = len(x)
-    best = [NEG_INF] * (T + 1)
-    back = [None] * (T + 1)
-    best[0] = 0.0
-    for t in range(1, T + 1):
-        # Terms are generated in increasing k order; strict > keeps the
-        # earliest (minimal merge) on ties.
-        for b, s, u in terms[t]:
-            if best[b] == NEG_INF:
-                continue
-            ld = delta.logp(s, u)
-            if ld == NEG_INF:
-                continue
-            score = best[b] + ld
-            if score > best[t]:
-                best[t] = score
-                back[t] = (b, s, u)
-    if best[T] == NEG_INF:
-        return None, NEG_INF
-    links = []
-    t = T
-    while t > 0:
-        b, s, u = back[t]
-        links.append(AlignmentLink(s, u))
-        t = b
-    links.reverse()
-    return tuple(links), best[T]
-
-
-def precision_align(pairs, p1=None, p2=None):
+def precision_align(pairs, p1=None):
     """Two-pass precision alignment.
 
-    Pass 1 aligns 1-1 with nulls on either side; pass 2 re-estimates span
-    probabilities with EM over the insertion-merging lattice and decodes
-    the max-product merge.  Output links never have an empty source span;
-    target-side nulls come through as deletion links.
+    Pass 1 aligns 1-1 with nulls on either side under p1 (default
+    ONE_TO_ONE); pass 2 re-estimates span probabilities with EM over the
+    insertion-merging lattice, under p1's max_iterations and tol, and
+    decodes the max-product merge.  Output links never have an empty
+    source span; target-side nulls come through as deletion links.  Pass 2
+    numbers the pairs it excludes by their position in pass 1's output.
     """
-    p2 = p2 or AlignParams(max_x=1, max_y=1)
-    indexed = _pass1_indexed(pairs, p1)
-    if not indexed:
-        return []
-    padded = [p for _, p in indexed]
-    delta, active = _em_loop(
-        padded, _merge_uniform(padded), p2,
-        lambda pair, d, g: _merge_estep(pair, d, g),
-    )
+    p1 = p1 or ONE_TO_ONE
+    padded = pass1_align(pairs, p1)
+    keys = {}
+    lattices = [_merge_edges(p.source, p.target, keys) for p in padded]
+    delta, active = _em(lattices, list(keys), p1)
+    logd = [delta.logp(*key) for key in keys]
+    links = [AlignmentLink(*key) for key in keys]
+    ties = [()] * len(keys)  # full ties keep edge order: fewest merges
     alignments = []
-    active_set = set(active)
-    for pos, (idx, pair) in enumerate(indexed):
-        if pos not in active_set:
-            continue
-        links, score = _merge_decode(pair.source, pair.target, delta)
-        if links is None:
-            log.warning("pair %d cannot be decoded in pass 2; excluded", idx)
-            continue
-        alignments.append(Alignment(links=links, likelihood=math.exp(score)))
-    return alignments
-
-
-def baseline_align(pairs, params=None):
-    """Single-pass many-to-many alignment (the 2-2-with-deletions default):
-    EM then 1-best decode per pair."""
-    params = params or AlignParams()
-    delta = em_train(pairs, params)
-    alignments = []
-    for idx, pair in enumerate(pairs):
-        best = viterbi_nbest(pair.source, pair.target, delta, params, 1)
+    for idx in active:
+        best = _viterbi(lattices[idx], logd, links, ties, 1)
         if not best:
-            log.warning("pair %d cannot be aligned; excluded", idx)
+            log.warning("pair %d cannot be decoded in pass 2; excluded", idx)
             continue
         alignments.append(best[0])
     return alignments

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import logging
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -75,6 +76,9 @@ class RunConfig:
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _BOOL = {"true": True, "yes": True, "1": True,
          "false": False, "no": False, "0": False}
+# "#" opens a comment at the start of a line or after whitespace, so a path
+# such as data/run#1/words.txt survives.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def _convert(key, text):
@@ -98,7 +102,7 @@ def load_config(path=None, overrides=()):
     if path:
         with open(path, encoding="utf-8") as src:
             for lineno, line in enumerate(src, start=1):
-                line = line.split("#", 1)[0].strip()
+                line = _COMMENT.split(line, maxsplit=1)[0].strip()
                 if not line:
                     continue
                 if "=" not in line:
@@ -172,13 +176,11 @@ def cmd_align(cfg):
     if cfg.disable_precision:
         alignments = aligner.baseline_align(pairs, align_params(cfg))
     else:
-        p1 = aligner.AlignParams(
-            1, 1, True, True, cfg.em_iterations, cfg.em_tol
+        p1 = dataclasses.replace(
+            aligner.ONE_TO_ONE,
+            max_iterations=cfg.em_iterations, tol=cfg.em_tol,
         )
-        p2 = aligner.AlignParams(
-            1, 1, True, False, cfg.em_iterations, cfg.em_tol
-        )
-        alignments = aligner.precision_align(pairs, p1, p2)
+        alignments = aligner.precision_align(pairs, p1)
     os.makedirs(cfg.outdir, exist_ok=True)
     with open(cfg.alignment_file, "w", encoding="utf-8") as out:
         aligner.write_alignments(alignments, out)
@@ -197,38 +199,44 @@ def _hash_inputs(*parts):
 
 def load_resources(cfg):
     """Build (or reuse cached) character LM and pruned lexicon from the
-    word list; caches live beside the word list, keyed by a content hash."""
+    word list; caches live beside the word list, keyed by a content hash.
+    Only the resources of enabled features are built: the LM and its bins
+    unless disable_lm, the trie and its bins unless disable_freq."""
+    lm = lm_bins = trie = freq_bins = None
+    refs = {}
     if not cfg.wordlist:
-        return None, None, None, None, {}
+        return lm, lm_bins, trie, freq_bins, refs
     raw = _read(cfg.wordlist)
-    en_raw = _read(cfg.english_wordlist) if cfg.english_wordlist else ""
     lex = freqtrie.parse_lexicon(raw)
-    words = list(lex.counts)
 
-    lm_tag = _hash_inputs(raw, cfg.lm_order, "lm-v1")
-    lm_path = f"{cfg.wordlist}.{lm_tag}.lm"
-    if os.path.exists(lm_path):
-        lm = charlm.load_charlm(lm_path)
-    else:
-        lm = charlm.train_charlm(words, cfg.lm_order)
-        charlm.save_charlm(lm, lm_path)
-    lm_bins = charlm.make_bins(lm, words)
-
-    lex_path = cfg.wordlist
-    if cfg.english_wordlist:
-        tag = _hash_inputs(raw, en_raw, "prune-v1")
-        lex_path = f"{cfg.wordlist}.{tag}.plex"
-        if os.path.exists(lex_path):
-            lex = freqtrie.parse_lexicon(_read(lex_path))
+    if not cfg.disable_lm:
+        words = list(lex.counts)
+        lm_tag = _hash_inputs(raw, cfg.lm_order, "lm-v1")
+        lm_path = refs["lm"] = f"{cfg.wordlist}.{lm_tag}.lm"
+        if os.path.exists(lm_path):
+            lm = charlm.load_charlm(lm_path)
         else:
-            lex = freqtrie.prune_lexicon(lex, freqtrie.parse_lexicon(en_raw))
-            with open(lex_path, "w", encoding="utf-8") as out:
-                out.write(freqtrie.serialize_lexicon(lex))
-    trie = freqtrie.build_trie(lex)
-    freq_bins = freqtrie.FreqBinConfig(
-        tuple(int(t) for t in cfg.freq_thresholds.split(","))
-    )
-    refs = {"lm": lm_path, "lexicon": lex_path}
+            lm = charlm.train_charlm(words, cfg.lm_order)
+            charlm.save_charlm(lm, lm_path)
+        lm_bins = charlm.make_bins(lm, words)
+
+    if not cfg.disable_freq:
+        lex_path = cfg.wordlist
+        if cfg.english_wordlist:
+            en_raw = _read(cfg.english_wordlist)
+            tag = _hash_inputs(raw, en_raw, "prune-v1")
+            lex_path = f"{cfg.wordlist}.{tag}.plex"
+            if os.path.exists(lex_path):
+                lex = freqtrie.parse_lexicon(_read(lex_path))
+            else:
+                lex = freqtrie.prune_lexicon(lex, freqtrie.parse_lexicon(en_raw))
+                with open(lex_path, "w", encoding="utf-8") as out:
+                    out.write(freqtrie.serialize_lexicon(lex))
+        refs["lexicon"] = lex_path
+        trie = freqtrie.build_trie(lex)
+        freq_bins = freqtrie.FreqBinConfig(
+            tuple(int(t) for t in cfg.freq_thresholds.split(","))
+        )
     return lm, lm_bins, trie, freq_bins, refs
 
 

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from chartrans import aligner
 from chartrans.aligner import (
     ONE_TO_ONE,
     AlignParams,
@@ -23,7 +25,12 @@ from chartrans.aligner import (
 )
 from chartrans.core import NULL, TrainingPair
 
-from toytask import brute_alignments, brute_path_sum, random_delta
+from toytask import (
+    brute_alignments,
+    brute_merge_sum,
+    brute_path_sum,
+    random_delta,
+)
 
 # Mini corpus around the phoneme-to-letter walkthrough pair: enough
 # support for w-w, ɔ-al, and k-k links that the alignment statistics are
@@ -320,6 +327,67 @@ def test_insertion_merging_without_nulls_equals_strict_forward():
 def test_insertion_merging_length_mismatch():
     with pytest.raises(ValueError):
         forward_insertion_merging(("a",), ("b", "c"), DeltaTable({}))
+
+
+def _pass2_loglik(x, y, delta):
+    """The log-likelihood pass-2 EM gives one padded pair under delta."""
+    keys = {}
+    lattice = aligner._merge_edges(x, y, keys)
+    return aligner._estep(lattice, [delta.logp(*key) for key in keys], {})
+
+
+def _random_padded_pair(rng):
+    src, tgt = [], []
+    for _ in range(rng.randint(1, 7)):
+        kind = rng.random()
+        if kind < 0.35:  # insertion: null on the source
+            src.append(NULL)
+            tgt.append(rng.choice("pq"))
+        elif kind < 0.5:  # deletion: null on the target
+            src.append(rng.choice("ab"))
+            tgt.append(NULL)
+        else:
+            src.append(rng.choice("ab"))
+            tgt.append(rng.choice("pq"))
+    return tuple(src), tuple(tgt)
+
+
+def _random_merge_delta(x, y, rng):
+    """Random probabilities on most spans holding one non-null source
+    symbol; about a fifth are left out, so some pairs have no path."""
+    probs = {}
+    for i in range(len(x)):
+        for j in range(i + 1, len(x) + 1):
+            if sum(s != NULL for s in x[i:j]) == 1 and rng.random() < 0.8:
+                key = (
+                    tuple(s for s in x[i:j] if s != NULL),
+                    tuple(t for t in y[i:j] if t != NULL),
+                )
+                probs[key] = rng.uniform(0.01, 0.99)
+    return DeltaTable(probs)
+
+
+def test_insertion_merging_corner_is_pass2_likelihood():
+    # the leading null must merge right into b, so the only path links b
+    # to q p; b -> p would drop q and belongs to no path
+    x, y = (NULL, "b"), ("q", "p")
+    delta = DeltaTable({(("b",), ("p",)): 0.9, (("b",), ("q", "p")): 0.5})
+    corner = forward_insertion_merging(x, y, delta).log_corner()
+    assert corner == _pass2_loglik(x, y, delta) == math.log(0.5)
+    rng = random.Random(34)
+    unreachable = 0
+    for _ in range(1000):
+        x, y = _random_padded_pair(rng)
+        delta = _random_merge_delta(x, y, rng)
+        corner = forward_insertion_merging(x, y, delta).log_corner()
+        assert corner == _pass2_loglik(x, y, delta)
+        brute = brute_merge_sum(x, y, delta)
+        if brute == 0.0:
+            unreachable += 1
+            assert corner == float("-inf")
+        else:
+            assert corner == pytest.approx(math.log(brute), abs=1e-12)
+    assert 0 < unreachable < 500
 
 
 def test_precision_align_walkthrough_links():

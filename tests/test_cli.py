@@ -77,6 +77,19 @@ def test_load_config_and_overrides(tmp_path):
     assert cfg.loss == "zero-one"
 
 
+def test_load_config_keeps_hash_inside_a_value(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "# run settings\n"
+        "wordlist = data/run#1/words.txt\n"
+        "pairs = data.txt\t# tab before the comment\n",
+        encoding="utf-8",
+    )
+    cfg = load_config(str(path))
+    assert cfg.wordlist == "data/run#1/words.txt"
+    assert cfg.pairs == "data.txt"
+
+
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("no_such_option = 1\n", encoding="utf-8")
@@ -181,6 +194,22 @@ def test_disabling_corpus_features_drops_bin_keys(tmp_path):
     model_text = (tmp_path / "out" / "model.txt").read_text(encoding="utf-8")
     assert "LMB" not in model_text
     assert "FQB" not in model_text
+
+
+def test_disabled_corpus_features_build_no_resources(tmp_path):
+    cfg = write_context_task(tmp_path, n_train=25, n_test=8)
+    cfg.disable_lm = True
+    cmd_align(cfg)
+    cmd_train(cfg)
+    header = (tmp_path / "out" / "model.txt").read_text(encoding="utf-8")
+    assert "#lmbins" not in header
+    assert "#freqbins" in header
+    assert not list(tmp_path.glob("*.lm"))
+    cfg.disable_lm, cfg.disable_freq = False, True
+    cmd_train(cfg)
+    header = (tmp_path / "out" / "model.txt").read_text(encoding="utf-8")
+    assert "#lmbins" in header
+    assert "#freqbins" not in header
 
 
 def test_prune_command(tmp_path):

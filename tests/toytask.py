@@ -6,7 +6,7 @@ or textbook recursions, independent of the library's DP code paths.
 
 import random
 
-from chartrans.core import EvalInstance, TrainingPair
+from chartrans.core import NULL, EvalInstance, TrainingPair
 from chartrans.freqtrie import Lexicon
 from chartrans.transducer import Rule, derivation_features, _dot
 
@@ -51,6 +51,28 @@ def brute_alignments(x, y, delta, params):
 
     rec(0, 0, [], 1.0)
     return out
+
+
+def brute_merge_sum(x, y, delta):
+    """Insertion-merging likelihood of a padded pair: the sum, over every
+    split of it into spans holding exactly one non-null source symbol, of
+    the product of the spans' probabilities with nulls dropped."""
+
+    def strip(span):
+        return tuple(s for s in span if s != NULL)
+
+    def rec(t):
+        if t == len(x):
+            return 1.0
+        total = 0.0
+        for end in range(t + 1, len(x) + 1):
+            if sum(s != NULL for s in x[t:end]) == 1:
+                d = delta.prob(strip(x[t:end]), strip(y[t:end]))
+                if d > 0.0:
+                    total += d * rec(end)
+        return total
+
+    return rec(0)
 
 
 def random_delta(x, y, rng, params):
