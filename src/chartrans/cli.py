@@ -31,7 +31,6 @@ class RunConfig:
     max_x: int = 2
     max_y: int = 2
     allow_deletion: bool = True
-    allow_insertion: bool = False
     em_iterations: int = 100
     em_tol: float = 1e-6
     # features
@@ -147,7 +146,6 @@ def align_params(cfg):
     return aligner.AlignParams(
         max_x=cfg.max_x, max_y=cfg.max_y,
         allow_deletion=cfg.allow_deletion,
-        allow_insertion=cfg.allow_insertion,
         max_iterations=cfg.em_iterations, tol=cfg.em_tol,
     )
 
@@ -204,7 +202,7 @@ def load_resources(cfg):
     unless disable_lm, the trie and its bins unless disable_freq."""
     lm = lm_bins = trie = freq_bins = None
     refs = {}
-    if not cfg.wordlist:
+    if not cfg.wordlist or (cfg.disable_lm and cfg.disable_freq):
         return lm, lm_bins, trie, freq_bins, refs
     raw = _read(cfg.wordlist)
     lex = freqtrie.parse_lexicon(raw)
@@ -245,10 +243,7 @@ def cmd_train(cfg):
         alignments = aligner.read_alignments(src)
     if not alignments:
         raise ValueError(f"no alignments in {cfg.alignment_file}")
-    lm = lm_bins = trie = freq_bins = None
-    refs = {}
-    if not (cfg.disable_lm and cfg.disable_freq):
-        lm, lm_bins, trie, freq_bins, refs = load_resources(cfg)
+    lm, lm_bins, trie, freq_bins, refs = load_resources(cfg)
     dev = read_eval_instances(cfg, cfg.dev) if cfg.dev else None
     model = transducer.train(
         None, alignments, cfg=train_config(cfg),
@@ -275,19 +270,19 @@ def load_model(cfg):
 
 
 def _sources(cfg, path):
+    """Source sequences to decode: inflection triples, or pair lines whose
+    target column may be missing."""
+    text = _read(path)
+    if cfg.task == "inflection":
+        return [p.source for p in core.parse_inflections(text)]
     out = []
-    for line in _read(path).splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        if cfg.task == "inflection":
-            lemma, form, tags = line.split("\t")
-            out.append(
-                core.inflection_to_pairs(
-                    core.word_seq(lemma), tags, core.word_seq(form)
-                ).source
-            )
-        else:
+        try:
             out.append(core.parse_seq(line.split("\t", 1)[0]))
+        except core.ValidationError as exc:
+            raise core.ParseError(lineno, str(exc)) from exc
     return out
 
 

@@ -60,11 +60,6 @@ def seq_text(seq):
     return " ".join(seq)
 
 
-def word_text(seq):
-    """Join a sequence back into a plain word."""
-    return "".join(seq)
-
-
 @dataclass(frozen=True)
 class TrainingPair:
     source: tuple

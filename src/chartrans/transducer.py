@@ -6,7 +6,10 @@ step with sparse indicator features: the rule itself, source context
 n-grams around the application point, target n-grams of the growing
 output, joint rule n-grams, a copy indicator, and (when corpus resources
 are attached) cumulative language-model and frequency bin features
-computed on the output prefix.  Training is online large-margin (MIRA)
+computed on the output prefix.  One step function, _step, computes a
+step's features and advances the derivation state (output, rules, running
+LM sum, trie node); the beam search, derivation_features and
+featurize_step all go through it.  Training is online large-margin (MIRA)
 against the k-best list, with optional weight averaging.
 
 Feature keys are tuples (template tag first); they serialize to JSON
@@ -125,17 +128,23 @@ def extract_rules(alignments):
     return frozenset(rules), golds
 
 
-_UNSET = object()
+def _state(model, out=(), rules=()):
+    """Derivation state after emitting out through rules: (output, rules,
+    running log10 LM sum of the output's transitions, trie node reached by
+    the output or None), the last two only for corpus features in use."""
+    lm_sum = extend_score(model.lm, 0.0, (), out)[0] if model.uses_lm else 0.0
+    node = walk(model.trie, out) if model.uses_freq else None
+    return out, rules, lm_sum, node
 
 
-def _step_features(x, pos, rule, out, prev_rules, model, lm_sum=None, node=_UNSET):
-    """Features for applying rule at pos given the output so far.
+def _step(x, pos, rule, state, model):
+    """(features, new state) for applying rule at pos to state.
 
-    lm_sum and node carry incremental decoder state (running log10 sum of
-    the output's transitions; trie node reached by the output).  When
-    omitted they are recomputed from scratch, which yields bit-identical
-    results because summation order matches.
+    The one place a derivation advances: the LM sum and trie node move on
+    by the rule's target alone, so the beam search and derivation_features
+    get the same floats for the same derivation.
     """
+    out, rules, lm_sum, node = state
     cfg = model.config
     feats = {}
 
@@ -157,7 +166,7 @@ def _step_features(x, pos, rule, out, prev_rules, model, lm_sum=None, node=_UNSE
         if len(new_out) >= m:
             fire(("T", new_out[-m:]))
 
-    seq = prev_rules + (rule,)
+    seq = rules + (rule,)
     for j in range(1, cfg.joint_order + 1):
         if len(seq) >= j:
             fire(("J", tuple((r.source, r.target) for r in seq[-j:])))
@@ -166,12 +175,9 @@ def _step_features(x, pos, rule, out, prev_rules, model, lm_sum=None, node=_UNSE
         fire(("COPY",))
 
     final = pos + len(rule.source) == len(x)
-    new_sum = lm_sum
     if model.uses_lm and new_out:
-        if new_sum is None:
-            new_sum, _ = extend_score(model.lm, 0.0, (), out)
-        new_sum, _ = extend_score(model.lm, new_sum, out, rule.target)
-        total, n = new_sum, len(new_out)
+        lm_sum, _ = extend_score(model.lm, lm_sum, out, rule.target)
+        total, n = lm_sum, len(new_out)
         if final:
             total = total + model.lm.logprob(
                 (BOS,) * (model.lm.order - 1) + new_out, EOS
@@ -180,27 +186,23 @@ def _step_features(x, pos, rule, out, prev_rules, model, lm_sum=None, node=_UNSE
         for idx in sorted(lm_bin_features(total / n, model.lm_bins)):
             fire(("LMB", idx))
 
-    new_node = node
     if model.uses_freq:
-        if new_node is _UNSET:
-            new_node = walk(model.trie, out)
-        if new_node is not None:
-            new_node = walk(new_node, rule.target)
+        if node is not None:
+            node = walk(node, rule.target)
         if new_out:
             count = 0
-            if new_node is not None:
-                count = new_node.word_count if final else new_node.prefix_count
+            if node is not None:
+                count = node.word_count if final else node.prefix_count
             for idx in sorted(freq_bin_features(count, model.freq_bins)):
                 fire(("FQB", idx))
 
-    return feats, new_sum, new_node
+    return feats, (new_out, seq, lm_sum, node)
 
 
 def featurize_step(x, pos, rule, target_so_far, prev_rules, model):
-    """Feature vector for applying rule at pos; see _step_features."""
-    feats, _, _ = _step_features(
-        tuple(x), pos, rule, tuple(target_so_far), tuple(prev_rules), model
-    )
+    """Feature vector for applying rule at pos; see _step."""
+    state = _state(model, tuple(target_so_far), tuple(prev_rules))
+    feats, _ = _step(tuple(x), pos, rule, state, model)
     return feats
 
 
@@ -208,22 +210,30 @@ def _dot(weights, feats):
     return sum(weights.get(k, 0.0) * v for k, v in feats.items())
 
 
-def derivation_features(x, derivation, model):
-    """Summed step features of a full derivation."""
+def _summed(trail):
+    """Features of a (step features, previous trail) chain, summed first
+    step first, so key order and float sums do not depend on who built it."""
+    steps = []
+    while trail is not None:
+        step, trail = trail
+        steps.append(step)
     feats = {}
-    out = ()
-    prev = ()
-    pos = 0
-    for rule in derivation:
-        step, _, _ = _step_features(x, pos, rule, out, prev, model)
+    for step in reversed(steps):
         for k, v in step.items():
             feats[k] = feats.get(k, 0.0) + v
-        out = out + rule.target
-        prev = prev + (rule,)
+    return feats
+
+
+def derivation_features(x, derivation, model):
+    """Summed step features of a full derivation."""
+    state, trail, pos = _state(model), None, 0
+    for rule in derivation:
+        step, state = _step(x, pos, rule, state, model)
+        trail = (step, trail)
         pos += len(rule.source)
     if pos != len(x):
         raise ValueError("derivation does not tile the source")
-    return feats, out
+    return _summed(trail), state[0]
 
 
 def gold_candidate(x, derivation, model):
@@ -246,7 +256,9 @@ def decode_nbest(x, model, beam_width, n):
     (deletion) rules.  Each state keeps its n best distinct outputs and
     each position keeps its beam_width best states, so with corpus
     features disabled and a beam at least the state count the result
-    matches exhaustive enumeration.
+    matches exhaustive enumeration.  A candidate's features are the trail
+    of step vectors its hypothesis carried, summed as derivation_features
+    sums them, so no derivation is scored twice.
     """
     if n < 1 or beam_width < n:
         raise ValueError("need beam >= n >= 1")
@@ -258,15 +270,14 @@ def decode_nbest(x, model, beam_width, n):
     j_keep = cfg.joint_order - 1
     weights = model.weights
 
-    root = model.trie if model.uses_freq else None
-    # item: (score, output, rules, lm_sum, trie_node), slotted by
-    # (state key, output) so equal-output items in one state collapse.
-    start = (0.0, (), (), 0.0, root)
+    # item: (score, state, trail), slotted by (state key, output) so
+    # equal-output items in one state collapse.
     beams = [dict() for _ in range(len(x) + 1)]
-    beams[0][(((), ()), ())] = start
+    beams[0][(((), ()), ())] = (0.0, _state(model), None)
 
     def order_key(item):
-        return (-item[0], item[1], _rules_key(item[2]))
+        score, (out, rules, _, _), _ = item
+        return (-score, out, _rules_key(rules))
 
     for t in range(len(x)):
         if not beams[t]:
@@ -286,19 +297,12 @@ def decode_nbest(x, model, beam_width, n):
         if not matches:
             matches = [Rule((x[t],), (x[t],))]
         for items in ranked_states:
-            for score, out, rules, lm_sum, node in items:
+            for score, state, trail in items:
                 for rule in matches:
-                    feats, new_sum, new_node = _step_features(
-                        x, t, rule, out, rules, model, lm_sum, node
-                    )
-                    new_out = out + rule.target
-                    new_rules = rules + (rule,)
+                    feats, new_state = _step(x, t, rule, state, model)
+                    new_out, new_rules, _, _ = new_state
                     new_item = (
-                        score + _dot(weights, feats),
-                        new_out,
-                        new_rules,
-                        new_sum if new_sum is not None else 0.0,
-                        new_node,
+                        score + _dot(weights, feats), new_state, (feats, trail)
                     )
                     skey = (new_out[-m_keep:] if m_keep else (),
                             _rules_key(new_rules[-j_keep:]) if j_keep else ())
@@ -308,15 +312,15 @@ def decode_nbest(x, model, beam_width, n):
                         slot[(skey, new_out)] = new_item
     finals = {}
     for item in beams[len(x)].values():
-        old = finals.get(item[1])
+        out = item[1][0]
+        old = finals.get(out)
         if old is None or order_key(item) < order_key(old):
-            finals[item[1]] = item
+            finals[out] = item
     ranked = sorted(finals.values(), key=order_key)[:n]
-    out = []
-    for score, output, rules, _, _ in ranked:
-        feats, _ = derivation_features(x, rules, model)
-        out.append(Candidate(output, rules, score, feats))
-    return out
+    return [
+        Candidate(output, rules, score, _summed(trail))
+        for score, (output, rules, _, _), trail in ranked
+    ]
 
 
 def loss(gold_output, cand_output, kind="levenshtein"):
@@ -346,15 +350,9 @@ def mira_update(weights, gold, candidates, c, loss_kind="levenshtein", avg=None)
     for cand in candidates:
         if cand.output == gold.output:
             continue
-        diff = {}
-        for k, v in gold.features.items():
-            diff[k] = diff.get(k, 0.0) + v
+        diff = dict(gold.features)
         for k, v in cand.features.items():
-            d = diff.get(k, 0.0) - v
-            if d == 0.0:
-                diff.pop(k, None)
-            else:
-                diff[k] = d
+            diff[k] = diff.get(k, 0.0) - v
         diff = {k: v for k, v in diff.items() if v != 0.0}
         if not diff:
             continue

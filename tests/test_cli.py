@@ -15,7 +15,7 @@ from chartrans.cli import (
     main,
     read_nbest,
 )
-from chartrans.core import parse_pairs
+from chartrans.core import ParseError, parse_pairs
 from chartrans.aligner import read_alignments
 
 from toytask import context_pairs
@@ -99,6 +99,12 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(None, overrides=["also_bad=2"])
 
 
+def test_load_config_rejects_allow_insertion():
+    # insertion links cannot become rules, so the key is not offered
+    with pytest.raises(ValueError):
+        load_config(overrides=["allow_insertion=true"])
+
+
 def test_full_pipeline_reaches_perfect_accuracy(tmp_path):
     cfg = write_context_task(tmp_path)
     cmd_align(cfg)
@@ -141,6 +147,35 @@ def test_decode_single_best_and_fallback(tmp_path):
     _src, rank, output, _score = lines[0].split("\t")
     assert rank == "1"
     assert "Q" in output.split()
+
+
+def test_decode_input_error_names_its_line(tmp_path):
+    cfg = write_context_task(tmp_path, n_train=10, n_test=3)
+    cfg.epochs = 1
+    cmd_align(cfg)
+    cmd_train(cfg)
+    bad = tmp_path / "bad.txt"
+    # source-only lines are accepted; the null token is not
+    bad.write_text("a b\n\nc _ d\tC 1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 3"):
+        cmd_decode(cfg, input_path=str(bad))
+
+
+def test_inflection_decode_input_error_names_its_line(tmp_path):
+    (tmp_path / "infl.txt").write_text(
+        "mira\tmiro\tV;PRS\ngana\tganed\tV;PST\n", encoding="utf-8"
+    )
+    cfg = RunConfig(
+        pairs=str(tmp_path / "infl.txt"), outdir=str(tmp_path / "out"),
+        task="inflection", epochs=1, nbest=2, beam=4, decode_nbest=1,
+        disable_lm=True, disable_freq=True,
+    )
+    cmd_align(cfg)
+    cmd_train(cfg)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("mira\tmiro\tV;PRS\ngana\tV;PST\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2"):
+        cmd_decode(cfg, input_path=str(bad))
 
 
 def test_baseline_alignment_links_a_to_w(tmp_path):

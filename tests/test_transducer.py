@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chartrans.aligner import Alignment, AlignmentLink
+from chartrans.aligner import Alignment, AlignmentLink, precision_align
 from chartrans.charlm import BinConfig, train_charlm, make_bins
 from chartrans.core import TrainingPair
 from chartrans.freqtrie import FreqBinConfig, Lexicon, build_trie
@@ -13,6 +13,8 @@ from chartrans.transducer import (
     Rule,
     TrainConfig,
     _dot,
+    _state,
+    _step,
     decode_nbest,
     derivation_features,
     extract_rules,
@@ -33,6 +35,7 @@ from toytask import (
     context_alignments,
     context_pairs,
     digraph_pairs,
+    lexicon_task,
 )
 
 PLAIN = FeatureConfig(lm_features=False, freq_features=False)
@@ -302,6 +305,39 @@ def test_incremental_corpus_state_matches_scratch_decode():
         assert [c.output for c in got] == [w[1] for w in want]
         for cand, (score, _, _) in zip(got, want):
             assert cand.score == pytest.approx(score, abs=1e-9)
+
+
+def test_candidate_features_match_rescoring_with_corpus_features():
+    # the beam search sums the step vectors it scored with; replaying the
+    # derivation must give the same vector, and featurize_step, which
+    # rebuilds the state from the prefix, the same vector at every step
+    lexicon, pairs, held = lexicon_task(31, lex_size=400, n_train=30, n_test=15)
+    words = list(lexicon.counts)
+    lm = train_charlm(words, 3)
+    model = train(
+        pairs, precision_align(pairs), cfg=TrainConfig(epochs=1, nbest=5, beam=10),
+        lm=lm, lm_bins=make_bins(lm, words), trie=build_trie(lexicon),
+        freq_bins=FreqBinConfig((1, 10, 100)),
+    )
+    assert model.uses_lm and model.uses_freq
+    checked = 0
+    for inst in held:
+        x = inst.source
+        for cand in decode_nbest(x, model, 10, 5):
+            feats, out = derivation_features(x, cand.derivation, model)
+            assert out == cand.output
+            assert list(cand.features.items()) == list(feats.items())
+            state, pos = _state(model), 0
+            for rule in cand.derivation:
+                target, prev = state[0], state[1]
+                step, state = _step(x, pos, rule, state, model)
+                scratch = featurize_step(x, pos, rule, target, prev, model)
+                assert list(scratch.items()) == list(step.items())
+                pos += len(rule.source)
+            assert any(k[0] == "LMB" for k in feats)
+            assert any(k[0] == "FQB" for k in feats)
+            checked += 1
+    assert checked > len(held)
 
 
 def test_mira_no_update_for_gold_output():
