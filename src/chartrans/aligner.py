@@ -49,6 +49,8 @@ class AlignParams:
             raise ValueError("substring limits must be >= 1")
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
     def moves(self):
         """Admissible (source length, target length) steps."""
@@ -373,24 +375,23 @@ def viterbi_nbest(x, y, delta, params, n):
     return _viterbi(lattice, logd, links, ties, n)
 
 
-def _align_each(pairs, params, stage):
-    """EM, then each pair's 1-best alignment; a pair with none is dropped
-    with a warning naming its index and stage."""
+def _align_each(pairs, params):
+    """EM, then each pair's 1-best alignment.  A pair with none has no path
+    in its lattice, so EM has already excluded it with a warning; it is
+    dropped here without another."""
     delta = em_train(pairs, params)
     alignments = []
-    for idx, pair in enumerate(pairs):
+    for pair in pairs:
         best = viterbi_nbest(pair.source, pair.target, delta, params, 1)
-        if not best:
-            log.warning("pair %d cannot be aligned%s; excluded", idx, stage)
-            continue
-        alignments.append(best[0])
+        if best:
+            alignments.append(best[0])
     return alignments
 
 
 def baseline_align(pairs, params=None):
     """Single-pass many-to-many alignment (the 2-2-with-deletions default):
     EM then 1-best decode per pair."""
-    return _align_each(pairs, params or AlignParams(), "")
+    return _align_each(pairs, params or AlignParams())
 
 
 def pass1_align(pairs, params=None):
@@ -405,7 +406,7 @@ def pass1_align(pairs, params=None):
             tuple(link.source[0] if link.source else NULL for link in a.links),
             tuple(link.target[0] if link.target else NULL for link in a.links),
         )
-        for a in _align_each(pairs, params or ONE_TO_ONE, " in pass 1")
+        for a in _align_each(pairs, params or ONE_TO_ONE)
     ]
 
 

@@ -15,8 +15,19 @@ from . import aligner, charlm, core, freqtrie, transducer
 log = logging.getLogger("chartrans")
 
 
+TASKS = ("pairs", "inflection")
+# The library objects the pipeline builds from a configuration.  Each
+# declares its own settings; RunConfig takes them over as keys.
+_LIBRARY = (aligner.AlignParams, transducer.FeatureConfig, transducer.TrainConfig)
+# Library fields that are not keys: insertion links cannot become rules,
+# and disable_lm / disable_freq switch the two corpus features.
+_NOT_KEYS = ("allow_insertion", "lm_features", "freq_features")
+
+
 @dataclass
-class RunConfig:
+class _RunSettings:
+    """The run's own settings, which no library class declares."""
+
     # input/output paths
     pairs: str = ""
     dev: str = ""
@@ -25,36 +36,34 @@ class RunConfig:
     english_wordlist: str = ""
     outdir: str = "."
     # task adapter
-    task: str = "pairs"  # pairs | inflection
+    task: str = "pairs"
     copy_instances: int = 0
-    # alignment
-    max_x: int = 2
-    max_y: int = 2
-    allow_deletion: bool = True
-    em_iterations: int = 100
-    em_tol: float = 1e-6
-    # features
-    context_window: int = 2
-    max_source_ngram: int = 2
-    target_order: int = 2
-    joint_order: int = 2
-    copy_feature: bool = True
     # corpus resources
     lm_order: int = 4
-    freq_thresholds: str = "1,10,100,1000,10000,100000,1000000"
-    # training
-    epochs: int = 20
-    mira_c: float = 0.05
-    nbest: int = 10
-    beam: int = 40
-    averaging: bool = True
-    loss: str = "levenshtein"
+    freq_thresholds: tuple = freqtrie.FreqBinConfig().thresholds
     # decoding
     decode_nbest: int = 10
     # ablation switches
     disable_lm: bool = False
     disable_freq: bool = False
     disable_precision: bool = False
+
+    def __post_init__(self):
+        # Build every library object once, so a bad value fails here and
+        # not after alignment has run.
+        if self.task not in TASKS:
+            raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
+        freqtrie.FreqBinConfig(self.freq_thresholds)
+        for cls in _LIBRARY:
+            self.build(cls)
+
+    def build(self, cls):
+        """The library object cls made from the settings of the same names;
+        its lm_features and freq_features follow the disable_* switches."""
+        values = {**vars(self), "lm_features": not self.disable_lm,
+                  "freq_features": not self.disable_freq}
+        names = [f.name for f in dataclasses.fields(cls)]
+        return cls(**{name: values[name] for name in names if name in values})
 
     def path(self, name):
         return os.path.join(self.outdir, name)
@@ -72,6 +81,18 @@ class RunConfig:
         return self.path("nbest.txt")
 
 
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [
+        (f.name, f.type, dataclasses.field(default=f.default))
+        for cls in _LIBRARY
+        for f in dataclasses.fields(cls)
+        if f.name not in _NOT_KEYS
+    ],
+    bases=(_RunSettings,),
+    namespace={"__module__": __name__},
+)
+
 _FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _BOOL = {"true": True, "yes": True, "1": True,
          "false": False, "no": False, "0": False}
@@ -85,19 +106,19 @@ def _convert(key, text):
     if kind is None:
         raise ValueError(f"unknown configuration key {key!r}")
     text = text.strip()
-    if kind is bool or kind == "bool":
+    if kind is bool:
         if text.lower() not in _BOOL:
             raise ValueError(f"bad boolean for {key}: {text!r}")
         return _BOOL[text.lower()]
-    if kind is int or kind == "int":
-        return int(text)
-    if kind is float or kind == "float":
-        return float(text)
-    return text
+    if kind is tuple:
+        return tuple(int(t) for t in text.split(","))
+    return kind(text)
 
 
 def load_config(path=None, overrides=()):
-    cfg = RunConfig()
+    """The RunConfig of a key = value file and then the overrides; every
+    value is checked here, by the library object that reads it."""
+    values = {}
     if path:
         with open(path, encoding="utf-8") as src:
             for lineno, line in enumerate(src, start=1):
@@ -107,13 +128,13 @@ def load_config(path=None, overrides=()):
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, value = (part.strip() for part in line.split("=", 1))
-                setattr(cfg, key, _convert(key, value))
+                values[key] = _convert(key, value)
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override {item!r} is not key=value")
         key, value = (part.strip() for part in item.split("=", 1))
-        setattr(cfg, key, _convert(key, value))
-    return cfg
+        values[key] = _convert(key, value)
+    return RunConfig(**values)
 
 
 def _read(path):
@@ -142,41 +163,14 @@ def read_eval_instances(cfg, path):
     return core.parse_eval(text)
 
 
-def align_params(cfg):
-    return aligner.AlignParams(
-        max_x=cfg.max_x, max_y=cfg.max_y,
-        allow_deletion=cfg.allow_deletion,
-        max_iterations=cfg.em_iterations, tol=cfg.em_tol,
-    )
-
-
-def feature_config(cfg):
-    return transducer.FeatureConfig(
-        context_window=cfg.context_window,
-        max_source_ngram=cfg.max_source_ngram,
-        target_order=cfg.target_order,
-        joint_order=cfg.joint_order,
-        copy_feature=cfg.copy_feature,
-        lm_features=not cfg.disable_lm,
-        freq_features=not cfg.disable_freq,
-    )
-
-
-def train_config(cfg):
-    return transducer.TrainConfig(
-        epochs=cfg.epochs, mira_c=cfg.mira_c, nbest=cfg.nbest,
-        beam=cfg.beam, averaging=cfg.averaging, loss=cfg.loss,
-    )
-
-
 def cmd_align(cfg):
     pairs = read_training_pairs(cfg)
     if cfg.disable_precision:
-        alignments = aligner.baseline_align(pairs, align_params(cfg))
+        alignments = aligner.baseline_align(pairs, cfg.build(aligner.AlignParams))
     else:
         p1 = dataclasses.replace(
             aligner.ONE_TO_ONE,
-            max_iterations=cfg.em_iterations, tol=cfg.em_tol,
+            max_iterations=cfg.max_iterations, tol=cfg.tol,
         )
         alignments = aligner.precision_align(pairs, p1)
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -232,9 +226,7 @@ def load_resources(cfg):
                     out.write(freqtrie.serialize_lexicon(lex))
         refs["lexicon"] = lex_path
         trie = freqtrie.build_trie(lex)
-        freq_bins = freqtrie.FreqBinConfig(
-            tuple(int(t) for t in cfg.freq_thresholds.split(","))
-        )
+        freq_bins = freqtrie.FreqBinConfig(cfg.freq_thresholds)
     return lm, lm_bins, trie, freq_bins, refs
 
 
@@ -246,8 +238,8 @@ def cmd_train(cfg):
     lm, lm_bins, trie, freq_bins, refs = load_resources(cfg)
     dev = read_eval_instances(cfg, cfg.dev) if cfg.dev else None
     model = transducer.train(
-        None, alignments, cfg=train_config(cfg),
-        feature_config=feature_config(cfg),
+        None, alignments, cfg=cfg.build(transducer.TrainConfig),
+        feature_config=cfg.build(transducer.FeatureConfig),
         lm=lm, lm_bins=lm_bins, trie=trie, freq_bins=freq_bins, dev=dev,
     )
     os.makedirs(cfg.outdir, exist_ok=True)
@@ -308,13 +300,18 @@ def read_nbest(path):
     """Group n-best lines back into per-source candidate lists, in file
     order; a rank of 0 or 1 starts a new block."""
     blocks = []
-    for line in _read(path).splitlines():
+    for lineno, line in enumerate(_read(path).splitlines(), start=1):
         if not line.strip():
             continue
-        src, rank, output, _score = line.split("\t")
-        rank = int(rank)
+        try:
+            src, rank, output, _score = line.split("\t")
+            rank = int(rank)
+        except ValueError as exc:
+            raise core.ParseError(lineno, f"bad n-best line: {exc}") from None
         if rank <= 1:
             blocks.append((tuple(src.split()), []))
+        elif not blocks:
+            raise core.ParseError(lineno, f"rank {rank} before any rank 1")
         if rank >= 1:
             blocks[-1][1].append(tuple(output.split()) if output else ())
     return blocks

@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValueError("C must be positive")
         if self.nbest < 1 or self.beam < 1:
             raise ValueError("nbest and beam must be >= 1")
+        if self.loss not in ("levenshtein", "zero-one"):
+            raise ValueError(f"unknown loss {self.loss!r}")
 
 
 @dataclass
@@ -371,7 +373,7 @@ def mira_update(weights, gold, candidates, c, loss_kind="levenshtein", avg=None)
 
 
 def train(pairs, alignments, cfg=None, feature_config=None, lm=None,
-          lm_bins=None, trie=None, freq_bins=None, dev=None, references=None):
+          lm_bins=None, trie=None, freq_bins=None, dev=None):
     """Online MIRA training over the gold derivations of the alignments.
 
     pairs may be None (reconstructed from the alignments); when given it
@@ -457,9 +459,10 @@ def save_model(model, path, lm_path=None, lexicon_path=None):
                 out.write(json.dumps(_plain(key), ensure_ascii=False) + f"\t{w!r}\n")
 
 
-def load_model(path, lm=None, trie=None):
+def load_model(path):
     """Read a model file; returns (model, resource_refs) where the refs
-    hold any lm/lexicon paths recorded at save time."""
+    hold any lm/lexicon paths recorded at save time.  The model has no LM
+    or trie until the caller loads them from those paths."""
     config = None
     lm_bins = None
     freq_bins = None
@@ -494,7 +497,7 @@ def load_model(path, lm=None, trie=None):
                 weights[_tupled(json.loads(key_json))] = float(w)
     model = Model(
         weights=weights, rules=frozenset(rules), config=config or FeatureConfig(),
-        lm=lm, lm_bins=lm_bins, trie=trie, freq_bins=freq_bins,
+        lm_bins=lm_bins, freq_bins=freq_bins,
     )
     return model, refs
 

@@ -159,6 +159,23 @@ def test_em_excludes_unalignable_pair(caplog):
     assert any("excluded" in rec.message for rec in caplog.records)
 
 
+def test_each_unalignable_pair_warns_once(caplog):
+    # one symbol cannot spell three under 2-2 without insertions, nor two
+    # symbols one under 1-1 without deletions
+    with caplog.at_level("WARNING"):
+        baseline = baseline_align([
+            TrainingPair(("a",), ("p", "q", "r")),
+            TrainingPair(("a",), ("p",)),
+        ])
+        padded = pass1_align(
+            [TrainingPair(("a", "a"), ("b",)), TrainingPair(("a",), ("b",))],
+            AlignParams(1, 1, False, False),
+        )
+    assert len(baseline) == 1 and len(padded) == 1
+    warnings = [rec.getMessage() for rec in caplog.records]
+    assert warnings == ["pair 0 cannot be aligned; excluded"] * 2
+
+
 def test_viterbi_single_pair():
     delta = DeltaTable({(("a",), ("b",)): 0.3})
     best = viterbi_nbest(("a",), ("b",), delta, AlignParams(1, 1, False, False), 1)

@@ -1,8 +1,12 @@
+import dataclasses
 import logging
 import random
 
 import pytest
 
+from chartrans.aligner import AlignParams
+from chartrans.freqtrie import FreqBinConfig
+from chartrans.transducer import FeatureConfig, TrainConfig
 from chartrans.cli import (
     RunConfig,
     cmd_ablate,
@@ -103,6 +107,45 @@ def test_load_config_rejects_allow_insertion():
     # insertion links cannot become rules, so the key is not offered
     with pytest.raises(ValueError):
         load_config(overrides=["allow_insertion=true"])
+
+
+def test_every_library_setting_is_a_key_with_its_library_default():
+    # the corpus-feature switches are disable_lm / disable_freq, and
+    # insertion links cannot become rules
+    not_keys = {"allow_insertion", "lm_features", "freq_features"}
+    cfg = load_config()
+    for cls in (AlignParams, FeatureConfig, TrainConfig):
+        default = cls()
+        for field in dataclasses.fields(cls):
+            if field.name in not_keys:
+                continue
+            value = getattr(default, field.name)
+            assert getattr(cfg, field.name) == value, field.name
+            set_cfg = load_config(overrides=[f"{field.name}={value}"])
+            assert getattr(set_cfg, field.name) == value, field.name
+    assert cfg.freq_thresholds == FreqBinConfig().thresholds
+    for old_key in ("em_iterations", "em_tol"):
+        with pytest.raises(ValueError, match="unknown configuration key"):
+            load_config(overrides=[f"{old_key}=1"])
+
+
+@pytest.mark.parametrize("setting", [
+    "beam=0", "max_x=0", "context_window=-1", "loss=levenstein",
+    "task=inflexion", "freq_thresholds=10,1",
+])
+def test_load_config_rejects_bad_values(setting):
+    with pytest.raises(ValueError):
+        load_config(overrides=[setting])
+
+
+@pytest.mark.parametrize("setting", ["beam=0", "task=inflexion"])
+def test_bad_value_stops_align_before_it_writes(tmp_path, capsys, setting):
+    (tmp_path / "pairs.txt").write_text(WALK_CORPUS, encoding="utf-8")
+    rc = main(["align", "--set", f"pairs={tmp_path}/pairs.txt",
+               "--set", f"outdir={tmp_path}/out", "--set", setting])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "alignments.txt").exists()
 
 
 def test_full_pipeline_reaches_perfect_accuracy(tmp_path):
@@ -289,6 +332,20 @@ def test_evaluate_multi_reference_and_oracle(tmp_path):
     )
     assert accuracy == 0.5  # rank 1 of "a" is wrong, "b" is right
     assert oracle == 1.0  # "x" appears at rank 2
+
+
+@pytest.mark.parametrize("nbest, lineno", [
+    ("a\t2\tx\t0.5\n", 1),  # a rank-2 line with no block to join
+    ("a\t1\tx\t0.5\n\nb\t1\ty\n", 3),  # no score column
+], ids=["rank-2-first", "three-fields"])
+def test_evaluate_malformed_nbest_names_its_line(tmp_path, capsys, nbest, lineno):
+    (tmp_path / "nb.txt").write_text(nbest, encoding="utf-8")
+    (tmp_path / "refs.txt").write_text("a\tx\nb\ty\n", encoding="utf-8")
+    rc = main(["evaluate", "--nbest", str(tmp_path / "nb.txt"),
+               "--refs", str(tmp_path / "refs.txt"),
+               "--set", f"outdir={tmp_path}/out"])
+    assert rc == 1
+    assert f"line {lineno}" in capsys.readouterr().err
 
 
 def test_evaluate_count_mismatch(tmp_path):
