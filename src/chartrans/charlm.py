@@ -8,6 +8,14 @@ continuations seen after the history; the recursion bottoms out in a
 uniform distribution over the alphabet plus the end sentinel.  Scores are
 per-transition log10 likelihoods, so they are comparable across prefix
 lengths during incremental decoding.
+
+A transition reads only the last order-1 symbols of its BOS-padded
+history (history_tail), so extend_score carries that tail from symbol to
+symbol instead of the whole prefix, and CharLM.logprob memoises
+(tail, symbol) -> log10 p on the model.  The memo returns the floats the
+recursion computes, so scores are unchanged; it serves the decoder's step
+features, the end transition of complete words and make_bins alike, and
+holds at most one entry per distinct (tail, symbol) asked for.
 """
 
 import math
@@ -30,6 +38,8 @@ class CharLM:
         ]
         # Uniform base mass shared by every symbol, end sentinel, and UNK.
         self._base = 1.0 / (len(self.alphabet) + 1)
+        # last order-1 history symbols -> {symbol: log10 probability}.
+        self._memo = {}
 
     def _map(self, sym):
         if sym in self.alphabet or sym in (BOS, EOS):
@@ -56,7 +66,17 @@ class CharLM:
         )
 
     def logprob(self, history, nxt):
-        return math.log10(self.prob(history, nxt))
+        """log10 of prob(history, nxt), memoised on the last order-1
+        symbols of history, which are all that prob reads."""
+        k = self.order - 1
+        tail = tuple(history)[-k:] if k else ()
+        row = self._memo.get(tail)
+        if row is None:
+            row = self._memo[tail] = {}
+        lp = row.get(nxt)
+        if lp is None:
+            lp = row[nxt] = math.log10(self.prob(tail, nxt))
+        return lp
 
 
 def train_charlm(words, order):
@@ -91,14 +111,26 @@ def score_prefix(lm, prefix, complete=False):
     return logsum / n
 
 
+def history_tail(lm, prefix):
+    """The last order-1 symbols of the BOS-padded sequence prefix: the
+    whole history a transition after prefix reads."""
+    k = lm.order - 1
+    if not k:
+        return ()
+    tail = tuple(prefix[-k:])
+    return tail if len(tail) == k else (BOS,) * (k - len(tail)) + tail
+
+
 def extend_score(lm, logsum, prefix, suffix):
-    """Add the transitions of suffix (appended after prefix) to a running
-    log10 sum.  Summation order matches score_prefix exactly, so
+    """Add the transitions of suffix (appended after the sequence prefix)
+    to a running log10 sum; returns (sum, len(prefix) + len(suffix)).
+    Only the tail of prefix is read, and it moves on one symbol per
+    transition.  Summation order matches score_prefix exactly, so
     incremental decoding reproduces from-scratch scores bit for bit."""
-    padded = [BOS] * (lm.order - 1) + list(prefix)
+    tail = history_tail(lm, prefix)
     for sym in suffix:
-        logsum += lm.logprob(padded, sym)
-        padded.append(sym)
+        logsum += lm.logprob(tail, sym)
+        tail = (tail + (sym,))[1:]
     return logsum, len(prefix) + len(suffix)
 
 

@@ -49,13 +49,47 @@ class _RunSettings:
     disable_precision: bool = False
 
     def __post_init__(self):
-        # Build every library object once, so a bad value fails here and
-        # not after alignment has run.
+        # Check every value once, here, so a bad value fails before
+        # alignment has run; each error starts with the key it blames.
         if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}; expected one of {TASKS}")
-        freqtrie.FreqBinConfig(self.freq_thresholds)
+            raise ValueError(f"{_shown('task', self.task)}: expected one of {TASKS}")
+        for key in ("lm_order", "decode_nbest"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{_shown(key, getattr(self, key))}: must be >= 1")
+        try:
+            freqtrie.FreqBinConfig(self.freq_thresholds)
+        except ValueError as exc:
+            raise ValueError(
+                f"{_shown('freq_thresholds', self.freq_thresholds)}: {exc}"
+            ) from exc
         for cls in _LIBRARY:
-            self.build(cls)
+            try:
+                self.build(cls)
+            except ValueError as exc:
+                blamed = ", ".join(
+                    _shown(key, getattr(self, key)) for key in self._blame(cls)
+                )
+                raise ValueError(f"{blamed}: {exc}") from exc
+
+    def _blame(self, cls):
+        """The keys of cls whose own value fails cls's checks with every
+        other field at its default; failing that, every key of cls whose
+        value is not its default."""
+        default = cls()
+        moved = [
+            f.name for f in dataclasses.fields(cls)
+            if f.name not in _NOT_KEYS
+            and getattr(self, f.name) != getattr(default, f.name)
+        ]
+
+        def fails(key):
+            try:
+                cls(**{key: getattr(self, key)})
+            except ValueError:
+                return True
+            return False
+
+        return [key for key in moved if fails(key)] or moved
 
     def build(self, cls):
         """The library object cls made from the settings of the same names;
@@ -101,6 +135,12 @@ _BOOL = {"true": True, "yes": True, "1": True,
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
+def _shown(key, value):
+    """key = value as a configuration file writes it."""
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+    return f"{key} = {text}"
+
+
 def _convert(key, text):
     kind = _FIELDS.get(key)
     if kind is None:
@@ -108,11 +148,14 @@ def _convert(key, text):
     text = text.strip()
     if kind is bool:
         if text.lower() not in _BOOL:
-            raise ValueError(f"bad boolean for {key}: {text!r}")
+            raise ValueError(f"{_shown(key, text)}: not a boolean")
         return _BOOL[text.lower()]
-    if kind is tuple:
-        return tuple(int(t) for t in text.split(","))
-    return kind(text)
+    try:
+        if kind is tuple:
+            return tuple(int(t) for t in text.split(","))
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"{_shown(key, text)}: {exc}") from exc
 
 
 def load_config(path=None, overrides=()):

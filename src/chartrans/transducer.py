@@ -7,10 +7,18 @@ n-grams around the application point, target n-grams of the growing
 output, joint rule n-grams, a copy indicator, and (when corpus resources
 are attached) cumulative language-model and frequency bin features
 computed on the output prefix.  One step function, _step, computes a
-step's features and advances the derivation state (output, rules, running
-LM sum, trie node); the beam search, derivation_features and
-featurize_step all go through it.  Training is online large-margin (MIRA)
-against the k-best list, with optional weight averaging.
+step's features and advances the derivation state (output, rules, recent
+rule pairs, running LM sum, trie node); derivation_features and
+featurize_step go through it.  It is three parts, each reading less than
+the last: the rule part (R, C) reads only the position and rule, the
+history part (T, J, COPY) only the beam's merge state and the rule, the
+corpus part (LMB, FQB) the whole output.  The beam search calls the same
+parts but scores the rule part once per (position, rule) in a table that
+lives for one decode_nbest call, under that call's weights, and the
+history part once per merge state and rule; _dot is a left fold, so
+continuing those partial sums gives the bits of scoring each step from
+scratch.  Training is online large-margin (MIRA) against the k-best list,
+with optional weight averaging.
 
 Feature keys are tuples (template tag first); they serialize to JSON
 arrays in model files, so arbitrary symbols never collide.
@@ -20,7 +28,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 
-from .charlm import EOS, BOS, extend_score, lm_bin_features, BinConfig
+from .charlm import EOS, extend_score, history_tail, lm_bin_features, BinConfig
 from .core import TrainingPair
 from .freqtrie import FreqBinConfig, freq_bin_features, walk
 
@@ -132,73 +140,96 @@ def extract_rules(alignments):
 
 def _state(model, out=(), rules=()):
     """Derivation state after emitting out through rules: (output, rules,
-    running log10 LM sum of the output's transitions, trie node reached by
-    the output or None), the last two only for corpus features in use."""
+    (source, target) pairs of the last joint_order - 1 rules, running log10
+    LM sum of the output's transitions, trie node reached by the output or
+    None), the last two only for corpus features in use."""
+    j_keep = model.config.joint_order - 1
+    recent = tuple((r.source, r.target) for r in rules[-j_keep:]) if j_keep else ()
     lm_sum = extend_score(model.lm, 0.0, (), out)[0] if model.uses_lm else 0.0
     node = walk(model.trie, out) if model.uses_freq else None
-    return out, rules, lm_sum, node
+    return out, rules, recent, lm_sum, node
 
 
-def _step(x, pos, rule, state, model):
-    """(features, new state) for applying rule at pos to state.
-
-    The one place a derivation advances: the LM sum and trie node move on
-    by the rule's target alone, so the beam search and derivation_features
-    get the same floats for the same derivation.
-    """
-    out, rules, lm_sum, node = state
-    cfg = model.config
-    feats = {}
-
-    def fire(key, value=1.0):
-        feats[key] = feats.get(key, 0.0) + value
-
-    fire(("R", rule.source, rule.target))
-
+def _rule_features(x, pos, rule, cfg):
+    """R and C features of applying rule at pos: the rule itself and the
+    source n-grams around the application point.  They read only
+    (pos, rule), so the beam search computes them once per call."""
+    feats = {("R", rule.source, rule.target): 1.0}
     c = cfg.context_window
     for off in range(-c, c + 1):
         for length in range(1, cfg.max_source_ngram + 1):
             a = pos + off
             if a < 0 or a + length > len(x) or off + length - 1 > c:
                 continue
-            fire(("C", off, x[a : a + length], rule.source, rule.target))
+            feats[("C", off, x[a : a + length], rule.source, rule.target)] = 1.0
+    return feats
 
-    new_out = out + rule.target
+
+def _history_features(out, recent, rule, cfg):
+    """(T, J and COPY features, new recent pairs) of applying rule after
+    out, whose last rules' pairs are recent.  They read only the last
+    target_order output symbols and the recent pairs, which is the beam's
+    merge state, so the beam search computes them once per state and rule."""
+    feats = {}
+    tail = out[-cfg.target_order:] + rule.target
     for m in range(1, cfg.target_order + 1):
-        if len(new_out) >= m:
-            fire(("T", new_out[-m:]))
-
-    seq = rules + (rule,)
+        if len(tail) >= m:
+            feats[("T", tail[-m:])] = 1.0
+    seq = recent + ((rule.source, rule.target),)
     for j in range(1, cfg.joint_order + 1):
         if len(seq) >= j:
-            fire(("J", tuple((r.source, r.target) for r in seq[-j:])))
-
+            feats[("J", seq[-j:])] = 1.0
     if cfg.copy_feature and rule.source == rule.target:
-        fire(("COPY",))
+        feats[("COPY",)] = 1.0
+    j_keep = cfg.joint_order - 1
+    return feats, (seq[-j_keep:] if j_keep else ())
 
-    final = pos + len(rule.source) == len(x)
-    if model.uses_lm and new_out:
-        lm_sum, _ = extend_score(model.lm, lm_sum, out, rule.target)
-        total, n = lm_sum, len(new_out)
+
+def _corpus_features(out, target, lm_sum, node, final, model):
+    """(LMB and FQB features, new LM sum, new trie node) of emitting target
+    after out: the LM sum and trie node move on by target alone."""
+    feats = {}
+    if model.uses_lm and (out or target):
+        lm_sum, n = extend_score(model.lm, lm_sum, out, target)
+        total = lm_sum
         if final:
             total = total + model.lm.logprob(
-                (BOS,) * (model.lm.order - 1) + new_out, EOS
+                history_tail(model.lm, out + target), EOS
             )
             n += 1
         for idx in sorted(lm_bin_features(total / n, model.lm_bins)):
-            fire(("LMB", idx))
+            feats[("LMB", idx)] = 1.0
 
     if model.uses_freq:
         if node is not None:
-            node = walk(node, rule.target)
-        if new_out:
+            node = walk(node, target)
+        if out or target:
             count = 0
             if node is not None:
                 count = node.word_count if final else node.prefix_count
             for idx in sorted(freq_bin_features(count, model.freq_bins)):
-                fire(("FQB", idx))
+                feats[("FQB", idx)] = 1.0
+    return feats, lm_sum, node
 
-    return feats, (new_out, seq, lm_sum, node)
+
+def _step(x, pos, rule, state, model):
+    """(features, new state) for applying rule at pos to state.
+
+    The one place a derivation advances.  The features are the rule,
+    history and corpus parts merged in that order (R, C..., T..., J...,
+    COPY, LMB..., FQB...; no key occurs in two parts); decode_nbest calls
+    the same three parts, caching the first two.
+    """
+    out, rules, recent, lm_sum, node = state
+    feats = _rule_features(x, pos, rule, model.config)
+    history, recent = _history_features(out, recent, rule, model.config)
+    final = pos + len(rule.source) == len(x)
+    corpus, lm_sum, node = _corpus_features(
+        out, rule.target, lm_sum, node, final, model
+    )
+    feats.update(history)
+    feats.update(corpus)
+    return feats, (out + rule.target, rules + (rule,), recent, lm_sum, node)
 
 
 def featurize_step(x, pos, rule, target_so_far, prev_rules, model):
@@ -208,21 +239,28 @@ def featurize_step(x, pos, rule, target_so_far, prev_rules, model):
     return feats
 
 
-def _dot(weights, feats):
-    return sum(weights.get(k, 0.0) * v for k, v in feats.items())
+def _dot(weights, feats, total=0):
+    """total plus the weighted features, added one key at a time in order.
+    A left fold, so _dot(w, b, _dot(w, a)) is _dot(w, a | b) bit for bit
+    when a and b share no key."""
+    for k, v in feats.items():
+        total += weights.get(k, 0.0) * v
+    return total
 
 
 def _summed(trail):
-    """Features of a (step features, previous trail) chain, summed first
-    step first, so key order and float sums do not depend on who built it."""
+    """Features of a (previous trail, feature part, ...) chain, summed
+    first step first, so key order and float sums do not depend on who
+    built it."""
     steps = []
     while trail is not None:
-        step, trail = trail
-        steps.append(step)
+        steps.append(trail)
+        trail = trail[0]
     feats = {}
     for step in reversed(steps):
-        for k, v in step.items():
-            feats[k] = feats.get(k, 0.0) + v
+        for part in step[1:]:
+            for k, v in part.items():
+                feats[k] = feats.get(k, 0.0) + v
     return feats
 
 
@@ -230,8 +268,8 @@ def derivation_features(x, derivation, model):
     """Summed step features of a full derivation."""
     state, trail, pos = _state(model), None, 0
     for rule in derivation:
-        step, state = _step(x, pos, rule, state, model)
-        trail = (step, trail)
+        feats, state = _step(x, pos, rule, state, model)
+        trail = (trail, feats)
         pos += len(rule.source)
     if pos != len(x):
         raise ValueError("derivation does not tile the source")
@@ -243,8 +281,11 @@ def gold_candidate(x, derivation, model):
     return Candidate(out, tuple(derivation), _dot(model.weights, feats), feats)
 
 
-def _rules_key(rules):
-    return tuple((r.source, r.target) for r in rules)
+def _order_key(item):
+    """Beam order: score descending, then output, then rules (Rule orders
+    as its (source, target) pair)."""
+    score, (out, rules, _, _, _), _ = item
+    return (-score, out, rules)
 
 
 def decode_nbest(x, model, beam_width, n):
@@ -258,9 +299,16 @@ def decode_nbest(x, model, beam_width, n):
     (deletion) rules.  Each state keeps its n best distinct outputs and
     each position keeps its beam_width best states, so with corpus
     features disabled and a beam at least the state count the result
-    matches exhaustive enumeration.  A candidate's features are the trail
-    of step vectors its hypothesis carried, summed as derivation_features
-    sums them, so no derivation is scored twice.
+    matches exhaustive enumeration.
+
+    Each part of a step is scored where it is first known: the rule part
+    once per (position, rule) in a table that lives for this call only,
+    under this call's weights; the history part once per (state, rule);
+    the corpus part per hypothesis.  _dot is a left fold over keys in part
+    order, so continuing the table's partial sums gives the step score bit
+    for bit.  A candidate's features are the trail of parts its hypothesis
+    carried, summed as derivation_features sums them, so no derivation is
+    scored twice.
     """
     if n < 1 or beam_width < n:
         raise ValueError("need beam >= n >= 1")
@@ -269,59 +317,64 @@ def decode_nbest(x, model, beam_width, n):
     max_src = max(model._max_src, 1)
     cfg = model.config
     m_keep = cfg.target_order
-    j_keep = cfg.joint_order - 1
     weights = model.weights
 
-    # item: (score, state, trail), slotted by (state key, output) so
-    # equal-output items in one state collapse.
-    beams = [dict() for _ in range(len(x) + 1)]
-    beams[0][(((), ()), ())] = (0.0, _state(model), None)
-
-    def order_key(item):
-        score, (out, rules, _, _), _ = item
-        return (-score, out, _rules_key(rules))
+    # beams[t]: merge state (last m_keep output symbols, recent rule pairs)
+    # -> {output: (score, state, trail)}, so equal-output items in one
+    # state collapse.
+    beams = [{} for _ in range(len(x) + 1)]
+    beams[0][((), ())] = {(): (0.0, _state(model), None)}
 
     for t in range(len(x)):
         if not beams[t]:
             continue
-        states = {}
-        for (skey, _out), item in beams[t].items():
-            states.setdefault(skey, []).append(item)
-        for skey in states:
-            states[skey].sort(key=order_key)
-            del states[skey][n:]
-        ranked_states = sorted(
-            states.values(), key=lambda items: order_key(items[0])
-        )[:beam_width]
+        groups = [sorted(g.values(), key=_order_key)[:n] for g in beams[t].values()]
+        ranked = sorted(groups, key=lambda items: _order_key(items[0]))[:beam_width]
         matches = []
         for length in range(1, min(max_src, len(x) - t) + 1):
             matches.extend(index.get(x[t : t + length], ()))
         if not matches:
             matches = [Rule((x[t],), (x[t],))]
-        for items in ranked_states:
-            for score, state, trail in items:
-                for rule in matches:
-                    feats, new_state = _step(x, t, rule, state, model)
-                    new_out, new_rules, _, _ = new_state
-                    new_item = (
-                        score + _dot(weights, feats), new_state, (feats, trail)
+        table = []
+        for rule in matches:
+            static = _rule_features(x, t, rule, cfg)
+            end = t + len(rule.source)
+            table.append((rule, static, _dot(weights, static), end, end == len(x)))
+        for items in ranked:
+            # Every item of a state shares what the history part reads.
+            head, _, recent, _, _ = items[0][1]
+            for rule, static, static_dot, end, final in table:
+                history, new_recent = _history_features(head, recent, rule, cfg)
+                partial = _dot(weights, history, static_dot)
+                merged = (head[-m_keep:] + rule.target)[-m_keep:]
+                group = beams[end].setdefault((merged, new_recent), {})
+                for score, (out, rules, _, lm_sum, node), trail in items:
+                    corpus, new_sum, new_node = _corpus_features(
+                        out, rule.target, lm_sum, node, final, model
                     )
-                    skey = (new_out[-m_keep:] if m_keep else (),
-                            _rules_key(new_rules[-j_keep:]) if j_keep else ())
-                    slot = beams[t + len(rule.source)]
-                    old = slot.get((skey, new_out))
-                    if old is None or order_key(new_item) < order_key(old):
-                        slot[(skey, new_out)] = new_item
+                    total = score + _dot(weights, corpus, partial)
+                    new_out = out + rule.target
+                    old = group.get(new_out)
+                    if old is not None and (
+                        total < old[0]
+                        or total == old[0] and rules + (rule,) >= old[1][1]
+                    ):
+                        continue
+                    group[new_out] = (
+                        total,
+                        (new_out, rules + (rule,), new_recent, new_sum, new_node),
+                        (trail, static, history, corpus),
+                    )
     finals = {}
-    for item in beams[len(x)].values():
-        out = item[1][0]
-        old = finals.get(out)
-        if old is None or order_key(item) < order_key(old):
-            finals[out] = item
-    ranked = sorted(finals.values(), key=order_key)[:n]
+    for group in beams[len(x)].values():
+        for out, item in group.items():
+            old = finals.get(out)
+            if old is None or _order_key(item) < _order_key(old):
+                finals[out] = item
+    ranked = sorted(finals.values(), key=_order_key)[:n]
     return [
         Candidate(output, rules, score, _summed(trail))
-        for score, (output, rules, _, _), trail in ranked
+        for score, (output, rules, _, _, _), trail in ranked
     ]
 
 

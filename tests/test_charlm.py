@@ -9,6 +9,7 @@ from chartrans.charlm import (
     BinConfig,
     CharLM,
     extend_score,
+    history_tail,
     lm_bin_features,
     load_charlm,
     make_bins,
@@ -248,3 +249,72 @@ def test_save_load_round_trip(tmp_path):
         assert score_prefix(again, w, complete=True) == score_prefix(
             lm, w, complete=True
         )
+
+
+# symbols the model never saw map to UNK; BOS may stand inside a history
+_SEEN = ["a", "b", "c", "d"]
+_ASKED = _SEEN + ["x", "yz", EOS]
+
+
+def _padded_sum(lm, logsum, prefix, suffix):
+    """The from-scratch sum: each transition of suffix scored by the
+    Witten-Bell recursion on the whole BOS-padded history, no memo."""
+    history = [BOS] * (lm.order - 1) + list(prefix)
+    for sym in suffix:
+        logsum += math.log10(lm.prob(history, sym))
+        history.append(sym)
+    return logsum
+
+
+def _random_lm(rng, order):
+    words = [
+        tuple(rng.choice(_SEEN) for _ in range(rng.randint(1, 6)))
+        for _ in range(30)
+    ]
+    return train_charlm(words, order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_memoised_logprob_is_the_witten_bell_value(order):
+    # histories shorter and longer than order - 1, with unseen symbols;
+    # the second pass reads every value from the memo
+    rng = random.Random(40 + order)
+    lm = _random_lm(rng, order)
+    queries = [
+        (
+            tuple(rng.choice(_ASKED[:-1] + [BOS]) for _ in range(rng.randint(0, 6))),
+            rng.choice(_ASKED),
+        )
+        for _ in range(300)
+    ]
+    for _ in range(2):
+        for history, sym in queries:
+            assert lm.logprob(history, sym) == math.log10(lm.prob(history, sym))
+            assert lm.logprob(list(history), sym) == lm.logprob(history, sym)
+    # the memo is keyed on what prob reads: at most order - 1 symbols, so
+    # an order-1 model keys every history as ()
+    assert all(len(h) <= order - 1 for h in lm._memo)
+    if order == 1:
+        assert set(lm._memo) == {()}
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_extend_score_from_carried_tail_is_the_padded_sum(order):
+    rng = random.Random(50 + order)
+    lm = _random_lm(rng, order)
+    for _ in range(200):
+        prefix = tuple(rng.choice(_ASKED[:-1]) for _ in range(rng.randint(0, 6)))
+        suffix = tuple(rng.choice(_ASKED[:-1]) for _ in range(rng.randint(0, 4)))
+        start = rng.uniform(-5.0, 0.0)
+        want = _padded_sum(lm, start, prefix, suffix)
+        assert extend_score(lm, start, prefix, suffix) == (
+            want, len(prefix) + len(suffix)
+        )
+        tail = history_tail(lm, prefix)
+        assert len(tail) == order - 1
+        assert tail == ((BOS,) * (order - 1) + prefix)[len(prefix):]
+        assert extend_score(lm, start, tail, suffix)[0] == want
+        word = prefix + suffix
+        if word:
+            complete = _padded_sum(lm, 0.0, (), word + (EOS,))
+            assert score_prefix(lm, word, complete=True) == complete / (len(word) + 1)

@@ -402,3 +402,34 @@ def test_main_runs_pipeline_via_argv(tmp_path, capsys):
     assert main(["evaluate", "--config", str(cfg_file)]) == 0
     out = capsys.readouterr().out
     assert "accuracy=" in out
+
+
+@pytest.mark.parametrize("setting", ["decode_nbest=0", "lm_order=0"])
+def test_run_level_settings_are_checked_at_load(tmp_path, capsys, setting):
+    key = setting.split("=")[0]
+    with pytest.raises(ValueError, match=f"^{key} = 0: "):
+        load_config(overrides=[setting])
+    (tmp_path / "pairs.txt").write_text(WALK_CORPUS, encoding="utf-8")
+    rc = main(["align", "--set", f"pairs={tmp_path}/pairs.txt",
+               "--set", f"outdir={tmp_path}/out", "--set", setting])
+    assert rc == 1
+    assert f"error: {key} = 0: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "alignments.txt").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "beam=0", "nbest=0", "max_x=0", "max_y=0", "max_iterations=0", "tol=-1",
+    "context_window=-1", "target_order=0", "mira_c=0", "loss=levenstein",
+    "freq_thresholds=10,1", "task=inflexion", "beam=abc", "averaging=maybe",
+])
+def test_load_config_error_names_its_key(setting):
+    key = setting.split("=")[0]
+    with pytest.raises(ValueError) as info:
+        load_config(overrides=[setting])
+    assert str(info.value).startswith(f"{key} = ")
+
+
+def test_load_config_error_names_every_bad_key_of_one_check():
+    with pytest.raises(ValueError) as info:
+        load_config(overrides=["beam=0", "nbest=0", "epochs=3"])
+    assert str(info.value).startswith("nbest = 0, beam = 0: ")

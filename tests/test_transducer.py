@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -531,3 +532,62 @@ def test_format_nbest_lines():
     assert lines[0] == "a b\t1\tx y\t1.250000"
     assert lines[1] == "a b\t2\tz\t0.500000"
     assert format_nbest(("a",), []) == ["a\t0\t\tNaN"]
+
+
+@pytest.fixture(scope="module")
+def corpus_model():
+    """A lexicon_task model with LM and frequency features, and its held-out
+    instances; tests that change its weights work on a copy."""
+    lexicon, pairs, held = lexicon_task(37, lex_size=400, n_train=30, n_test=15)
+    words = list(lexicon.counts)
+    lm = train_charlm(words, 3)
+    model = train(
+        pairs, precision_align(pairs), cfg=TrainConfig(epochs=1, nbest=5, beam=10),
+        lm=lm, lm_bins=make_bins(lm, words), trie=build_trie(lexicon),
+        freq_bins=FreqBinConfig((1, 10, 100)),
+    )
+    assert model.uses_lm and model.uses_freq
+    return model, held
+
+
+def _folded_score(x, derivation, model):
+    """The derivation's score as a left fold over its steps, each step's
+    features replayed through _step and weighted key by key: no table."""
+    state, pos, score = _state(model), 0, 0.0
+    for rule in derivation:
+        feats, state = _step(x, pos, rule, state, model)
+        step_score = 0
+        for k, v in feats.items():
+            step_score += model.weights.get(k, 0.0) * v
+        score += step_score
+        pos += len(rule.source)
+    return score
+
+
+def test_candidate_scores_are_step_folds(corpus_model):
+    # the decoder scores each step from per-call partial sums; the bits
+    # must be those of weighting every step from scratch
+    model, held = corpus_model
+    checked = 0
+    for inst in held:
+        for cand in decode_nbest(inst.source, model, 10, 5):
+            assert cand.score == _folded_score(inst.source, cand.derivation, model)
+            checked += 1
+    assert checked > len(held)
+
+
+def test_decode_after_mira_update_uses_new_weights(corpus_model):
+    # MIRA changes the weights between decode calls, so no partial sum may
+    # outlive the call that computed it
+    model, held = corpus_model
+    model = dataclasses.replace(model, weights=dict(model.weights))
+    x = held[0].source
+    before = decode_nbest(x, model, 10, 5)
+    old_weights = dict(model.weights)
+    mira_update(model.weights, before[-1], before, 0.05)
+    assert model.weights != old_weights
+    after = decode_nbest(x, model, 10, 5)
+    for cand in after:
+        assert cand.score == _folded_score(x, cand.derivation, model)
+    scores = {c.output: c.score for c in before}
+    assert any(scores.get(c.output) != c.score for c in after)
