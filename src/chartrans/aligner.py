@@ -14,18 +14,24 @@ insertion-merging lattice).
 Both run on one engine, after Goodman's (1999) semiring parsing: one
 inside/Viterbi algorithm over a hypergraph, each lattice shape supplying
 only its edges.  `_m2m_edges` and `_merge_edges` build a pair's lattice as
-a list of (from node, to node, span-key id) edges, once per pair for all
-of EM; one forward/backward, one E-step and one n-best Viterbi run over
-either, with δ as log-probabilities indexed by key id.  All charts store
-log-domain values; probabilities are recovered on read.
+a list of (from node, to node, span-key id) edges; one forward/backward,
+one E-step and one n-best Viterbi run over either, with δ as
+log-probabilities indexed by key id.  All charts store log-domain values;
+probabilities are recovered on read.
+
+EM's lattices are built once, trimmed to live edges: before the first
+iteration to the edges on some start→goal path, and after each E-step to
+the edges that added to the expected counts.  Every other edge's terms
+are NEG_INF, which change no sum, and a span pair whose δ reaches 0 never
+comes back, so every float EM computes, and every alignment decoded from
+its lattices, is the one the untrimmed lattices give.
 """
 
 import logging
 import math
 from array import array
-from collections import namedtuple
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate, compress, groupby
 from operator import itemgetter
 
 from .core import NULL, TrainingPair
@@ -120,10 +126,15 @@ class Chart:
 
 
 def _logsum(values):
+    """log of the sum of exp(values), added in order.  A NEG_INF term adds
+    exp(NEG_INF) = 0.0, which leaves every partial sum as it was, and a
+    single term is its own log-sum: v + log(exp(v - v)) is v + 0.0."""
+    if len(values) == 1:
+        return values[0]
     m = max(values)
     if m == NEG_INF:
         return NEG_INF
-    return m + math.log(sum(math.exp(v - m) for v in values))
+    return m + math.log(sum([math.exp(v - m) for v in values]))
 
 
 @dataclass(frozen=True)
@@ -148,32 +159,136 @@ class Alignment:
         return tuple(t for link in self.links for t in link.target)
 
 
-# One pair's lattice: nodes numbered in topological order (0 the start, the
-# last the goal) and a flat array('i') of (from node, to node, key id) edges
-# grouped by ascending to node; flat ints keep a training set's edges small
-# enough to cache across EM iterations.  Within a group, edges keep their
-# builder's order, which fixes every floating-point sum and Viterbi tie.
-# With gamma_from_goal the E-step visits the groups from the goal down.
-Lattice = namedtuple("Lattice", "nodes edges gamma_from_goal", defaults=(False,))
+@dataclass(slots=True)
+class Lattice:
+    """One pair's lattice: nodes numbered in topological order (0 the
+    start, the last the goal) and its edges as flat array('i') triples, in
+    three orders built once per lattice.  `edges` holds (from node, to
+    node, key id) grouped by ascending to node, for the forward pass and
+    Viterbi.  `out` is the reversed lattice the backward pass runs on: (to
+    node, from node, key id) grouped by descending from node.  `gamma` is
+    the order in which the E-step adds expected counts: `edges` itself, or
+    its triples grouped from the goal down.  Flat ints keep a training
+    set's edges small enough to cache across EM iterations.  Within a
+    group, edges keep their builder's order, which fixes every
+    floating-point sum and Viterbi tie.
+
+    EM's lattices are built once, trimmed to live edges: those on a
+    start→goal path of nonzero weight, with the nodes renumbered to theirs.
+    Trims shrink the arrays in place, so a lattice keeps its memory block
+    through EM.  The public views keep every node, so their charts expose
+    every cell."""
+
+    nodes: int
+    edges: array
+    out: array
+    gamma: array
 
 
-def _m2m_edges(x, y, moves, keys):
+def _triples(edges):
+    it = iter(edges)
+    return zip(it, it, it)
+
+
+def _reach(nodes, edges):
+    """alpha and beta over the Boolean semiring: 0.0 at the nodes some
+    path joins to the start (alpha) or to the goal (beta), NEG_INF
+    elsewhere.  Reversed, edges run by descending to node, and each
+    triple reads (key, to, from)."""
+    alpha = [NEG_INF] * nodes
+    alpha[0] = 0.0
+    for src, dst, _ in _triples(edges):
+        if alpha[src] == 0.0:
+            alpha[dst] = 0.0
+    beta = [NEG_INF] * nodes
+    beta[-1] = 0.0
+    for _, dst, src in _triples(reversed(edges)):
+        if beta[dst] == 0.0:
+            beta[src] = 0.0
+    return alpha, beta
+
+
+def _live_ids(alpha, beta):
+    """New node ids, in order, for the start, the goal and the nodes with
+    finite alpha and beta.  A dead node's entry repeats the id before it;
+    no kept edge reads it."""
+    live = [a + b != NEG_INF for a, b in zip(alpha, beta)]
+    live[0] = live[-1] = True
+    return list(accumulate(live, initial=-1))[1:]
+
+
+def _cut(edges, keep, ids):
+    """The triples of edges whose keep flag is set, in order, with their
+    nodes renumbered by ids."""
+    kept = []
+    for src, dst, key in compress(_triples(edges), keep):
+        kept += (ids[src], ids[dst], key)
+    return array("i", kept)
+
+
+def _regroup(edges, field, layout):
+    """The triples of edges stably sorted by descending field, each
+    rewritten as its fields in layout."""
+    cols = [edges[f::3].tolist() for f in range(3)]
+    order = sorted(range(len(cols[0])), key=cols[field].__getitem__, reverse=True)
+    out = array("i", [0]) * len(edges)
+    for pos, f in enumerate(layout):
+        out[pos::3] = array("i", [cols[f][i] for i in order])
+    return out
+
+
+def _lattice(nodes, edges, gamma_from_goal=False, live=False):
+    """A Lattice over edges grouped by ascending to node.  With live, only
+    the edges on some start→goal path are kept, whatever δ is."""
+    if live:
+        alpha, beta = _reach(nodes, edges)
+        ids = _live_ids(alpha, beta)
+        keep = [alpha[src] + beta[dst] != NEG_INF for src, dst, _ in _triples(edges)]
+        nodes, edges = ids[-1] + 1, _cut(edges, keep, ids)
+    gamma = _regroup(edges, 1, (0, 1, 2)) if gamma_from_goal else edges
+    return Lattice(nodes, edges, _regroup(edges, 0, (1, 0, 2)), gamma)
+
+
+def _trim(lattice, logd, alpha, beta):
+    """Cut the lattice down, in place, to the edges with finite alpha at
+    their from node, logd and beta at their to node: those on a start→goal
+    path of nonzero weight, the only edges whose terms add to a finite
+    alpha or beta, to gamma or to a _viterbi path."""
+    ids = _live_ids(alpha, beta)
+
+    def cut(edges, triples):
+        keep = [alpha[src] + logd[key] + beta[dst] != NEG_INF
+                for src, dst, key in triples]
+        edges[:] = _cut(edges, keep, ids)
+
+    if lattice.gamma is not lattice.edges:
+        cut(lattice.gamma, _triples(lattice.gamma))
+    cut(lattice.edges, _triples(lattice.edges))
+    out = lattice.out  # (to, from, key) triples
+    cut(out, zip(out[1::3], out[0::3], out[2::3]))
+    lattice.nodes = ids[-1] + 1
+
+
+def _m2m_edges(x, y, moves, keys, live=False):
     """Many-to-many grid: node t * (V + 1) + v is the prefix pair
     (x[:t], y[:v]); each admissible move (i, j) into it is an edge labelled
     with the spans it consumes, numbered in keys (span pair → id).  Edges
     into a node follow the order of moves.  Every span pair of the grid
     gets a key, reachable or not, so EM starts uniform over every substring
-    pair co-occurring in some training pair under the limits."""
+    pair co-occurring in some training pair under the limits; live keeps
+    only the edges on some start→goal path (see _lattice)."""
     width = len(y) + 1
-    edges = array("i")
-    for t in range(len(x) + 1):
-        for v in range(width):
+    xs = [[x[t - i : t] for i in range(t + 1)] for t in range(len(x) + 1)]
+    ys = [[y[v - j : v] for j in range(v + 1)] for v in range(width)]
+    edges = []
+    for t, x_ends in enumerate(xs):
+        for v, y_ends in enumerate(ys):
             node = t * width + v
             for i, j in moves:
                 if i <= t and j <= v:
-                    key = keys.setdefault((x[t - i : t], y[v - j : v]), len(keys))
-                    edges.extend((node - i * width - j, node, key))
-    return Lattice((len(x) + 1) * width, edges)
+                    key = keys.setdefault((x_ends[i], y_ends[j]), len(keys))
+                    edges += (node - i * width - j, node, key)
+    return _lattice(len(xs) * width, array("i", edges), live=live)
 
 
 def _strip(span):
@@ -185,7 +300,7 @@ def _leading_nulls(x):
     return next((i for i, s in enumerate(x) if s != NULL), len(x))
 
 
-def _merge_edges(x, y, keys):
+def _merge_edges(x, y, keys, live=False):
     """Insertion-merging lattice over a padded pair: node t is position t.
 
     The edges into t are the spans x[start:t] holding exactly one
@@ -196,7 +311,7 @@ def _merge_edges(x, y, keys):
     null run must merge rightward in full, which keeps every path covering
     the whole target: no span starts inside it.  Expected counts accumulate
     from the goal down; that order sets the last bits of δ, and through
-    near-ties the alignments written.
+    near-ties the alignments written.  live is as for _m2m_edges.
     """
     lead = _leading_nulls(x)
     edges = array("i")
@@ -209,64 +324,58 @@ def _merge_edges(x, y, keys):
             if subs == 1 and (start == 0 or start > lead):
                 span = (_strip(x[start:t]), _strip(y[start:t]))
                 edges.extend((start, t, keys.setdefault(span, len(keys))))
-    return Lattice(len(x) + 1, edges, gamma_from_goal=True)
+    return _lattice(len(x) + 1, edges, gamma_from_goal=True, live=live)
 
 
-def _triples(edges):
-    it = iter(edges)
-    return zip(it, it, it)
-
-
-def _groups(lattice):
-    """(to node, its incoming (from, to, key) edges) per to node, in order."""
-    return groupby(_triples(lattice.edges), key=itemgetter(1))
+def _inside(nodes, edges, logd, start):
+    """Log-sum over the paths from start to each node, along edges given as
+    (from, to, key) triples grouped by to node in topological order; each
+    node's terms are summed in edge order.  No value is +inf, so a term is
+    NEG_INF exactly when its from node's value or its logd is."""
+    value = [NEG_INF] * nodes
+    value[start] = 0.0
+    node, terms = start, None
+    for src, dst, key in _triples(edges):
+        if dst != node:
+            if terms:
+                value[node] = _logsum(terms)
+            node, terms = dst, []
+        terms.append(value[src] + logd[key])
+    if terms:
+        value[node] = _logsum(terms)
+    return value
 
 
 def _forward(lattice, logd):
-    """alpha[node]: log-sum over the paths from the start to node, each
-    node's incoming terms summed in edge order."""
-    alpha = [NEG_INF] * lattice.nodes
-    alpha[0] = 0.0
-    for node, edges in _groups(lattice):
-        terms = [alpha[src] + logd[key] for src, _, key in edges
-                 if alpha[src] != NEG_INF and logd[key] != NEG_INF]
-        if terms:
-            alpha[node] = _logsum(terms)
-    return alpha
+    """alpha[node]: log-sum over the paths from the start to node."""
+    return _inside(lattice.nodes, lattice.edges, logd, 0)
 
 
 def _backward(lattice, logd):
-    """beta[node]: log-sum over the paths from node to the goal, each
-    node's outgoing terms summed in edge order, as _forward sums its
-    incoming ones."""
-    out = [[] for _ in range(lattice.nodes)]
-    for src, dst, key in _triples(lattice.edges):
-        if logd[key] != NEG_INF:
-            out[src].append((dst, logd[key]))
-    beta = [NEG_INF] * lattice.nodes
-    beta[-1] = 0.0
-    for node in range(lattice.nodes - 2, -1, -1):
-        terms = [beta[dst] + ld for dst, ld in out[node] if beta[dst] != NEG_INF]
-        if terms:
-            beta[node] = _logsum(terms)
-    return beta
+    """beta[node]: log-sum over the paths from node to the goal, summed as
+    _forward sums, over the reversed lattice."""
+    return _inside(lattice.nodes, lattice.out, logd, -1)
 
 
 def _estep(lattice, logd, gamma):
-    """Add one pair's expected key counts to gamma (key id → count);
-    returns its log-likelihood, NEG_INF when no path reaches the goal."""
+    """Add one pair's expected key counts to gamma (key id → count) and
+    trim the lattice to the edges that added to them; returns its
+    log-likelihood, NEG_INF when no path reaches the goal."""
     alpha = _forward(lattice, logd)
     ll = alpha[-1]
     if ll == NEG_INF:
         return NEG_INF
     beta = _backward(lattice, logd)
-    edges = _triples(lattice.edges)
-    if lattice.gamma_from_goal:
-        edges = sorted(edges, key=itemgetter(1), reverse=True)
-    for src, dst, key in edges:
-        a, b, ld = alpha[src], beta[dst], logd[key]
-        if a != NEG_INF and b != NEG_INF and ld != NEG_INF:
-            gamma[key] = gamma.get(key, 0.0) + math.exp(a + ld + b - ll)
+    dead = False
+    exp = math.exp
+    for src, dst, key in _triples(lattice.gamma):
+        path = alpha[src] + logd[key] + beta[dst]
+        if path != NEG_INF:
+            gamma[key] = gamma.get(key, 0.0) + exp(path - ll)
+        else:
+            dead = True
+    if dead:
+        _trim(lattice, logd, alpha, beta)
     return ll
 
 
@@ -274,8 +383,11 @@ def _em(lattices, spans, params, history=None):
     """EM over lattices whose key ids index spans, from δ uniform over the
     spans until the relative log-likelihood change drops below tol.
     Unalignable pairs are excluded with a warning on the first iteration.
-    history, when given, collects one (log-likelihood, delta total mass)
-    entry per iteration.  Returns (delta, indices of the pairs kept)."""
+    Each E-step trims its lattice, in place, to the edges that added to
+    γ; built with live, a lattice has no other edge under the uniform
+    start.  history, when given, collects one (log-likelihood, delta total
+    mass) entry per iteration, and each iteration logs one INFO line.
+    Returns (delta, indices of the pairs kept)."""
     delta = DeltaTable(dict.fromkeys(spans, 1.0 / len(spans)) if spans else {})
     active = list(range(len(lattices)))
     prev_ll = None
@@ -300,6 +412,12 @@ def _em(lattices, spans, params, history=None):
         delta = DeltaTable({spans[k]: v / total for k, v in gamma.items()})
         if history is not None:
             history.append((total_ll, delta.total()))
+        log.info(
+            "EM iteration %d: log-likelihood %.6f, %d pairs kept, "
+            "%d delta entries, %d live edges",
+            iteration + 1, total_ll, len(active), len(delta),
+            sum(len(lattices[idx].edges) for idx in active) // 3,
+        )
         if prev_ll is not None:
             rel = abs(total_ll - prev_ll) / max(abs(prev_ll), 1e-300)
             if rel < params.tol:
@@ -315,7 +433,7 @@ def _viterbi(lattice, logd, links, ties, n):
     the stable sort leaves full ties in edge order."""
     cells = [None] * lattice.nodes
     cells[0] = [(0.0, (), ())]
-    for node, edges in _groups(lattice):
+    for node, edges in groupby(_triples(lattice.edges), key=itemgetter(1)):
         entries = []
         for src, _, key in edges:
             if cells[src] and logd[key] != NEG_INF:
@@ -354,7 +472,7 @@ def em_train(pairs, params, history=None):
     """EM over the joint likelihood of all admissible monotone alignments."""
     keys = {}
     moves = params.moves()
-    lattices = [_m2m_edges(p.source, p.target, moves, keys) for p in pairs]
+    lattices = [_m2m_edges(p.source, p.target, moves, keys, live=True) for p in pairs]
     return _em(lattices, list(keys), params, history)[0]
 
 
@@ -450,7 +568,7 @@ def precision_align(pairs, p1=None):
     p1 = p1 or ONE_TO_ONE
     padded = pass1_align(pairs, p1)
     keys = {}
-    lattices = [_merge_edges(p.source, p.target, keys) for p in padded]
+    lattices = [_merge_edges(p.source, p.target, keys, live=True) for p in padded]
     delta, active = _em(lattices, list(keys), p1)
     logd = [delta.logp(*key) for key in keys]
     links = [AlignmentLink(*key) for key in keys]

@@ -106,7 +106,7 @@ def score_prefix(lm, prefix, complete=False):
         raise ValueError("cannot score an empty prefix")
     logsum, n = extend_score(lm, 0.0, (), prefix)
     if complete:
-        logsum += lm.logprob((BOS,) * (lm.order - 1) + tuple(prefix), EOS)
+        logsum += lm.logprob(history_tail(lm, prefix), EOS)
         n += 1
     return logsum / n
 

@@ -155,16 +155,25 @@ def test_corpus_words_score_above_random_on_average():
 
 
 class FlatLM:
-    """Stub order-1 model: every transition of a word scores the value
-    keyed by the word's first symbol."""
+    """Stub order-2 model that reads only the one history symbol a model
+    of that order is given: a symbol scores its own value, and the end of
+    the word scores the value of the last history symbol."""
 
-    order = 1
+    order = 2
 
     def __init__(self, value_by_symbol):
         self.values = value_by_symbol
 
     def logprob(self, history, nxt):
-        return self.values[history[0]] if history else self.values[nxt]
+        (last,) = history
+        return self.values[last] if nxt == EOS else self.values[nxt]
+
+
+def test_flat_stub_scores_a_word_of_distinct_symbols():
+    # a scores -1, b scores -2, and the end after b scores -2 again
+    lm = FlatLM({"a": -1.0, "b": -2.0})
+    assert score_prefix(lm, ("a", "b"), complete=True) == pytest.approx(-5 / 3)
+    assert score_prefix(lm, ("b", "a"), complete=True) == pytest.approx(-4 / 3)
 
 
 def test_make_bins_arithmetic():

@@ -1,0 +1,256 @@
+"""EM trims each lattice to its live edges; these tests hold it to the
+untrimmed lattices the public views build, float for float."""
+
+import dataclasses
+import logging
+import os
+import subprocess
+import sys
+from operator import itemgetter
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import chartrans
+from chartrans import aligner
+from chartrans.aligner import ONE_TO_ONE, AlignParams, DeltaTable, em_train, forward
+from chartrans.core import NULL, TrainingPair
+
+from toytask import lexicon_task
+
+NEG_INF = float("-inf")
+TWO_TWO = AlignParams(2, 2, True, False)
+
+
+def _pairs(*specs):
+    return [TrainingPair(tuple(x), tuple(y)) for x, y in specs]
+
+
+# Pair sets in which keys reach δ = 0 after the first iteration, by
+# underflow, so later E-steps trim lattices that were live before.  In the
+# 2-2 set, pairs 1 and 3 are unalignable: with no insertions, a source
+# symbol covers at most two target symbols.
+ZEROING_TWO_TWO = _pairs(
+    ("b", "x"), ("a", "xyxx"), ("baba", "xyyxyx"), ("ba", "yyxyyy"),
+    ("babab", "xyyx"),
+)
+ZEROING_ONE_TO_ONE = _pairs(("ab", "xxxy"))
+# Padded pass-2 pairs; pair 1 is all null on the source, so nothing can
+# absorb its insertion and pass 2 cannot align it.
+ZEROING_PADDED = _pairs(
+    (("b", "a", "a", "b", NULL, "a"), ("q", NULL, "q", "p", "q", "p")),
+    ((NULL,), ("q",)),
+    (("a",), ("q",)),
+    (("b", "b", NULL, NULL, "b", NULL), ("p", NULL, "q", "p", "q", "p")),
+)
+
+symbols = st.lists(st.sampled_from("ab"), min_size=1, max_size=5)
+targets = st.lists(st.sampled_from("xy"), min_size=1, max_size=6)
+pair_sets = st.lists(
+    st.builds(lambda x, y: TrainingPair(tuple(x), tuple(y)), symbols, targets),
+    min_size=1, max_size=5,
+)
+padded_cells = st.sampled_from(
+    [(NULL, "p"), (NULL, "q"), ("a", NULL), ("b", NULL),
+     ("a", "p"), ("a", "q"), ("b", "p"), ("b", "q")]
+)
+padded_sets = st.lists(
+    st.lists(padded_cells, min_size=1, max_size=7).map(
+        lambda cells: TrainingPair(*map(tuple, zip(*cells)))
+    ),
+    min_size=1, max_size=4,
+)
+
+
+def _fold(lls):
+    """EM's total log-likelihood: a left fold over the alignable pairs."""
+    total = 0.0
+    for ll in lls:
+        if ll != NEG_INF:
+            total += ll
+    return total
+
+
+def _uniform(keys):
+    return DeltaTable(dict.fromkeys(keys, 1.0 / len(keys)) if keys else {})
+
+
+def _em_runs(run, params, iterations=16):
+    """(history, [δ after i iterations for i = 1 .. len(history) - 1]) of
+    run(params with max_iterations = i); tol is tiny, so EM stops early
+    only when its log-likelihood stops moving."""
+    params = dataclasses.replace(params, max_iterations=iterations, tol=1e-300)
+    history = []
+    run(params, history)
+    deltas = [
+        run(dataclasses.replace(params, max_iterations=i), [])
+        for i in range(1, len(history))
+    ]
+    return history, deltas
+
+
+def _m2m_history_matches_forward(pairs, params):
+    def run(p, history):
+        return em_train(pairs, p, history)
+
+    history, deltas = _em_runs(run, params)
+    keys = {}
+    for pair in pairs:
+        aligner._m2m_edges(pair.source, pair.target, params.moves(), keys)
+    for (ll, _), delta in zip(history, [_uniform(keys)] + deltas):
+        corners = [
+            forward(p.source, p.target, delta, params).log_corner() for p in pairs
+        ]
+        assert ll == _fold(corners)  # bit-exact
+    return [len(delta) for delta in deltas]
+
+
+def _pass2_history_matches_estep(pairs):
+    keys = {}
+    for pair in pairs:
+        aligner._merge_edges(pair.source, pair.target, keys)
+    spans = list(keys)
+
+    def run(p, history):
+        lattices = [
+            aligner._merge_edges(x.source, x.target, keys, live=True) for x in pairs
+        ]
+        return aligner._em(lattices, spans, p, history)[0]
+
+    history, deltas = _em_runs(run, ONE_TO_ONE)
+    for (ll, _), delta in zip(history, [_uniform(spans)] + deltas):
+        logd = [delta.logp(*span) for span in spans]
+        lls = [
+            aligner._estep(aligner._merge_edges(p.source, p.target, keys), logd, {})
+            for p in pairs
+        ]
+        assert ll == _fold(lls)  # bit-exact
+    return [len(delta) for delta in deltas]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([TWO_TWO, ONE_TO_ONE]), pair_sets)
+@example(TWO_TWO, ZEROING_TWO_TWO)
+@example(ONE_TO_ONE, ZEROING_ONE_TO_ONE)
+def test_em_history_is_the_fold_of_untrimmed_forward(params, pairs):
+    _m2m_history_matches_forward(pairs, params)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(padded_sets)
+@example(ZEROING_PADDED)
+def test_pass2_history_is_the_fold_of_untrimmed_estep(pairs):
+    _pass2_history_matches_estep(pairs)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: _m2m_history_matches_forward(ZEROING_TWO_TWO, TWO_TWO),
+        lambda: _m2m_history_matches_forward(ZEROING_ONE_TO_ONE, ONE_TO_ONE),
+        lambda: _pass2_history_matches_estep(ZEROING_PADDED),
+    ],
+)
+def test_zeroing_examples_lose_keys_after_the_first_iteration(check, caplog):
+    with caplog.at_level(logging.WARNING):
+        sizes = check()
+    assert sizes[-1] < sizes[0]
+
+
+def test_em_logs_one_line_per_iteration(caplog):
+    history = []
+    params = dataclasses.replace(TWO_TWO, max_iterations=16, tol=1e-300)
+    with caplog.at_level(logging.INFO, logger="chartrans.aligner"):
+        delta = em_train(ZEROING_TWO_TWO, params, history)
+    lines = [r.args for r in caplog.records if r.msg.startswith("EM iteration")]
+    assert len(lines) == len(history) == 16
+    assert [line[0] for line in lines] == list(range(1, 17))
+    assert [line[1] for line in lines] == [ll for ll, _ in history]
+    assert {line[2] for line in lines} == {len(ZEROING_TWO_TWO) - 2}
+    assert lines[-1][3] == len(delta)
+    live = [line[4] for line in lines]
+    assert all(a >= b for a, b in zip(live, live[1:]))
+    assert live[-1] < live[0]
+
+
+def _orders_hold(lattice, gamma_from_goal):
+    """out and gamma are edges stably regrouped: reversed and by descending
+    from node, and (merge lattices) by descending to node, as the E-step
+    once sorted them on every call."""
+    edges = list(aligner._triples(lattice.edges))
+    assert list(aligner._triples(lattice.out)) == [
+        (dst, src, key)
+        for src, dst, key in sorted(edges, key=itemgetter(0), reverse=True)
+    ]
+    gamma = sorted(edges, key=itemgetter(1), reverse=True) if gamma_from_goal else edges
+    assert list(aligner._triples(lattice.gamma)) == gamma
+    assert all(0 <= node < lattice.nodes for edge in edges for node in edge[:2])
+
+
+def test_every_lattice_keeps_its_edge_orders_through_trims(caplog):
+    # lexicon pass-2 lattices are nearly all live, so the zeroing padded
+    # pairs make sure some merge lattices are trimmed after iteration 1
+    _, pairs, _ = lexicon_task(5, 400, 40, 1)
+    padded = aligner.pass1_align(pairs) + ZEROING_PADDED
+    for build, items, from_goal in [
+        (lambda p, keys, live: aligner._m2m_edges(
+            p.source, p.target, TWO_TWO.moves(), keys, live=live), pairs, False),
+        (lambda p, keys, live: aligner._merge_edges(
+            p.source, p.target, keys, live=live), padded, True),
+    ]:
+        for live in (False, True):
+            keys = {}
+            lattices = [build(p, keys, live) for p in items]
+            for lattice in lattices:
+                _orders_hold(lattice, from_goal)
+            built = sum(len(lattice.edges) for lattice in lattices)
+            params = dataclasses.replace(TWO_TWO, max_iterations=16, tol=1e-300)
+            with caplog.at_level(logging.ERROR):
+                aligner._em(lattices, list(keys), params)
+            assert sum(len(lattice.edges) for lattice in lattices) < built
+            for lattice in lattices:
+                _orders_hold(lattice, from_goal)
+
+
+def test_pass2_decode_over_trimmed_lattices_matches_fresh_lattices():
+    _, pairs, _ = lexicon_task(7, 400, 60, 1)
+    padded = aligner.pass1_align(pairs)
+    keys = {}
+    trimmed = [aligner._merge_edges(p.source, p.target, keys, live=True) for p in padded]
+    delta, active = aligner._em(trimmed, list(keys), ONE_TO_ONE)
+    fresh = [aligner._merge_edges(p.source, p.target, keys) for p in padded]
+    assert sum(len(trimmed[i].edges) for i in active) < sum(
+        len(fresh[i].edges) for i in active
+    )
+    logd = [delta.logp(*key) for key in keys]
+    links = [aligner.AlignmentLink(*key) for key in keys]
+    ties = [()] * len(keys)
+    for idx in active:
+        best = aligner._viterbi(trimmed[idx], logd, links, ties, 5)
+        assert best
+        assert best == aligner._viterbi(fresh[idx], logd, links, ties, 5)
+
+
+@pytest.mark.parametrize("disable_precision", ["false", "true"])
+def test_align_output_does_not_depend_on_hash_seed(tmp_path, disable_precision):
+    _, pairs, _ = lexicon_task(9, 400, 80, 1)
+    data = tmp_path / "pairs.txt"
+    data.write_text(
+        "".join(f"{' '.join(p.source)}\t{' '.join(p.target)}\n" for p in pairs),
+        encoding="utf-8",
+    )
+    src = os.path.dirname(os.path.dirname(chartrans.__file__))
+    written = []
+    for seed in ("0", "1"):
+        outdir = tmp_path / f"out{seed}"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "chartrans.cli", "align",
+             "--set", f"pairs={data}", "--set", f"outdir={outdir}",
+             "--set", f"disable_precision={disable_precision}"],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        written.append((outdir / "alignments.txt").read_bytes())
+    assert written[0] == written[1]
+    assert written[0].count(b"\n") == len(pairs)
