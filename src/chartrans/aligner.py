@@ -30,6 +30,7 @@ its lattices, is the one the untrimmed lattices give.
 import logging
 import math
 from array import array
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import accumulate, compress, groupby
 from operator import itemgetter
@@ -39,6 +40,11 @@ from .core import NULL, TrainingPair
 log = logging.getLogger(__name__)
 
 NEG_INF = float("-inf")
+
+# Name of the EM run in progress, for its log lines, where the caller of
+# em_train knows more than the parameters tell: pass 1 of precision
+# alignment.
+_em_run = ContextVar("em_run", default=None)
 
 
 @dataclass(frozen=True)
@@ -163,14 +169,15 @@ class Alignment:
 class Lattice:
     """One pair's lattice: nodes numbered in topological order (0 the
     start, the last the goal) and its edges as flat array('i') triples, in
-    three orders built once per lattice.  `edges` holds (from node, to
-    node, key id) grouped by ascending to node, for the forward pass and
-    Viterbi.  `out` is the reversed lattice the backward pass runs on: (to
-    node, from node, key id) grouped by descending from node.  `gamma` is
-    the order in which the E-step adds expected counts: `edges` itself, or
-    its triples grouped from the goal down.  Flat ints keep a training
-    set's edges small enough to cache across EM iterations.  Within a
-    group, edges keep their builder's order, which fixes every
+    up to three orders, each built once per lattice.  `edges` holds (from
+    node, to node, key id) grouped by ascending to node, for the forward
+    pass and Viterbi.  `out` is the reversed lattice the backward pass
+    runs on: (to node, from node, key id) grouped by descending from node,
+    built on first read, so a lattice only decoded never builds it.
+    `gamma` is the order in which the E-step adds expected counts: `edges`
+    itself, or its triples grouped from the goal down.  Flat ints keep a
+    training set's edges small enough to cache across EM iterations.
+    Within a group, edges keep their builder's order, which fixes every
     floating-point sum and Viterbi tie.
 
     EM's lattices are built once, trimmed to live edges: those on a
@@ -181,8 +188,14 @@ class Lattice:
 
     nodes: int
     edges: array
-    out: array
     gamma: array
+    _out: array = None
+
+    @property
+    def out(self):
+        if self._out is None:
+            self._out = _regroup(self.edges, 0, (1, 0, 2))
+        return self._out
 
 
 def _triples(edges):
@@ -246,7 +259,7 @@ def _lattice(nodes, edges, gamma_from_goal=False, live=False):
         keep = [alpha[src] + beta[dst] != NEG_INF for src, dst, _ in _triples(edges)]
         nodes, edges = ids[-1] + 1, _cut(edges, keep, ids)
     gamma = _regroup(edges, 1, (0, 1, 2)) if gamma_from_goal else edges
-    return Lattice(nodes, edges, _regroup(edges, 0, (1, 0, 2)), gamma)
+    return Lattice(nodes, edges, gamma)
 
 
 def _trim(lattice, logd, alpha, beta):
@@ -379,20 +392,30 @@ def _estep(lattice, logd, gamma):
     return ll
 
 
-def _em(lattices, spans, params, history=None):
+def _em(lattices, spans, params, history=None, run=None):
     """EM over lattices whose key ids index spans, from δ uniform over the
     spans until the relative log-likelihood change drops below tol.
     Unalignable pairs are excluded with a warning on the first iteration.
     Each E-step trims its lattice, in place, to the edges that added to
     γ; built with live, a lattice has no other edge under the uniform
     start.  history, when given, collects one (log-likelihood, delta total
-    mass) entry per iteration, and each iteration logs one INFO line.
-    Returns (delta, indices of the pairs kept)."""
+    mass) entry per iteration, and each iteration logs one INFO line
+    naming the run ("m2m X-Y" from params unless given).  Each iteration's
+    log δ starts at NEG_INF and takes δ's nonzero entries, so spans at
+    δ = 0 cost nothing.  Returns (delta, indices of the pairs kept)."""
+    run = run or f"m2m {params.max_x}-{params.max_y}"
+    message = (
+        f"EM iteration %d ({run}): log-likelihood %.6f, %d pairs kept, "
+        "%d delta entries, %d live edges"
+    )
     delta = DeltaTable(dict.fromkeys(spans, 1.0 / len(spans)) if spans else {})
+    ids = {span: k for k, span in enumerate(spans)}
     active = list(range(len(lattices)))
     prev_ll = None
     for iteration in range(params.max_iterations):
-        logd = [delta.logp(*span) for span in spans]
+        logd = [NEG_INF] * len(spans)
+        for span, lp in delta._logs.items():
+            logd[ids[span]] = lp
         gamma = {}
         total_ll = 0.0
         kept = []
@@ -413,9 +436,7 @@ def _em(lattices, spans, params, history=None):
         if history is not None:
             history.append((total_ll, delta.total()))
         log.info(
-            "EM iteration %d: log-likelihood %.6f, %d pairs kept, "
-            "%d delta entries, %d live edges",
-            iteration + 1, total_ll, len(active), len(delta),
+            message, iteration + 1, total_ll, len(active), len(delta),
             sum(len(lattices[idx].edges) for idx in active) // 3,
         )
         if prev_ll is not None:
@@ -426,24 +447,28 @@ def _em(lattices, spans, params, history=None):
     return delta, active
 
 
-def _viterbi(lattice, logd, links, ties, n):
+def _viterbi(lattice, logd, spans, ties, n):
     """Up to n max-product alignments of the lattice, best first, with
-    links[key] the key's link.  Paths into a node rank by score, then by
-    the concatenation of their edges' tie keys ties[key] from the start;
-    the stable sort leaves full ties in edge order."""
+    spans[key] the key's (source, target) span pair.  Paths into a node
+    rank by score, then by the concatenation of their edges' tie keys
+    ties[key] from the start; the stable sort leaves full ties in edge
+    order.  Paths carry key ids; only the returned ones become links."""
     cells = [None] * lattice.nodes
     cells[0] = [(0.0, (), ())]
     for node, edges in groupby(_triples(lattice.edges), key=itemgetter(1)):
         entries = []
         for src, _, key in edges:
             if cells[src] and logd[key] != NEG_INF:
-                ld, link, tie = logd[key], links[key], ties[key]
-                entries += [(neg - ld, rank + tie, path + (link,))
+                ld, tie = logd[key], ties[key]
+                entries += [(neg - ld, rank + tie, path + (key,))
                             for neg, rank, path in cells[src]]
         if entries:
             cells[node] = sorted(entries, key=itemgetter(0, 1))[:n]
     return [
-        Alignment(links=path, likelihood=math.exp(-neg))
+        Alignment(
+            links=tuple(AlignmentLink(*spans[key]) for key in path),
+            likelihood=math.exp(-neg),
+        )
         for neg, _, path in cells[-1] or ()
     ]
 
@@ -473,7 +498,7 @@ def em_train(pairs, params, history=None):
     keys = {}
     moves = params.moves()
     lattices = [_m2m_edges(p.source, p.target, moves, keys, live=True) for p in pairs]
-    return _em(lattices, list(keys), params, history)[0]
+    return _em(lattices, list(keys), params, history, _em_run.get())[0]
 
 
 def viterbi_nbest(x, y, delta, params, n):
@@ -487,10 +512,9 @@ def viterbi_nbest(x, y, delta, params, n):
         raise ValueError("n must be >= 1")
     keys = {}
     lattice = _m2m_edges(x, y, params.moves(), keys)
-    links = [AlignmentLink(*key) for key in keys]
     ties = [((len(s), u, s),) for s, u in keys]
     logd = [delta.logp(*key) for key in keys]
-    return _viterbi(lattice, logd, links, ties, n)
+    return _viterbi(lattice, logd, list(keys), ties, n)
 
 
 def _align_each(pairs, params):
@@ -517,14 +541,20 @@ def pass1_align(pairs, params=None):
 
     Returns equal-length padded pairs where insertion links contribute "_"
     on the source and deletion links contribute "_" on the target.
-    Unalignable pairs are dropped with a warning.
+    Unalignable pairs are dropped with a warning.  Its EM logs as the
+    "1-1 pass 1" run.
     """
+    token = _em_run.set("1-1 pass 1")
+    try:
+        alignments = _align_each(pairs, params or ONE_TO_ONE)
+    finally:
+        _em_run.reset(token)
     return [
         TrainingPair(
             tuple(link.source[0] if link.source else NULL for link in a.links),
             tuple(link.target[0] if link.target else NULL for link in a.links),
         )
-        for a in _align_each(pairs, params or ONE_TO_ONE)
+        for a in alignments
     ]
 
 
@@ -569,13 +599,13 @@ def precision_align(pairs, p1=None):
     padded = pass1_align(pairs, p1)
     keys = {}
     lattices = [_merge_edges(p.source, p.target, keys, live=True) for p in padded]
-    delta, active = _em(lattices, list(keys), p1)
+    spans = list(keys)
+    delta, active = _em(lattices, spans, p1, run="merge pass 2")
     logd = [delta.logp(*key) for key in keys]
-    links = [AlignmentLink(*key) for key in keys]
     ties = [()] * len(keys)  # full ties keep edge order: fewest merges
     alignments = []
     for idx in active:
-        best = _viterbi(lattices[idx], logd, links, ties, 1)
+        best = _viterbi(lattices[idx], logd, spans, ties, 1)
         if not best:
             log.warning("pair %d cannot be decoded in pass 2; excluded", idx)
             continue

@@ -15,7 +15,15 @@ symbol instead of the whole prefix, and CharLM.logprob memoises
 (tail, symbol) -> log10 p on the model.  The memo returns the floats the
 recursion computes, so scores are unchanged; it serves the decoder's step
 features, the end transition of complete words and make_bins alike, and
-holds at most one entry per distinct (tail, symbol) asked for.
+holds at most one entry per distinct (tail, symbol) asked for.  A decoder
+carries the tail with each hypothesis and moves it, with the running sum,
+through CharLM.advance, which reads the memo rows without a call per
+transition.
+
+The bins fired by a score are always a contiguous run: every threshold
+from the highest one at or below the score down, or the catch-all alone.
+So a decoder can build each possible LMB part once, from lm_bin_features,
+and pick it by that threshold index.
 """
 
 import math
@@ -77,6 +85,21 @@ class CharLM:
         if lp is None:
             lp = row[nxt] = math.log10(self.prob(tail, nxt))
         return lp
+
+    def advance(self, logsum, tail, suffix):
+        """(logsum plus the transitions of suffix, tail after suffix) for a
+        sequence whose history_tail is tail: extend_score over a carried
+        tail, in the same summation order, reading the memo rows directly
+        and asking logprob only for the transitions they lack."""
+        memo = self._memo
+        for sym in suffix:
+            row = memo.get(tail)
+            lp = None if row is None else row.get(sym)
+            if lp is None:
+                lp = self.logprob(tail, sym)
+            logsum += lp
+            tail = (tail + (sym,))[1:]
+        return logsum, tail
 
 
 def train_charlm(words, order):

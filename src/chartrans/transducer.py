@@ -8,17 +8,23 @@ output, joint rule n-grams, a copy indicator, and (when corpus resources
 are attached) cumulative language-model and frequency bin features
 computed on the output prefix.  One step function, _step, computes a
 step's features and advances the derivation state (output, rules, recent
-rule pairs, running LM sum, trie node); derivation_features and
-featurize_step go through it.  It is three parts, each reading less than
-the last: the rule part (R, C) reads only the position and rule, the
+rule pairs, running LM sum, LM history tail, trie node); derivation_features
+and featurize_step go through it.  It is three parts, each reading less
+than the last: the rule part (R, C) reads only the position and rule, the
 history part (T, J, COPY) only the beam's merge state and the rule, the
-corpus part (LMB, FQB) the whole output.  The beam search calls the same
-parts but scores the rule part once per (position, rule) in a table that
-lives for one decode_nbest call, under that call's weights, and the
-history part once per merge state and rule; _dot is a left fold, so
-continuing those partial sums gives the bits of scoring each step from
-scratch.  Training is online large-margin (MIRA) against the k-best list,
-with optional weight averaging.
+corpus part (LMB, FQB) the output's length and the LM sum, tail and trie
+node the state carries.  The corpus part moves the LM sum and tail over
+the rule's target through the LM memo (CharLM.advance), walks the trie
+node over it, and picks its features from bin parts prebuilt per model
+(_CorpusScorer), one dict per (LM bin, frequency bin) pair.  The beam
+search calls the same parts but scores the rule part once per
+(position, rule) in a table that lives for one decode_nbest call, under
+that call's weights, and the history part once per merge state and rule;
+_dot is a left fold, so continuing those partial sums gives the bits of
+scoring each step from scratch.  Candidates keep their hypothesis's trail
+of feature parts and sum it only when their features are read.  Training
+is online large-margin (MIRA) against the k-best list, with optional
+weight averaging.
 
 Feature keys are tuples (template tag first); they serialize to JSON
 arrays in model files, so arbitrary symbols never collide.
@@ -26,6 +32,7 @@ arrays in model files, so arbitrary symbols never collide.
 
 import json
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .charlm import EOS, extend_score, history_tail, lm_bin_features, BinConfig
@@ -80,12 +87,42 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
 
 
-@dataclass
 class Candidate:
-    output: tuple
-    derivation: tuple
-    score: float
-    features: dict
+    """An n-best entry: output, derivation, score and summed features.
+
+    decode_nbest hands over the trail of feature parts its hypothesis
+    carried instead of the features; they are summed, as _summed sums
+    them, the first time features is read, so a caller that reads only
+    outputs and scores never sums them."""
+
+    __slots__ = ("output", "derivation", "score", "_features", "_trail")
+
+    def __init__(self, output, derivation, score, features=None, *, trail=None):
+        self.output = output
+        self.derivation = derivation
+        self.score = score
+        self._features = features
+        self._trail = trail
+
+    @property
+    def features(self):
+        if self._features is None:
+            self._features = _summed(self._trail)
+            self._trail = None
+        return self._features
+
+    def _fields(self):
+        return self.output, self.derivation, self.score, self.features
+
+    def __eq__(self, other):
+        if not isinstance(other, Candidate):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "Candidate(output=%r, derivation=%r, score=%r, features=%r)" % (
+            self._fields()
+        )
 
 
 @dataclass
@@ -99,6 +136,7 @@ class Model:
     freq_bins: FreqBinConfig = None
     _index: dict = field(default=None, repr=False)
     _max_src: int = field(default=0, repr=False)
+    _corpus: object = field(default=None, init=False, repr=False, compare=False)
 
     def rule_index(self):
         if self._index is None:
@@ -116,6 +154,14 @@ class Model:
     @property
     def uses_freq(self):
         return self.config.freq_features and self.trie is not None and self.freq_bins is not None
+
+    def corpus_scorer(self):
+        """The _CorpusScorer of the model's corpus resources, rebuilt when
+        any of them is no longer the object it was built from."""
+        scorer = self._corpus
+        if scorer is None or not scorer.built_from(self):
+            scorer = self._corpus = _CorpusScorer(self)
+        return scorer
 
 
 def extract_rules(alignments):
@@ -141,13 +187,18 @@ def extract_rules(alignments):
 def _state(model, out=(), rules=()):
     """Derivation state after emitting out through rules: (output, rules,
     (source, target) pairs of the last joint_order - 1 rules, running log10
-    LM sum of the output's transitions, trie node reached by the output or
-    None), the last two only for corpus features in use."""
+    LM sum of the output's transitions, LM history tail of the output,
+    trie node reached by the output or None), the last three only for
+    corpus features in use.  Built from the output from scratch; _step
+    carries the last three on instead."""
     j_keep = model.config.joint_order - 1
     recent = tuple((r.source, r.target) for r in rules[-j_keep:]) if j_keep else ()
-    lm_sum = extend_score(model.lm, 0.0, (), out)[0] if model.uses_lm else 0.0
+    lm_sum, tail = 0.0, None
+    if model.uses_lm:
+        lm_sum = extend_score(model.lm, 0.0, (), out)[0]
+        tail = history_tail(model.lm, out)
     node = walk(model.trie, out) if model.uses_freq else None
-    return out, rules, recent, lm_sum, node
+    return out, rules, recent, lm_sum, tail, node
 
 
 def _rule_features(x, pos, rule, cfg):
@@ -185,31 +236,85 @@ def _history_features(out, recent, rule, cfg):
     return feats, (seq[-j_keep:] if j_keep else ())
 
 
-def _corpus_features(out, target, lm_sum, node, final, model):
-    """(LMB and FQB features, new LM sum, new trie node) of emitting target
-    after out: the LM sum and trie node move on by target alone."""
-    feats = {}
-    if model.uses_lm and (out or target):
-        lm_sum, n = extend_score(model.lm, lm_sum, out, target)
-        total = lm_sum
-        if final:
-            total = total + model.lm.logprob(
-                history_tail(model.lm, out + target), EOS
-            )
-            n += 1
-        for idx in sorted(lm_bin_features(total / n, model.lm_bins)):
-            feats[("LMB", idx)] = 1.0
+_END = (EOS,)
 
-    if model.uses_freq:
-        if node is not None:
-            node = walk(node, target)
-        if out or target:
+
+def _part(tag, fired):
+    return {(tag, idx): 1.0 for idx in sorted(fired)}
+
+
+def _corpus_resources(model):
+    return model.config, model.lm, model.lm_bins, model.trie, model.freq_bins
+
+
+class _CorpusScorer:
+    """The corpus part (LMB, FQB) of a step, for one model's resources.
+
+    The LMB bins a score fires are a contiguous run of threshold indices,
+    and so are the FQB bins a count fires, so each possible run is built
+    once here, from lm_bin_features and freq_bin_features, which stay the
+    definition of what fires; a step picks its run by threshold index.
+    The LMB and FQB runs of a step are merged into one dict, cached per
+    (LM index, frequency index) pair.  The dicts are shared: read them,
+    never change them."""
+
+    def __init__(self, model):
+        self.lm = model.lm if model.uses_lm else None
+        self.trie = model.trie if model.uses_freq else None
+        self._resources = _corpus_resources(model)
+        self._lm_parts = self._freq_parts = [{}]
+        if self.lm is not None:
+            bins = model.lm_bins
+            # Index k < catch_all: thresholds[k] is the highest threshold
+            # at or below the score, found by bisecting the negated
+            # (increasing) thresholds; k = catch_all: none is.
+            self._neg_thresholds = [-t for t in bins.thresholds]
+            self._lm_parts = [
+                _part("LMB", lm_bin_features(score, bins))
+                for score in (*bins.thresholds, float("-inf"))
+            ]
+        if self.trie is not None:
+            bins = model.freq_bins
+            # Index k: the k lowest thresholds are at or below a positive
+            # count; the last index is the zero count's.
+            self._freq_thresholds = bins.thresholds
+            self._freq_parts = [
+                _part("FQB", freq_bin_features(count, bins))
+                for count in (bins.thresholds[0] / 2, *bins.thresholds, 0)
+            ]
+        self._merged = {}
+
+    def built_from(self, model):
+        return all(a is b for a, b in zip(self._resources, _corpus_resources(model)))
+
+    def step(self, n_out, target, lm_sum, tail, node, final):
+        """(LMB and FQB features, new LM sum, new LM tail, new trie node)
+        of emitting target after an output of n_out symbols whose LM sum,
+        tail and trie node these are: the sum, tail and node move on by
+        target alone."""
+        if not (n_out or target):
+            return {}, lm_sum, tail, node
+        lm_idx = freq_idx = 0
+        if self.lm is not None:
+            lm_sum, tail = self.lm.advance(lm_sum, tail, target)
+            total, n = lm_sum, n_out + len(target)
+            if final:
+                total = self.lm.advance(lm_sum, tail, _END)[0]
+                n += 1
+            lm_idx = bisect_left(self._neg_thresholds, -(total / n))
+        if self.trie is not None:
+            if node is not None:
+                node = walk(node, target)
             count = 0
             if node is not None:
                 count = node.word_count if final else node.prefix_count
-            for idx in sorted(freq_bin_features(count, model.freq_bins)):
-                feats[("FQB", idx)] = 1.0
-    return feats, lm_sum, node
+            freq_idx = bisect_right(self._freq_thresholds, count) if count else -1
+        feats = self._merged.get((lm_idx, freq_idx))
+        if feats is None:
+            feats = self._merged[lm_idx, freq_idx] = {
+                **self._lm_parts[lm_idx], **self._freq_parts[freq_idx]
+            }
+        return feats, lm_sum, tail, node
 
 
 def _step(x, pos, rule, state, model):
@@ -220,16 +325,16 @@ def _step(x, pos, rule, state, model):
     COPY, LMB..., FQB...; no key occurs in two parts); decode_nbest calls
     the same three parts, caching the first two.
     """
-    out, rules, recent, lm_sum, node = state
+    out, rules, recent, lm_sum, tail, node = state
     feats = _rule_features(x, pos, rule, model.config)
     history, recent = _history_features(out, recent, rule, model.config)
     final = pos + len(rule.source) == len(x)
-    corpus, lm_sum, node = _corpus_features(
-        out, rule.target, lm_sum, node, final, model
+    corpus, lm_sum, tail, node = model.corpus_scorer().step(
+        len(out), rule.target, lm_sum, tail, node, final
     )
     feats.update(history)
     feats.update(corpus)
-    return feats, (out + rule.target, rules + (rule,), recent, lm_sum, node)
+    return feats, (out + rule.target, rules + (rule,), recent, lm_sum, tail, node)
 
 
 def featurize_step(x, pos, rule, target_so_far, prev_rules, model):
@@ -284,7 +389,7 @@ def gold_candidate(x, derivation, model):
 def _order_key(item):
     """Beam order: score descending, then output, then rules (Rule orders
     as its (source, target) pair)."""
-    score, (out, rules, _, _, _), _ = item
+    score, (out, rules, _, _, _, _), _ = item
     return (-score, out, rules)
 
 
@@ -304,11 +409,12 @@ def decode_nbest(x, model, beam_width, n):
     Each part of a step is scored where it is first known: the rule part
     once per (position, rule) in a table that lives for this call only,
     under this call's weights; the history part once per (state, rule);
-    the corpus part per hypothesis.  _dot is a left fold over keys in part
-    order, so continuing the table's partial sums gives the step score bit
-    for bit.  A candidate's features are the trail of parts its hypothesis
-    carried, summed as derivation_features sums them, so no derivation is
-    scored twice.
+    the corpus part per hypothesis, from the LM sum, tail and trie node it
+    carries.  _dot is a left fold over keys in part order, so continuing
+    the table's partial sums gives the step score bit for bit.  A
+    candidate's features are the trail of parts its hypothesis carried,
+    summed as derivation_features sums them when first read, so no
+    derivation is scored twice and none is summed unless asked for.
     """
     if n < 1 or beam_width < n:
         raise ValueError("need beam >= n >= 1")
@@ -318,6 +424,7 @@ def decode_nbest(x, model, beam_width, n):
     cfg = model.config
     m_keep = cfg.target_order
     weights = model.weights
+    corpus_step = model.corpus_scorer().step
 
     # beams[t]: merge state (last m_keep output symbols, recent rule pairs)
     # -> {output: (score, state, trail)}, so equal-output items in one
@@ -342,15 +449,15 @@ def decode_nbest(x, model, beam_width, n):
             table.append((rule, static, _dot(weights, static), end, end == len(x)))
         for items in ranked:
             # Every item of a state shares what the history part reads.
-            head, _, recent, _, _ = items[0][1]
+            head, _, recent, _, _, _ = items[0][1]
             for rule, static, static_dot, end, final in table:
                 history, new_recent = _history_features(head, recent, rule, cfg)
                 partial = _dot(weights, history, static_dot)
                 merged = (head[-m_keep:] + rule.target)[-m_keep:]
                 group = beams[end].setdefault((merged, new_recent), {})
-                for score, (out, rules, _, lm_sum, node), trail in items:
-                    corpus, new_sum, new_node = _corpus_features(
-                        out, rule.target, lm_sum, node, final, model
+                for score, (out, rules, _, lm_sum, tail, node), trail in items:
+                    corpus, new_sum, new_tail, new_node = corpus_step(
+                        len(out), rule.target, lm_sum, tail, node, final
                     )
                     total = score + _dot(weights, corpus, partial)
                     new_out = out + rule.target
@@ -362,7 +469,8 @@ def decode_nbest(x, model, beam_width, n):
                         continue
                     group[new_out] = (
                         total,
-                        (new_out, rules + (rule,), new_recent, new_sum, new_node),
+                        (new_out, rules + (rule,), new_recent, new_sum, new_tail,
+                         new_node),
                         (trail, static, history, corpus),
                     )
     finals = {}
@@ -373,8 +481,8 @@ def decode_nbest(x, model, beam_width, n):
                 finals[out] = item
     ranked = sorted(finals.values(), key=_order_key)[:n]
     return [
-        Candidate(output, rules, score, _summed(trail))
-        for score, (output, rules, _, _, _), trail in ranked
+        Candidate(output, rules, score, trail=trail)
+        for score, (output, rules, _, _, _, _), trail in ranked
     ]
 
 
@@ -398,23 +506,51 @@ def loss(gold_output, cand_output, kind="levenshtein"):
     return float(prev[len(b)])
 
 
+def _loss_bound(gold_output, cand_output, kind="levenshtein"):
+    """An upper bound of loss(gold_output, cand_output, kind) that needs no
+    edit-distance table: the longer length, or 1 for zero-one."""
+    if kind == "zero-one":
+        return 1.0
+    if kind != "levenshtein":
+        raise ValueError(f"unknown loss {kind!r}")
+    return float(max(len(gold_output), len(cand_output)))
+
+
 def mira_update(weights, gold, candidates, c, loss_kind="levenshtein", avg=None):
     """Margin-infused update against each violating candidate, in score
     order: step the weights by the smallest tau <= C restoring a margin
-    of loss(candidate); an unclipped step makes the constraint tight."""
+    of loss(candidate); an unclipped step makes the constraint tight.
+
+    The margin is weighed in one pass over the gold and candidate
+    features, in the key order of their difference vector (gold keys,
+    then candidate-only keys) and skipping zero differences, which is
+    _dot(weights, diff) bit for bit.  The loss is computed only when the
+    margin is below its bound, and the difference vector built only for a
+    violated constraint."""
+    gold_feats = gold.features
     for cand in candidates:
         if cand.output == gold.output:
             continue
-        diff = dict(gold.features)
-        for k, v in cand.features.items():
-            diff[k] = diff.get(k, 0.0) - v
-        diff = {k: v for k, v in diff.items() if v != 0.0}
-        if not diff:
+        cand_feats = cand.features
+        margin, differs = 0, False
+        for k, v in gold_feats.items():
+            v -= cand_feats.get(k, 0.0)
+            if v != 0.0:
+                margin += weights.get(k, 0.0) * v
+                differs = True
+        for k, v in cand_feats.items():
+            if k not in gold_feats and v != 0.0:
+                margin += weights.get(k, 0.0) * (0.0 - v)
+                differs = True
+        if not differs or margin >= _loss_bound(gold.output, cand.output, loss_kind):
             continue
-        margin = _dot(weights, diff)
         cost = loss(gold.output, cand.output, loss_kind)
         if margin >= cost:
             continue
+        diff = dict(gold_feats)
+        for k, v in cand_feats.items():
+            diff[k] = diff.get(k, 0.0) - v
+        diff = {k: v for k, v in diff.items() if v != 0.0}
         sqnorm = sum(v * v for v in diff.values())
         tau = min(c, (cost - margin) / sqnorm)
         for k, v in diff.items():

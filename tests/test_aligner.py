@@ -29,6 +29,7 @@ from toytask import (
     brute_alignments,
     brute_merge_sum,
     brute_path_sum,
+    lexicon_task,
     random_delta,
 )
 
@@ -506,3 +507,18 @@ def test_alignment_file_round_trip(tmp_path):
         write_alignments(alignments, out)
     again = read_alignments(path.read_text(encoding="utf-8"))
     assert [a.links for a in again] == [a.links for a in alignments]
+
+
+def test_em_log_lines_name_their_run(caplog):
+    _, pairs, _ = lexicon_task(3, 300, 20, 1)
+    with caplog.at_level("INFO", logger="chartrans.aligner"):
+        precision_align(pairs)
+        baseline_align(pairs)
+    runs = {}
+    for rec in caplog.records:
+        if rec.msg.startswith("EM iteration"):
+            run = rec.getMessage().split("(", 1)[1].split(")", 1)[0]
+            runs.setdefault(run, []).append(rec.args[0])
+    assert list(runs) == ["1-1 pass 1", "merge pass 2", "m2m 2-2"]
+    for iterations in runs.values():
+        assert iterations == list(range(1, len(iterations) + 1))

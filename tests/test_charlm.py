@@ -327,3 +327,17 @@ def test_extend_score_from_carried_tail_is_the_padded_sum(order):
         if word:
             complete = _padded_sum(lm, 0.0, (), word + (EOS,))
             assert score_prefix(lm, word, complete=True) == complete / (len(word) + 1)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_advance_is_extend_score_over_the_carried_tail(order):
+    rng = random.Random(60 + order)
+    lm = _random_lm(rng, order)
+    for _ in range(200):
+        prefix = tuple(rng.choice(_ASKED[:-1]) for _ in range(rng.randint(0, 6)))
+        suffix = tuple(rng.choice(_ASKED) for _ in range(rng.randint(0, 4)))
+        start = rng.uniform(-5.0, 0.0)
+        assert lm.advance(start, history_tail(lm, prefix), suffix) == (
+            extend_score(lm, start, prefix, suffix)[0],
+            history_tail(lm, prefix + suffix),
+        )

@@ -19,6 +19,7 @@ from chartrans.cli import (
     main,
     read_nbest,
 )
+from chartrans import transducer
 from chartrans.core import ParseError, parse_pairs
 from chartrans.aligner import read_alignments
 
@@ -433,3 +434,18 @@ def test_load_config_error_names_every_bad_key_of_one_check():
     with pytest.raises(ValueError) as info:
         load_config(overrides=["beam=0", "nbest=0", "epochs=3"])
     assert str(info.value).startswith("nbest = 0, beam = 0: ")
+
+
+def test_decode_never_sums_candidate_features(tmp_path, monkeypatch):
+    # decode writes outputs and scores only, so no candidate's feature
+    # trail may be summed
+    cfg = write_context_task(tmp_path, n_train=25, n_test=8)
+    cmd_align(cfg)
+    cmd_train(cfg)
+
+    def summed(trail):
+        raise AssertionError("decode summed a candidate's features")
+
+    monkeypatch.setattr(transducer, "_summed", summed)
+    nbest = cmd_decode(cfg)
+    assert len(read_nbest(nbest)) == 8

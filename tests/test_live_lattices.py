@@ -224,12 +224,12 @@ def test_pass2_decode_over_trimmed_lattices_matches_fresh_lattices():
         len(fresh[i].edges) for i in active
     )
     logd = [delta.logp(*key) for key in keys]
-    links = [aligner.AlignmentLink(*key) for key in keys]
+    spans = list(keys)
     ties = [()] * len(keys)
     for idx in active:
-        best = aligner._viterbi(trimmed[idx], logd, links, ties, 5)
+        best = aligner._viterbi(trimmed[idx], logd, spans, ties, 5)
         assert best
-        assert best == aligner._viterbi(fresh[idx], logd, links, ties, 5)
+        assert best == aligner._viterbi(fresh[idx], logd, spans, ties, 5)
 
 
 @pytest.mark.parametrize("disable_precision", ["false", "true"])

@@ -1,12 +1,27 @@
 import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartrans.aligner import Alignment, AlignmentLink, precision_align
-from chartrans.charlm import BinConfig, train_charlm, make_bins
+from chartrans.charlm import (
+    BinConfig,
+    history_tail,
+    lm_bin_features,
+    make_bins,
+    train_charlm,
+)
 from chartrans.core import TrainingPair
-from chartrans.freqtrie import FreqBinConfig, Lexicon, build_trie
+from chartrans.freqtrie import (
+    FreqBinConfig,
+    Lexicon,
+    TrieNode,
+    build_trie,
+    freq_bin_features,
+)
 from chartrans.transducer import (
     Candidate,
     FeatureConfig,
@@ -591,3 +606,137 @@ def test_decode_after_mira_update_uses_new_weights(corpus_model):
         assert cand.score == _folded_score(x, cand.derivation, model)
     scores = {c.output: c.score for c in before}
     assert any(scores.get(c.output) != c.score for c in after)
+
+
+class _FixedLM:
+    """Stands in for a CharLM: every advance lands on the sum it is set to."""
+
+    def __init__(self):
+        self.sum = 0.0
+
+    def advance(self, logsum, tail, suffix):
+        return self.sum, tail
+
+
+def _around(value):
+    return [math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)]
+
+
+def test_prebuilt_bin_parts_are_the_fired_bins():
+    # one-symbol, non-final steps: the LM score is the advanced sum and the
+    # count the trie node's prefix count, so each part the scorer picks can
+    # be checked against the bin functions that define what fires
+    lm_bins = BinConfig((-0.5, -1.0, -1.5), mu=-1.0, sigma=0.5)
+    freq_bins = FreqBinConfig((2, 10, 100))
+    lm, root = _FixedLM(), TrieNode()
+    leaf = root.children["a"] = TrieNode()
+    model = Model(
+        weights={}, rules=frozenset(), config=FeatureConfig(),
+        lm=lm, lm_bins=lm_bins, trie=root, freq_bins=freq_bins,
+    )
+    scorer = model.corpus_scorer()
+    scores = [s for t in lm_bins.thresholds for s in _around(t)] + [-1e9, 3.0]
+    counts = [c for t in freq_bins.thresholds for c in _around(t) + [t - 1, t + 1]]
+    for score in scores:
+        for count in [0, 1, 10**9] + counts:
+            lm.sum, leaf.prefix_count = score, count
+            feats, new_sum, _, node = scorer.step(0, ("a",), 0.0, (), root, False)
+            want = {
+                **{("LMB", j): 1.0 for j in sorted(lm_bin_features(score, lm_bins))},
+                **{("FQB", j): 1.0 for j in sorted(freq_bin_features(count, freq_bins))},
+            }
+            assert list(feats.items()) == list(want.items())
+            assert new_sum == score and node is leaf
+    # a target the trie lacks counts 0: the zero feature
+    feats, _, _, node = scorer.step(0, ("b",), 0.0, (), root, False)
+    assert node is None
+    assert [k for k in feats if k[0] == "FQB"] == [("FQB", freq_bins.zero_feature)]
+    assert model.corpus_scorer() is scorer
+
+
+def test_corpus_scorer_follows_replaced_resources():
+    lm = train_charlm([("x", "y")], 2)
+    model = Model(
+        weights={}, rules=frozenset(), config=FeatureConfig(freq_features=False),
+        lm=lm, lm_bins=BinConfig((-0.5,), -0.5, 0.0),
+    )
+    scorer = model.corpus_scorer()
+    low = dataclasses.replace(model, lm_bins=BinConfig((-50.0,), -50.0, 0.0))
+    assert low.corpus_scorer() is not scorer
+    feats = low.corpus_scorer().step(0, ("q",), 0.0, history_tail(lm, ()), None, False)[0]
+    assert list(feats) == [("LMB", 0)]
+    assert model.corpus_scorer() is scorer
+    model.lm_bins = low.lm_bins
+    assert model.corpus_scorer() is not scorer
+
+
+def _mira_reference(weights, gold, candidates, c, loss_kind="levenshtein", avg=None):
+    """mira_update as it was before its one-pass margin: the full
+    difference vector and the loss for every non-gold candidate."""
+    for cand in candidates:
+        if cand.output == gold.output:
+            continue
+        diff = dict(gold.features)
+        for k, v in cand.features.items():
+            diff[k] = diff.get(k, 0.0) - v
+        diff = {k: v for k, v in diff.items() if v != 0.0}
+        if not diff:
+            continue
+        margin = _dot(weights, diff)
+        cost = loss(gold.output, cand.output, loss_kind)
+        if margin >= cost:
+            continue
+        sqnorm = sum(v * v for v in diff.values())
+        tau = min(c, (cost - margin) / sqnorm)
+        for k, v in diff.items():
+            weights[k] = weights.get(k, 0.0) + tau * v
+            if avg is not None:
+                u, step = avg
+                u[k] = u.get(k, 0.0) + (step - 1) * tau * v
+    return weights
+
+
+_KEYS = st.sampled_from([("R", i) for i in range(5)] + [("LMB", i) for i in range(3)])
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, 3.0]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+_FEATS = st.dictionaries(_KEYS, _VALUES, max_size=8)
+_OUTPUTS = st.lists(st.sampled_from("abc"), max_size=4).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.dictionaries(_KEYS, st.floats(-3.0, 3.0, allow_nan=False), max_size=8),
+    gold=st.tuples(_OUTPUTS, _FEATS),
+    cands=st.lists(st.tuples(_OUTPUTS, _FEATS), max_size=6),
+    c=st.sampled_from([0.05, 1.0, math.inf]),
+    loss_kind=st.sampled_from(["levenshtein", "zero-one"]),
+    step=st.integers(1, 50),
+)
+def test_mira_update_matches_the_reference(weights, gold, cands, c, loss_kind, step):
+    gold = Candidate(gold[0], (), 0.0, gold[1])
+    cands = [Candidate(out, (), 0.0, feats) for out, feats in cands]
+    got_w, got_u = dict(weights), {}
+    want_w, want_u = dict(weights), {}
+    outcomes = []
+    for update, w, u in [(mira_update, got_w, got_u), (_mira_reference, want_w, want_u)]:
+        try:
+            update(w, gold, cands, c, loss_kind, (u, step))
+            outcomes.append(None)
+        except ZeroDivisionError:  # a squared norm that underflows to 0
+            outcomes.append(ZeroDivisionError)
+    assert outcomes[0] == outcomes[1]
+    assert got_w == want_w
+    assert got_u == want_u
+    assert list(got_w.items()) == list(want_w.items())
+    assert list(got_u.items()) == list(want_u.items())
+
+
+def test_lazy_candidate_features_are_the_summed_trail(corpus_model):
+    model, held = corpus_model
+    cands = decode_nbest(held[0].source, model, 10, 5)
+    for cand in cands:
+        feats, _ = derivation_features(held[0].source, cand.derivation, model)
+        assert cand == Candidate(cand.output, cand.derivation, cand.score, feats)
+        assert cand.features is cand.features
