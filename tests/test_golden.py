@@ -1,17 +1,28 @@
-"""Golden bytes: align -> train -> decode on a small lexicon task, with LM
-and frequency features on, must keep writing exactly these files.  A
-change that is meant to alter them updates the hashes and says why."""
+"""Golden bytes: align -> train -> decode on a small lexicon task must keep
+writing exactly these files, both for the full system (precision
+alignment, LM and frequency features) and for the 2-2 baseline aligner
+with LM features off.  A change that is meant to alter them updates the
+hashes and says why."""
 
 import hashlib
+
+import pytest
 
 from chartrans.cli import main
 
 from toytask import lexicon_task
 
 GOLDEN = {
-    "alignments.txt": "ea58344e312e78881b11f2d200eb3f850bc6de933460f3c0b11abf5ab173fa51",
-    "model.txt": "91d080d8bafaec20e79a44687846849bdbf09b24588443f2d90d4a639e53eb6a",
-    "nbest.txt": "7dd9d703a2dd9b3552d6c9122c539a66a7f0f227a95bd270c34157b1b0f0e0b5",
+    "full": ("", {
+        "alignments.txt": "ea58344e312e78881b11f2d200eb3f850bc6de933460f3c0b11abf5ab173fa51",
+        "model.txt": "91d080d8bafaec20e79a44687846849bdbf09b24588443f2d90d4a639e53eb6a",
+        "nbest.txt": "7dd9d703a2dd9b3552d6c9122c539a66a7f0f227a95bd270c34157b1b0f0e0b5",
+    }),
+    "m2m-no-lm": ("disable_precision = true\ndisable_lm = true\n", {
+        "alignments.txt": "72fca9ffb11a29886c56bf39a5982c13188daaf55d4b3346d4e592f38e78951e",
+        "model.txt": "db4b0856c7ab8eacf9faa2759c176354375550eeea8d6a4d22c10029ac230047",
+        "nbest.txt": "fc8162b16176f4a92e6619b53ef54018eae5fb1a4f089484cb739a28964bfb5b",
+    }),
 }
 
 
@@ -19,7 +30,9 @@ def _text(seq):
     return " ".join(seq)
 
 
-def test_pipeline_output_bytes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_pipeline_output_bytes(tmp_path, monkeypatch, case):
+    extra, golden = GOLDEN[case]
     lexicon, pairs, held = lexicon_task(11, lex_size=1500, n_train=60, n_test=60)
     (tmp_path / "words.txt").write_text(
         "".join(f"{''.join(w)}\t{c}\n" for w, c in lexicon.counts.items()),
@@ -38,7 +51,7 @@ def test_pipeline_output_bytes(tmp_path, monkeypatch):
     )
     (tmp_path / "run.cfg").write_text(
         "pairs = train.txt\ntest = test.txt\nwordlist = words.txt\n"
-        "outdir = out\nepochs = 2\ndecode_nbest = 5\n",
+        "outdir = out\nepochs = 2\ndecode_nbest = 5\n" + extra,
         encoding="utf-8",
     )
     monkeypatch.chdir(tmp_path)
@@ -46,6 +59,6 @@ def test_pipeline_output_bytes(tmp_path, monkeypatch):
         assert main([command, "--config", "run.cfg"]) == 0
     hashes = {
         name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-        for name in GOLDEN
+        for name in golden
     }
-    assert hashes == GOLDEN
+    assert hashes == golden
