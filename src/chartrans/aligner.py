@@ -19,12 +19,15 @@ one E-step and one n-best Viterbi run over either, with δ as
 log-probabilities indexed by key id.  All charts store log-domain values;
 probabilities are recovered on read.
 
-EM's lattices are built once, trimmed to live edges: before the first
-iteration to the edges on some start→goal path, and after each E-step to
-the edges that added to the expected counts.  Every other edge's terms
-are NEG_INF, which change no sum, and a span pair whose δ reaches 0 never
+EM's lattices are built once, trimmed to live edges by one cut: before
+the first iteration to the edges on some start→goal path, and after each
+E-step to the edges that added to the expected counts.  A trim only drops
+edges; every node keeps its grid id.  Every other edge's terms are
+NEG_INF, which change no sum, and a span pair whose δ reaches 0 never
 comes back, so every float EM computes, and every alignment decoded from
-its lattices, is the one the untrimmed lattices give.
+its lattices, is the one the untrimmed lattices give.  EM holds δ as
+probabilities by key id and makes the span-keyed DeltaTable once, when it
+returns.
 """
 
 import logging
@@ -32,10 +35,10 @@ import math
 from array import array
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import accumulate, compress, groupby
+from itertools import chain, compress, groupby
 from operator import itemgetter
 
-from .core import NULL, TrainingPair
+from .core import NULL, ParseError, TrainingPair, check_fields
 
 log = logging.getLogger(__name__)
 
@@ -57,12 +60,9 @@ class AlignParams:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_x < 1 or self.max_y < 1:
-            raise ValueError("substring limits must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        check_fields(self, ("max_x", "max_y", "max_iterations"), lambda v: v >= 1,
+                     "must be >= 1")
+        check_fields(self, ("tol",), lambda v: v > 0, "must be positive")
 
     def moves(self):
         """Admissible (source length, target length) steps."""
@@ -181,10 +181,10 @@ class Lattice:
     floating-point sum and Viterbi tie.
 
     EM's lattices are built once, trimmed to live edges: those on a
-    start→goal path of nonzero weight, with the nodes renumbered to theirs.
-    Trims shrink the arrays in place, so a lattice keeps its memory block
-    through EM.  The public views keep every node, so their charts expose
-    every cell."""
+    start→goal path of nonzero weight.  Trims shrink the arrays in place,
+    so a lattice keeps its memory block through EM, and drop edges only:
+    `nodes` and every node id stay the grid's, so a trimmed lattice's
+    charts still expose every cell."""
 
     nodes: int
     edges: array
@@ -221,24 +221,6 @@ def _reach(nodes, edges):
     return alpha, beta
 
 
-def _live_ids(alpha, beta):
-    """New node ids, in order, for the start, the goal and the nodes with
-    finite alpha and beta.  A dead node's entry repeats the id before it;
-    no kept edge reads it."""
-    live = [a + b != NEG_INF for a, b in zip(alpha, beta)]
-    live[0] = live[-1] = True
-    return list(accumulate(live, initial=-1))[1:]
-
-
-def _cut(edges, keep, ids):
-    """The triples of edges whose keep flag is set, in order, with their
-    nodes renumbered by ids."""
-    kept = []
-    for src, dst, key in compress(_triples(edges), keep):
-        kept += (ids[src], ids[dst], key)
-    return array("i", kept)
-
-
 def _regroup(edges, field, layout):
     """The triples of edges stably sorted by descending field, each
     rewritten as its fields in layout."""
@@ -253,33 +235,37 @@ def _regroup(edges, field, layout):
 def _lattice(nodes, edges, gamma_from_goal=False, live=False):
     """A Lattice over edges grouped by ascending to node.  With live, only
     the edges on some start→goal path are kept, whatever δ is."""
+    lattice = Lattice(nodes, edges, edges)
     if live:
-        alpha, beta = _reach(nodes, edges)
-        ids = _live_ids(alpha, beta)
-        keep = [alpha[src] + beta[dst] != NEG_INF for src, dst, _ in _triples(edges)]
-        nodes, edges = ids[-1] + 1, _cut(edges, keep, ids)
-    gamma = _regroup(edges, 1, (0, 1, 2)) if gamma_from_goal else edges
-    return Lattice(nodes, edges, gamma)
+        _trim(lattice, *_reach(nodes, edges))
+    if gamma_from_goal:
+        lattice.gamma = _regroup(lattice.edges, 1, (0, 1, 2))
+    return lattice
 
 
-def _trim(lattice, logd, alpha, beta):
+def _trim(lattice, alpha, beta, logd=None):
     """Cut the lattice down, in place, to the edges with finite alpha at
-    their from node, logd and beta at their to node: those on a start→goal
-    path of nonzero weight, the only edges whose terms add to a finite
-    alpha or beta, to gamma or to a _viterbi path."""
-    ids = _live_ids(alpha, beta)
+    their from node, logd (when given) and beta at their to node: those on
+    a start→goal path of nonzero weight, the only edges whose terms add to
+    a finite alpha or beta, to gamma or to a _viterbi path.  The same cut
+    serves the build-time live trim (_reach's alpha and beta, no logd) and
+    each E-step.  Only edges go; node ids stay the grid's, and `out` is cut
+    only if it has been built."""
 
     def cut(edges, triples):
-        keep = [alpha[src] + logd[key] + beta[dst] != NEG_INF
-                for src, dst, key in triples]
-        edges[:] = _cut(edges, keep, ids)
+        if logd is None:
+            keep = [alpha[src] + beta[dst] != NEG_INF for src, dst, _ in triples]
+        else:
+            keep = [alpha[src] + logd[key] + beta[dst] != NEG_INF
+                    for src, dst, key in triples]
+        edges[:] = array("i", chain.from_iterable(compress(_triples(edges), keep)))
 
     if lattice.gamma is not lattice.edges:
         cut(lattice.gamma, _triples(lattice.gamma))
     cut(lattice.edges, _triples(lattice.edges))
-    out = lattice.out  # (to, from, key) triples
-    cut(out, zip(out[1::3], out[0::3], out[2::3]))
-    lattice.nodes = ids[-1] + 1
+    out = lattice._out  # (to, from, key) triples
+    if out is not None:
+        cut(out, zip(out[1::3], out[0::3], out[2::3]))
 
 
 def _m2m_edges(x, y, moves, keys, live=False):
@@ -388,7 +374,7 @@ def _estep(lattice, logd, gamma):
         else:
             dead = True
     if dead:
-        _trim(lattice, logd, alpha, beta)
+        _trim(lattice, alpha, beta, logd)
     return ll
 
 
@@ -400,22 +386,23 @@ def _em(lattices, spans, params, history=None, run=None):
     γ; built with live, a lattice has no other edge under the uniform
     start.  history, when given, collects one (log-likelihood, delta total
     mass) entry per iteration, and each iteration logs one INFO line
-    naming the run ("m2m X-Y" from params unless given).  Each iteration's
-    log δ starts at NEG_INF and takes δ's nonzero entries, so spans at
-    δ = 0 cost nothing.  Returns (delta, indices of the pairs kept)."""
+    naming the run ("m2m X-Y" from params unless given).  δ is held as a
+    dict from key id to probability, with only its nonzero entries; each
+    iteration's log δ is NEG_INF at every other key id, so spans at δ = 0
+    cost nothing.  Returns (the DeltaTable of δ by span, indices of the
+    pairs kept)."""
     run = run or f"m2m {params.max_x}-{params.max_y}"
     message = (
         f"EM iteration %d ({run}): log-likelihood %.6f, %d pairs kept, "
         "%d delta entries, %d live edges"
     )
-    delta = DeltaTable(dict.fromkeys(spans, 1.0 / len(spans)) if spans else {})
-    ids = {span: k for k, span in enumerate(spans)}
+    delta = {k: 1.0 / len(spans) for k in range(len(spans))}
     active = list(range(len(lattices)))
     prev_ll = None
     for iteration in range(params.max_iterations):
         logd = [NEG_INF] * len(spans)
-        for span, lp in delta._logs.items():
-            logd[ids[span]] = lp
+        for k, p in delta.items():
+            logd[k] = math.log(p)
         gamma = {}
         total_ll = 0.0
         kept = []
@@ -432,9 +419,10 @@ def _em(lattices, spans, params, history=None, run=None):
         total = sum(gamma.values())
         if total <= 0:
             break
-        delta = DeltaTable({spans[k]: v / total for k, v in gamma.items()})
+        # a positive count can still divide to 0.0
+        delta = {k: p for k, v in gamma.items() if (p := v / total) > 0.0}
         if history is not None:
-            history.append((total_ll, delta.total()))
+            history.append((total_ll, sum(delta.values())))
         log.info(
             message, iteration + 1, total_ll, len(active), len(delta),
             sum(len(lattices[idx].edges) for idx in active) // 3,
@@ -444,7 +432,7 @@ def _em(lattices, spans, params, history=None, run=None):
             if rel < params.tol:
                 break
         prev_ll = total_ll
-    return delta, active
+    return DeltaTable({spans[k]: p for k, p in delta.items()}), active
 
 
 def _viterbi(lattice, logd, spans, ties, n):
@@ -657,5 +645,14 @@ def write_alignments(alignments, stream):
 
 
 def read_alignments(stream):
+    """The alignments of the non-blank lines of stream (lines or a string);
+    a bad line raises ParseError with its number."""
     lines = stream.splitlines() if isinstance(stream, str) else stream
-    return [parse_alignment(line) for line in lines if line.strip()]
+    alignments = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                alignments.append(parse_alignment(line))
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from exc
+    return alignments

@@ -50,46 +50,19 @@ class _RunSettings:
 
     def __post_init__(self):
         # Check every value once, here, so a bad value fails before
-        # alignment has run; each error starts with the key it blames.
-        if self.task not in TASKS:
-            raise ValueError(f"{_shown('task', self.task)}: expected one of {TASKS}")
-        for key in ("lm_order", "decode_nbest"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{_shown(key, getattr(self, key))}: must be >= 1")
+        # alignment has run; each error starts with the keys it blames,
+        # and each library object names its own.
+        core.check_fields(self, ("task",), TASKS.__contains__, f"expected one of {TASKS}")
+        core.check_fields(self, ("lm_order", "decode_nbest"), lambda v: v >= 1,
+                          "must be >= 1")
         try:
             freqtrie.FreqBinConfig(self.freq_thresholds)
         except ValueError as exc:
             raise ValueError(
-                f"{_shown('freq_thresholds', self.freq_thresholds)}: {exc}"
+                f"{core.shown('freq_thresholds', self.freq_thresholds)}: {exc}"
             ) from exc
         for cls in _LIBRARY:
-            try:
-                self.build(cls)
-            except ValueError as exc:
-                blamed = ", ".join(
-                    _shown(key, getattr(self, key)) for key in self._blame(cls)
-                )
-                raise ValueError(f"{blamed}: {exc}") from exc
-
-    def _blame(self, cls):
-        """The keys of cls whose own value fails cls's checks with every
-        other field at its default; failing that, every key of cls whose
-        value is not its default."""
-        default = cls()
-        moved = [
-            f.name for f in dataclasses.fields(cls)
-            if f.name not in _NOT_KEYS
-            and getattr(self, f.name) != getattr(default, f.name)
-        ]
-
-        def fails(key):
-            try:
-                cls(**{key: getattr(self, key)})
-            except ValueError:
-                return True
-            return False
-
-        return [key for key in moved if fails(key)] or moved
+            self.build(cls)
 
     def build(self, cls):
         """The library object cls made from the settings of the same names;
@@ -135,12 +108,6 @@ _BOOL = {"true": True, "yes": True, "1": True,
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
-def _shown(key, value):
-    """key = value as a configuration file writes it."""
-    text = ",".join(map(str, value)) if isinstance(value, tuple) else value
-    return f"{key} = {text}"
-
-
 def _convert(key, text):
     kind = _FIELDS.get(key)
     if kind is None:
@@ -148,14 +115,14 @@ def _convert(key, text):
     text = text.strip()
     if kind is bool:
         if text.lower() not in _BOOL:
-            raise ValueError(f"{_shown(key, text)}: not a boolean")
+            raise ValueError(f"{core.shown(key, text)}: not a boolean")
         return _BOOL[text.lower()]
     try:
         if kind is tuple:
             return tuple(int(t) for t in text.split(","))
         return kind(text)
     except ValueError as exc:
-        raise ValueError(f"{_shown(key, text)}: {exc}") from exc
+        raise ValueError(f"{core.shown(key, text)}: {exc}") from exc
 
 
 def load_config(path=None, overrides=()):

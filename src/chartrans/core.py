@@ -27,6 +27,22 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+def shown(key, value):
+    """key = value as a configuration file writes it."""
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else value
+    return f"{key} = {text}"
+
+
+def check_fields(obj, names, ok, message):
+    """Raise ValueError when a field of obj in names fails ok; the error
+    starts with every such field as "key = value", in the order of names,
+    as in "nbest = 0, beam = 0: must be >= 1"."""
+    bad = [shown(name, getattr(obj, name)) for name in names
+           if not ok(getattr(obj, name))]
+    if bad:
+        raise ValueError(f"{', '.join(bad)}: {message}")
+
+
 class ValidationError(ValueError):
     """Structurally valid input that violates a data invariant."""
 

@@ -36,7 +36,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .charlm import EOS, extend_score, history_tail, lm_bin_features, BinConfig
-from .core import TrainingPair
+from .core import ParseError, TrainingPair, check_fields
 from .freqtrie import FreqBinConfig, freq_bin_features, walk
 
 log = logging.getLogger(__name__)
@@ -63,10 +63,9 @@ class FeatureConfig:
     freq_features: bool = True
 
     def __post_init__(self):
-        if self.context_window < 0:
-            raise ValueError("context window must be >= 0")
-        if min(self.max_source_ngram, self.target_order, self.joint_order) < 1:
-            raise ValueError("n-gram orders must be >= 1")
+        check_fields(self, ("context_window",), lambda v: v >= 0, "must be >= 0")
+        check_fields(self, ("max_source_ngram", "target_order", "joint_order"),
+                     lambda v: v >= 1, "must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -79,12 +78,10 @@ class TrainConfig:
     loss: str = "levenshtein"
 
     def __post_init__(self):
-        if self.mira_c <= 0:
-            raise ValueError("C must be positive")
-        if self.nbest < 1 or self.beam < 1:
-            raise ValueError("nbest and beam must be >= 1")
-        if self.loss not in ("levenshtein", "zero-one"):
-            raise ValueError(f"unknown loss {self.loss!r}")
+        check_fields(self, ("mira_c",), lambda v: v > 0, "must be positive")
+        check_fields(self, ("nbest", "beam"), lambda v: v >= 1, "must be >= 1")
+        losses = ("levenshtein", "zero-one")
+        check_fields(self, ("loss",), losses.__contains__, f"expected one of {losses}")
 
 
 class Candidate:
@@ -134,16 +131,20 @@ class Model:
     lm_bins: BinConfig = None
     trie: object = None
     freq_bins: FreqBinConfig = None
-    _index: dict = field(default=None, repr=False)
-    _max_src: int = field(default=0, repr=False)
+    _index: dict = field(default=None, init=False, repr=False, compare=False)
+    _max_src: int = field(default=0, init=False, repr=False, compare=False)
+    _indexed: frozenset = field(default=None, init=False, repr=False, compare=False)
     _corpus: object = field(default=None, init=False, repr=False, compare=False)
 
     def rule_index(self):
-        if self._index is None:
+        """The rules by source, in sorted order, and _max_src, the longest
+        source; rebuilt when rules is no longer the object they were built
+        from."""
+        if self._indexed is not self.rules:
             index = {}
             for rule in sorted(self.rules):
                 index.setdefault(rule.source, []).append(rule)
-            self._index = index
+            self._index, self._indexed = index, self.rules
             self._max_src = max((len(s) for s in index), default=0)
         return self._index
 
@@ -651,7 +652,8 @@ def save_model(model, path, lm_path=None, lexicon_path=None):
 def load_model(path):
     """Read a model file; returns (model, resource_refs) where the refs
     hold any lm/lexicon paths recorded at save time.  The model has no LM
-    or trie until the caller loads them from those paths."""
+    or trie until the caller loads them from those paths.  A bad line
+    raises ParseError with its number."""
     config = None
     lm_bins = None
     freq_bins = None
@@ -662,28 +664,31 @@ def load_model(path):
         first = src.readline().rstrip("\n")
         if first != "#model\tv1":
             raise ValueError(f"{path}: not a model file")
-        for line in src:
+        for lineno, line in enumerate(src, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("#features\t"):
-                config = FeatureConfig(**json.loads(line.split("\t", 1)[1]))
-            elif line.startswith("#lmbins\t"):
-                blob = json.loads(line.split("\t", 1)[1])
-                lm_bins = BinConfig(
-                    tuple(blob["thresholds"]), blob["mu"], blob["sigma"]
-                )
-                refs["lm"] = blob.get("path")
-            elif line.startswith("#freqbins\t"):
-                blob = json.loads(line.split("\t", 1)[1])
-                freq_bins = FreqBinConfig(tuple(blob["thresholds"]))
-                refs["lexicon"] = blob.get("path")
-            elif line.startswith("#rule\t"):
-                src_t, tgt_t = json.loads(line.split("\t", 1)[1])
-                rules.add(Rule(tuple(src_t), tuple(tgt_t)))
-            else:
-                key_json, w = line.split("\t")
-                weights[_tupled(json.loads(key_json))] = float(w)
+            try:
+                if line.startswith("#features\t"):
+                    config = FeatureConfig(**json.loads(line.split("\t", 1)[1]))
+                elif line.startswith("#lmbins\t"):
+                    blob = json.loads(line.split("\t", 1)[1])
+                    lm_bins = BinConfig(
+                        tuple(blob["thresholds"]), blob["mu"], blob["sigma"]
+                    )
+                    refs["lm"] = blob.get("path")
+                elif line.startswith("#freqbins\t"):
+                    blob = json.loads(line.split("\t", 1)[1])
+                    freq_bins = FreqBinConfig(tuple(blob["thresholds"]))
+                    refs["lexicon"] = blob.get("path")
+                elif line.startswith("#rule\t"):
+                    src_t, tgt_t = json.loads(line.split("\t", 1)[1])
+                    rules.add(Rule(tuple(src_t), tuple(tgt_t)))
+                else:
+                    key_json, w = line.split("\t")
+                    weights[_tupled(json.loads(key_json))] = float(w)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ParseError(lineno, f"bad model line: {exc}") from exc
     model = Model(
         weights=weights, rules=frozenset(rules), config=config or FeatureConfig(),
         lm_bins=lm_bins, freq_bins=freq_bins,

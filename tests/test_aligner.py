@@ -23,7 +23,7 @@ from chartrans.aligner import (
     viterbi_nbest,
     write_alignments,
 )
-from chartrans.core import NULL, TrainingPair
+from chartrans.core import NULL, ParseError, TrainingPair
 
 from toytask import (
     brute_alignments,
@@ -507,6 +507,11 @@ def test_alignment_file_round_trip(tmp_path):
         write_alignments(alignments, out)
     again = read_alignments(path.read_text(encoding="utf-8"))
     assert [a.links for a in again] == [a.links for a in alignments]
+
+
+def test_bad_alignment_line_names_its_number():
+    with pytest.raises(ParseError, match="line 3: bad link 'bad'"):
+        read_alignments("a}x b|c}y\n\nbad\n")
 
 
 def test_em_log_lines_name_their_run(caplog):

@@ -213,6 +213,28 @@ def test_every_lattice_keeps_its_edge_orders_through_trims(caplog):
                 _orders_hold(lattice, from_goal)
 
 
+def test_trims_keep_grid_node_ids():
+    # a trimmed lattice still has one node per grid cell, and its charts
+    # hold the fresh lattice's values at every cell on a live path
+    _, pairs, _ = lexicon_task(5, 400, 40, 1)
+    moves = TWO_TWO.moves()
+    keys = {}
+    trimmed = [aligner._m2m_edges(p.source, p.target, moves, keys, live=True)
+               for p in pairs]
+    delta, active = aligner._em(trimmed, list(keys), TWO_TWO)
+    logd = [delta.logp(*key) for key in keys]
+    for idx in active:
+        x, y = pairs[idx].source, pairs[idx].target
+        fresh = aligner._m2m_edges(x, y, moves, keys)
+        assert trimmed[idx].nodes == fresh.nodes == (len(x) + 1) * (len(y) + 1)
+        assert len(trimmed[idx].edges) < len(fresh.edges)
+        alpha, beta = aligner._forward(fresh, logd), aligner._backward(fresh, logd)
+        live = [n for n in range(fresh.nodes) if alpha[n] + beta[n] != NEG_INF]
+        for chart, full in ((aligner._forward, alpha), (aligner._backward, beta)):
+            values = chart(trimmed[idx], logd)
+            assert [values[n] for n in live] == [full[n] for n in live]
+
+
 def test_pass2_decode_over_trimmed_lattices_matches_fresh_lattices():
     _, pairs, _ = lexicon_task(7, 400, 60, 1)
     padded = aligner.pass1_align(pairs)

@@ -14,7 +14,7 @@ from chartrans.charlm import (
     make_bins,
     train_charlm,
 )
-from chartrans.core import TrainingPair
+from chartrans.core import ParseError, TrainingPair
 from chartrans.freqtrie import (
     FreqBinConfig,
     Lexicon,
@@ -516,6 +516,15 @@ def test_gold_candidate_score_matches_features():
     )
 
 
+def test_bad_model_line_names_its_number(tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(plain_model([Rule(("a",), ("b",))], {("R", ("a",), ("b",)): 1.0}), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(lines + ["0.5"]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"line {len(lines) + 1}: bad model line"):
+        load_model(path)
+
+
 def test_model_save_load_round_trip(tmp_path):
     rng = random.Random(27)
     pairs = digraph_pairs(rng, 20)
@@ -589,6 +598,18 @@ def test_candidate_scores_are_step_folds(corpus_model):
             assert cand.score == _folded_score(inst.source, cand.derivation, model)
             checked += 1
     assert checked > len(held)
+
+
+def test_rule_index_follows_replaced_rules():
+    model = plain_model([Rule(("a",), ("b",))])
+    assert decode_nbest(("a",), model, 5, 1)[0].output == ("b",)
+    rule = Rule(("a",), ("c",))
+    replaced = dataclasses.replace(
+        model, rules=frozenset([rule]), weights={("R", rule.source, rule.target): 1.0}
+    )
+    assert decode_nbest(("a",), replaced, 5, 1)[0].output == ("c",)
+    model.rules = frozenset([rule])
+    assert decode_nbest(("a",), model, 5, 1)[0].output == ("c",)
 
 
 def test_decode_after_mira_update_uses_new_weights(corpus_model):
