@@ -383,14 +383,14 @@ def _em(lattices, spans, params, history=None, run=None):
     spans until the relative log-likelihood change drops below tol.
     Unalignable pairs are excluded with a warning on the first iteration.
     Each E-step trims its lattice, in place, to the edges that added to
-    γ; built with live, a lattice has no other edge under the uniform
-    start.  history, when given, collects one (log-likelihood, delta total
-    mass) entry per iteration, and each iteration logs one INFO line
-    naming the run ("m2m X-Y" from params unless given).  δ is held as a
-    dict from key id to probability, with only its nonzero entries; each
-    iteration's log δ is NEG_INF at every other key id, so spans at δ = 0
-    cost nothing.  Returns (the DeltaTable of δ by span, indices of the
-    pairs kept)."""
+    γ, keeping its grid node ids; built with live, a lattice has no other
+    edge under the uniform start.  history, when given, collects one
+    (log-likelihood, delta total mass) entry per iteration, and each
+    iteration logs one INFO line naming the run ("m2m X-Y" from params
+    unless given).  δ is held as a dict from key id to probability, with
+    only its nonzero entries; each iteration's log δ is NEG_INF at every
+    other key id, so spans at δ = 0 cost nothing.  Returns (the DeltaTable
+    of δ by span, indices of the pairs kept)."""
     run = run or f"m2m {params.max_x}-{params.max_y}"
     message = (
         f"EM iteration %d ({run}): log-likelihood %.6f, %d pairs kept, "
