@@ -1,7 +1,7 @@
 """Golden bytes: align -> train -> decode on a small lexicon task must keep
-writing exactly these files, both for the full system (precision
-alignment, LM and frequency features) and for the 2-2 baseline aligner
-with LM features off.  A change that is meant to alter them updates the
+writing exactly these files: for the full system (precision alignment,
+LM and frequency features), for it with frequency features off, and for
+the 2-2 baseline aligner with LM features off.  A change that is meant to alter them updates the
 hashes and says why."""
 
 import hashlib
@@ -17,6 +17,11 @@ GOLDEN = {
         "alignments.txt": "ea58344e312e78881b11f2d200eb3f850bc6de933460f3c0b11abf5ab173fa51",
         "model.txt": "91d080d8bafaec20e79a44687846849bdbf09b24588443f2d90d4a639e53eb6a",
         "nbest.txt": "7dd9d703a2dd9b3552d6c9122c539a66a7f0f227a95bd270c34157b1b0f0e0b5",
+    }),
+    "lm-no-freq": ("disable_freq = true\n", {
+        "alignments.txt": "ea58344e312e78881b11f2d200eb3f850bc6de933460f3c0b11abf5ab173fa51",
+        "model.txt": "15e9492a826ccc9ad04f61f6dc1fcf7447d8ba33d5e376813016a2c0faea90c6",
+        "nbest.txt": "04216747fcec259f2b788a5976c374007cd3b1223af87354fc4899159b7af8cf",
     }),
     "m2m-no-lm": ("disable_precision = true\ndisable_lm = true\n", {
         "alignments.txt": "72fca9ffb11a29886c56bf39a5982c13188daaf55d4b3346d4e592f38e78951e",
