@@ -89,22 +89,18 @@ class DeltaTable:
 
     def __init__(self, probs):
         self.probs = {}
-        self._logs = {}
         for key, p in probs.items():
             if p < 0:
                 raise ValueError(f"negative probability for {key}")
             if p > 0:
                 self.probs[key] = p
-                self._logs[key] = math.log(p)
 
     def prob(self, src, tgt):
         return self.probs.get((src, tgt), 0.0)
 
     def logp(self, src, tgt):
-        return self._logs.get((src, tgt), NEG_INF)
-
-    def total(self):
-        return sum(self.probs.values())
+        p = self.probs.get((src, tgt))
+        return NEG_INF if p is None else math.log(p)
 
     def __len__(self):
         return len(self.probs)

@@ -53,6 +53,7 @@ class _RunSettings:
         # alignment has run; each error starts with the keys it blames,
         # and each library object names its own.
         core.check_fields(self, ("task",), TASKS.__contains__, f"expected one of {TASKS}")
+        core.check_fields(self, ("copy_instances",), lambda v: v >= 0, "must be >= 0")
         core.check_fields(self, ("lm_order", "decode_nbest"), lambda v: v >= 1,
                           "must be >= 1")
         try:
@@ -262,13 +263,15 @@ def cmd_train(cfg):
 
 
 def load_model(cfg):
+    """The model file's model with the LM and trie its refs name."""
     model, refs = transducer.load_model(cfg.model_file)
+    resources = {}
     if model.config.lm_features and refs.get("lm"):
-        model.lm = charlm.load_charlm(refs["lm"])
+        resources["lm"] = charlm.load_charlm(refs["lm"])
     if model.config.freq_features and refs.get("lexicon"):
         lex = freqtrie.parse_lexicon(_read(refs["lexicon"]))
-        model.trie = freqtrie.build_trie(lex)
-    return model
+        resources["trie"] = freqtrie.build_trie(lex)
+    return dataclasses.replace(model, **resources)
 
 
 def _sources(cfg, path):

@@ -26,6 +26,9 @@ of feature parts and sum it only when their features are read.  Training
 is online large-margin (MIRA) against the k-best list, with optional
 weight averaging.
 
+A Model is frozen and builds its rule index and _CorpusScorer once, so
+decoding writes nothing to it; training updates its weights in place.
+
 Feature keys are tuples (template tag first); they serialize to JSON
 arrays in model files, so arbitrary symbols never collide.
 """
@@ -33,7 +36,7 @@ arrays in model files, so arbitrary symbols never collide.
 import json
 import logging
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .charlm import EOS, extend_score, history_tail, lm_bin_features, BinConfig
 from .core import ParseError, TrainingPair, check_fields
@@ -78,6 +81,7 @@ class TrainConfig:
     loss: str = "levenshtein"
 
     def __post_init__(self):
+        check_fields(self, ("epochs",), lambda v: v >= 0, "must be >= 0")
         check_fields(self, ("mira_c",), lambda v: v > 0, "must be positive")
         check_fields(self, ("nbest", "beam"), lambda v: v >= 1, "must be >= 1")
         losses = ("levenshtein", "zero-one")
@@ -122,8 +126,15 @@ class Candidate:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Model:
+    """Weights, rules, feature configuration and corpus resources (LM,
+    trie and their bins).  Frozen: dataclasses.replace builds a changed
+    model.  Built once, at construction: index, the rules by source in
+    sorted order; max_source, the longest source; scorer, the
+    _CorpusScorer of the resources in use.  weights is the one mutable
+    part; training updates it in place."""
+
     weights: dict
     rules: frozenset
     config: FeatureConfig
@@ -131,22 +142,17 @@ class Model:
     lm_bins: BinConfig = None
     trie: object = None
     freq_bins: FreqBinConfig = None
-    _index: dict = field(default=None, init=False, repr=False, compare=False)
-    _max_src: int = field(default=0, init=False, repr=False, compare=False)
-    _indexed: frozenset = field(default=None, init=False, repr=False, compare=False)
-    _corpus: object = field(default=None, init=False, repr=False, compare=False)
+    index: dict = field(init=False, repr=False, compare=False)
+    max_source: int = field(init=False, repr=False, compare=False)
+    scorer: object = field(init=False, repr=False, compare=False)
 
-    def rule_index(self):
-        """The rules by source, in sorted order, and _max_src, the longest
-        source; rebuilt when rules is no longer the object they were built
-        from."""
-        if self._indexed is not self.rules:
-            index = {}
-            for rule in sorted(self.rules):
-                index.setdefault(rule.source, []).append(rule)
-            self._index, self._indexed = index, self.rules
-            self._max_src = max((len(s) for s in index), default=0)
-        return self._index
+    def __post_init__(self):
+        index = {}
+        for rule in sorted(self.rules):
+            index.setdefault(rule.source, []).append(rule)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "max_source", max(map(len, index), default=0))
+        object.__setattr__(self, "scorer", _CorpusScorer(self))
 
     @property
     def uses_lm(self):
@@ -155,14 +161,6 @@ class Model:
     @property
     def uses_freq(self):
         return self.config.freq_features and self.trie is not None and self.freq_bins is not None
-
-    def corpus_scorer(self):
-        """The _CorpusScorer of the model's corpus resources, rebuilt when
-        any of them is no longer the object it was built from."""
-        scorer = self._corpus
-        if scorer is None or not scorer.built_from(self):
-            scorer = self._corpus = _CorpusScorer(self)
-        return scorer
 
 
 def extract_rules(alignments):
@@ -187,19 +185,12 @@ def extract_rules(alignments):
 
 def _state(model, out=(), rules=()):
     """Derivation state after emitting out through rules: (output, rules,
-    (source, target) pairs of the last joint_order - 1 rules, running log10
-    LM sum of the output's transitions, LM history tail of the output,
-    trie node reached by the output or None), the last three only for
-    corpus features in use.  Built from the output from scratch; _step
-    carries the last three on instead."""
+    (source, target) pairs of the last joint_order - 1 rules, then the
+    corpus state of _CorpusScorer.start).  Built from the output from
+    scratch; _step carries the corpus state on instead."""
     j_keep = model.config.joint_order - 1
     recent = tuple((r.source, r.target) for r in rules[-j_keep:]) if j_keep else ()
-    lm_sum, tail = 0.0, None
-    if model.uses_lm:
-        lm_sum = extend_score(model.lm, 0.0, (), out)[0]
-        tail = history_tail(model.lm, out)
-    node = walk(model.trie, out) if model.uses_freq else None
-    return out, rules, recent, lm_sum, tail, node
+    return (out, rules, recent, *model.scorer.start(out))
 
 
 def _rule_features(x, pos, rule, cfg):
@@ -244,10 +235,6 @@ def _part(tag, fired):
     return {(tag, idx): 1.0 for idx in sorted(fired)}
 
 
-def _corpus_resources(model):
-    return model.config, model.lm, model.lm_bins, model.trie, model.freq_bins
-
-
 class _CorpusScorer:
     """The corpus part (LMB, FQB) of a step, for one model's resources.
 
@@ -262,7 +249,6 @@ class _CorpusScorer:
     def __init__(self, model):
         self.lm = model.lm if model.uses_lm else None
         self.trie = model.trie if model.uses_freq else None
-        self._resources = _corpus_resources(model)
         self._lm_parts = self._freq_parts = [{}]
         if self.lm is not None:
             bins = model.lm_bins
@@ -285,8 +271,18 @@ class _CorpusScorer:
             ]
         self._merged = {}
 
-    def built_from(self, model):
-        return all(a is b for a, b in zip(self._resources, _corpus_resources(model)))
+    def start(self, out):
+        """(running log10 LM sum of out's transitions, LM history tail of
+        out, trie node out reaches or None) of an output emitted from
+        scratch; the sum is 0.0 and the tail None without the LM, and the
+        node None without the trie."""
+        lm_sum, tail, node = 0.0, None, None
+        if self.lm is not None:
+            lm_sum = extend_score(self.lm, 0.0, (), out)[0]
+            tail = history_tail(self.lm, out)
+        if self.trie is not None:
+            node = walk(self.trie, out)
+        return lm_sum, tail, node
 
     def step(self, n_out, target, lm_sum, tail, node, final):
         """(LMB and FQB features, new LM sum, new LM tail, new trie node)
@@ -330,7 +326,7 @@ def _step(x, pos, rule, state, model):
     feats = _rule_features(x, pos, rule, model.config)
     history, recent = _history_features(out, recent, rule, model.config)
     final = pos + len(rule.source) == len(x)
-    corpus, lm_sum, tail, node = model.corpus_scorer().step(
+    corpus, lm_sum, tail, node = model.scorer.step(
         len(out), rule.target, lm_sum, tail, node, final
     )
     feats.update(history)
@@ -420,12 +416,12 @@ def decode_nbest(x, model, beam_width, n):
     if n < 1 or beam_width < n:
         raise ValueError("need beam >= n >= 1")
     x = tuple(x)
-    index = model.rule_index()
-    max_src = max(model._max_src, 1)
+    index = model.index
+    max_src = max(model.max_source, 1)
     cfg = model.config
     m_keep = cfg.target_order
     weights = model.weights
-    corpus_step = model.corpus_scorer().step
+    corpus_step = model.scorer.step
 
     # beams[t]: merge state (last m_keep output symbols, recent rule pairs)
     # -> {output: (score, state, trail)}, so equal-output items in one
@@ -598,9 +594,9 @@ def train(pairs, alignments, cfg=None, feature_config=None, lm=None,
             acc = _accuracy(model, dev, cfg.beam)
             log.info("epoch %d dev accuracy %.4f", epoch + 1, acc)
     if cfg.averaging and step > 0:
-        model.weights = {
+        model = replace(model, weights={
             k: w - u.get(k, 0.0) / step for k, w in model.weights.items()
-        }
+        })
     return model
 
 

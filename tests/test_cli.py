@@ -139,13 +139,14 @@ def test_load_config_rejects_bad_values(setting):
         load_config(overrides=[setting])
 
 
-@pytest.mark.parametrize("setting", ["beam=0", "task=inflexion"])
+@pytest.mark.parametrize("setting", ["beam=0", "task=inflexion", "copy_instances=-1"])
 def test_bad_value_stops_align_before_it_writes(tmp_path, capsys, setting):
     (tmp_path / "pairs.txt").write_text(WALK_CORPUS, encoding="utf-8")
     rc = main(["align", "--set", f"pairs={tmp_path}/pairs.txt",
                "--set", f"outdir={tmp_path}/out", "--set", setting])
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    # the error names the key, not a later failure of its value
+    assert f"error: {setting.split('=')[0]} = " in capsys.readouterr().err
     assert not (tmp_path / "out" / "alignments.txt").exists()
 
 
@@ -422,6 +423,7 @@ def test_run_level_settings_are_checked_at_load(tmp_path, capsys, setting):
     "beam=0", "nbest=0", "max_x=0", "max_y=0", "max_iterations=0", "tol=-1",
     "context_window=-1", "target_order=0", "mira_c=0", "loss=levenstein",
     "freq_thresholds=10,1", "task=inflexion", "beam=abc", "averaging=maybe",
+    "epochs=-3", "copy_instances=-1",
 ])
 def test_load_config_error_names_its_key(setting):
     key = setting.split("=")[0]

@@ -189,7 +189,7 @@ def test_freq_bins_use_exact_count_on_final_step():
 def test_decode_single_rule():
     rule = Rule(("a",), ("x",))
     model = plain_model({rule})
-    model.weights = {("R", ("a",), ("x",)): 0.5}
+    model.weights.update({("R", ("a",), ("x",)): 0.5})
     cands = decode_nbest(("a",), model, 5, 1)
     assert len(cands) == 1
     assert cands[0].output == ("x",)
@@ -205,7 +205,7 @@ def test_decode_matches_exhaustive_tilings():
     keys = set()
     for _, _, deriv in brute_decode(("a", "b"), model, 100):
         keys.update(derivation_features(("a", "b"), deriv, model)[0])
-    model.weights = {k: rng.uniform(-1, 1) for k in sorted(keys, key=repr)}
+    model.weights.update({k: rng.uniform(-1, 1) for k in sorted(keys, key=repr)})
     want = brute_decode(("a", "b"), model, 10)
     got = decode_nbest(("a", "b"), model, 1000, 10)
     assert [c.output for c in got] == [w[1] for w in want]
@@ -235,7 +235,7 @@ def test_decode_exhaustive_randomized():
         keys = set()
         for _, _, deriv in brute_decode(x, model, 10**9):
             keys.update(derivation_features(x, deriv, model)[0])
-        model.weights = {k: rng.uniform(-1, 1) for k in sorted(keys, key=repr)}
+        model.weights.update({k: rng.uniform(-1, 1) for k in sorted(keys, key=repr)})
         n = rng.randint(1, 5)
         want = brute_decode(x, model, n)
         got = decode_nbest(x, model, 100000, n)
@@ -315,7 +315,7 @@ def test_incremental_corpus_state_matches_scratch_decode():
         keys = set()
         for _, _, deriv in brute_decode(x, model, 10**9):
             keys.update(derivation_features(x, deriv, model)[0])
-        model.weights = {k: rng.uniform(-1, 1) for k in sorted(keys, key=repr)}
+        model.weights.update({k: rng.uniform(-1, 1) for k in sorted(keys, key=repr)})
         want = brute_decode(x, model, 6)
         got = decode_nbest(x, model, 10**6, 10**6)[:6]
         assert [c.output for c in got] == [w[1] for w in want]
@@ -608,8 +608,9 @@ def test_rule_index_follows_replaced_rules():
         model, rules=frozenset([rule]), weights={("R", rule.source, rule.target): 1.0}
     )
     assert decode_nbest(("a",), replaced, 5, 1)[0].output == ("c",)
-    model.rules = frozenset([rule])
-    assert decode_nbest(("a",), model, 5, 1)[0].output == ("c",)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.rules = frozenset([rule])
+    assert decode_nbest(("a",), model, 5, 1)[0].output == ("b",)
 
 
 def test_decode_after_mira_update_uses_new_weights(corpus_model):
@@ -655,7 +656,7 @@ def test_prebuilt_bin_parts_are_the_fired_bins():
         weights={}, rules=frozenset(), config=FeatureConfig(),
         lm=lm, lm_bins=lm_bins, trie=root, freq_bins=freq_bins,
     )
-    scorer = model.corpus_scorer()
+    scorer = model.scorer
     scores = [s for t in lm_bins.thresholds for s in _around(t)] + [-1e9, 3.0]
     counts = [c for t in freq_bins.thresholds for c in _around(t) + [t - 1, t + 1]]
     for score in scores:
@@ -672,7 +673,6 @@ def test_prebuilt_bin_parts_are_the_fired_bins():
     feats, _, _, node = scorer.step(0, ("b",), 0.0, (), root, False)
     assert node is None
     assert [k for k in feats if k[0] == "FQB"] == [("FQB", freq_bins.zero_feature)]
-    assert model.corpus_scorer() is scorer
 
 
 def test_corpus_scorer_follows_replaced_resources():
@@ -681,14 +681,36 @@ def test_corpus_scorer_follows_replaced_resources():
         weights={}, rules=frozenset(), config=FeatureConfig(freq_features=False),
         lm=lm, lm_bins=BinConfig((-0.5,), -0.5, 0.0),
     )
-    scorer = model.corpus_scorer()
+    scorer = model.scorer
     low = dataclasses.replace(model, lm_bins=BinConfig((-50.0,), -50.0, 0.0))
-    assert low.corpus_scorer() is not scorer
-    feats = low.corpus_scorer().step(0, ("q",), 0.0, history_tail(lm, ()), None, False)[0]
+    assert low.scorer is not scorer
+    feats = low.scorer.step(0, ("q",), 0.0, history_tail(lm, ()), None, False)[0]
     assert list(feats) == [("LMB", 0)]
-    assert model.corpus_scorer() is scorer
-    model.lm_bins = low.lm_bins
-    assert model.corpus_scorer() is not scorer
+    assert model.scorer is scorer
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.lm_bins = low.lm_bins
+    assert model.scorer is scorer
+
+
+def test_decoding_writes_nothing_to_the_model():
+    # every cache a decode reads is built with the model, so neither
+    # decoding nor scoring a derivation may set or replace any attribute
+    lexicon, pairs, held = lexicon_task(5, lex_size=200, n_train=8, n_test=3)
+    words = list(lexicon.counts)
+    lm = train_charlm(words, 3)
+    alignments = precision_align(pairs)
+    rules, golds = extract_rules(alignments)
+    model = Model(
+        weights={}, rules=rules, config=FeatureConfig(),
+        lm=lm, lm_bins=make_bins(lm, words), trie=build_trie(lexicon),
+        freq_bins=FreqBinConfig((1, 10, 100)),
+    )
+    assert model.uses_lm and model.uses_freq
+    before = {name: id(value) for name, value in vars(model).items()}
+    for inst in held:
+        assert decode_nbest(inst.source, model, 10, 5)
+    derivation_features(alignments[0].source(), golds[0], model)
+    assert {name: id(value) for name, value in vars(model).items()} == before
 
 
 def _mira_reference(weights, gold, candidates, c, loss_kind="levenshtein", avg=None):

@@ -102,7 +102,7 @@ def random_delta(x, y, rng, params):
 def brute_decode(x, model, n):
     """Exhaustive tiling enumeration: best derivation per distinct output,
     ranked like the decoder."""
-    index = model.rule_index()
+    index = model.index
     maxlen = max((len(s) for s in index), default=1)
     best = {}
 
