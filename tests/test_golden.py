@@ -1,8 +1,8 @@
 """Golden bytes: align -> train -> decode on a small lexicon task must keep
 writing exactly these files: for the full system (precision alignment,
 LM and frequency features), for it with frequency features off, and for
-the 2-2 baseline aligner with LM features off.  A change that is meant to alter them updates the
-hashes and says why."""
+the 2-2 baseline aligner with LM features off.  A change that is meant
+to alter them updates the hashes and says why."""
 
 import hashlib
 
