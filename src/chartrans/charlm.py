@@ -5,7 +5,11 @@ The model is trained on a list of word types (duplicates ignored).  Each
 conditional interpolates the maximum-likelihood estimate with the
 next-lower order, weighting the backoff by the number of distinct
 continuations seen after the history; the recursion bottoms out in a
-uniform distribution over the alphabet plus the end sentinel.  Scores are
+uniform distribution over the alphabet plus the end sentinel.  That
+distribution over the alphabet plus the end sentinel sums to 1 at every
+history; a symbol outside the alphabet maps to <unk>, which gets the same
+uniform base mass on top of it, outside the normalised distribution, so an
+unseen output symbol is scored low but never with probability 0.  Scores are
 per-transition log10 likelihoods, so they are comparable across prefix
 lengths during incremental decoding.
 
@@ -44,7 +48,8 @@ class CharLM:
         self._sums = [
             {h: sum(c.values()) for h, c in table.items()} for table in tables
         ]
-        # Uniform base mass shared by every symbol, end sentinel, and UNK.
+        # Uniform base mass shared by every symbol, end sentinel, and UNK;
+        # UNK's share is extra mass (see the module docstring).
         self._base = 1.0 / (len(self.alphabet) + 1)
         # last order-1 history symbols -> {symbol: log10 probability}.
         self._memo = {}

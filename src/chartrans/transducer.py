@@ -19,18 +19,27 @@ node over it, and picks its features from bin parts prebuilt per model
 (_CorpusScorer), one dict per (LM bin, frequency bin) pair.  The beam
 search calls the same parts but scores the rule part once per
 (position, rule) in a table that lives for one decode_nbest call, under
-that call's weights, and the history part once per merge state and rule;
+that call's weights, and reads the history part from the model's memo,
+which holds it once per merge state and rule under no weights at all;
 _dot is a left fold, so continuing those partial sums gives the bits of
 scoring each step from scratch.  Candidates keep their hypothesis's trail
 of feature parts and sum it only when their features are read.  Training
 is online large-margin (MIRA) against the k-best list, with optional
 weight averaging.
 
-A Model is frozen and builds its rule index and _CorpusScorer once, so
-decoding writes nothing to it; training updates its weights in place.
+A Model is frozen and builds its rule index and _CorpusScorer once;
+training updates its weights in place.
 
-Feature keys are tuples (template tag first); they serialize to JSON
-arrays in model files, so arbitrary symbols never collide.
+Features are named by tuples (template tag first), such as
+("C", offset, ngram, source, target), but every feature vector, the
+weights and MIRA's averaging sums are keyed by int ids: each Model holds
+an Alphabet that gives a name its id the first time the name is built
+and keeps it, so a lookup hashes an int instead of a nested tuple.  Names
+appear only in model files, as JSON arrays, so arbitrary symbols never
+collide; save_model writes them in repr order and load_model interns
+them, so no output depends on the value of an id.  The history part is
+memoised on the model per (merge state, rule), and its entries, like the
+prebuilt corpus parts, are shared: read them, never change them.
 """
 
 import json
@@ -126,14 +135,37 @@ class Candidate:
         )
 
 
+class Alphabet(dict):
+    """Feature names and their int ids: the dict maps a name to its id,
+    names maps an id back to its name.  alphabet[name] gives a name it
+    lacks the next id, so ids are dense, in first-seen order, and a name
+    keeps its id: the alphabet only ever grows."""
+
+    __slots__ = ("names",)
+
+    def __init__(self):
+        super().__init__()
+        self.names = []
+
+    def __missing__(self, name):
+        i = self[name] = len(self.names)
+        self.names.append(name)
+        return i
+
+
 @dataclass(frozen=True)
 class Model:
     """Weights, rules, feature configuration and corpus resources (LM,
     trie and their bins).  Frozen: dataclasses.replace builds a changed
     model.  Built once, at construction: index, the rules by source in
     sorted order; max_source, the longest source; scorer, the
-    _CorpusScorer of the resources in use.  weights is the one mutable
-    part; training updates it in place."""
+    _CorpusScorer of the resources in use.
+
+    weights is keyed by feature id; alphabet names the ids, and replace
+    carries it along, so a replaced model reads the same weights the same
+    way.  weights is the one part training changes, in place; alphabet
+    grows whenever a step builds a feature name it has not seen, and the
+    history memo fills as steps are scored."""
 
     weights: dict
     rules: frozenset
@@ -142,17 +174,28 @@ class Model:
     lm_bins: BinConfig = None
     trie: object = None
     freq_bins: FreqBinConfig = None
+    alphabet: Alphabet = field(default_factory=Alphabet, repr=False)
     index: dict = field(init=False, repr=False, compare=False)
     max_source: int = field(init=False, repr=False, compare=False)
     scorer: object = field(init=False, repr=False, compare=False)
+    # (last target_order output symbols, recent pairs)
+    # -> {(rule source, rule target): (history part, merge state after)}.
+    history: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for key in self.weights:
+            if type(key) is not int:
+                raise TypeError(
+                    f"weight key {key!r} is not a feature id: weights are keyed "
+                    "by id, and model.alphabet[name] is a feature name's id"
+                )
         index = {}
         for rule in sorted(self.rules):
             index.setdefault(rule.source, []).append(rule)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "max_source", max(map(len, index), default=0))
         object.__setattr__(self, "scorer", _CorpusScorer(self))
+        object.__setattr__(self, "history", {})
 
     @property
     def uses_lm(self):
@@ -193,46 +236,58 @@ def _state(model, out=(), rules=()):
     return (out, rules, recent, *model.scorer.start(out))
 
 
-def _rule_features(x, pos, rule, cfg):
+def _rule_features(x, pos, rule, model):
     """R and C features of applying rule at pos: the rule itself and the
     source n-grams around the application point.  They read only
     (pos, rule), so the beam search computes them once per call."""
-    feats = {("R", rule.source, rule.target): 1.0}
+    cfg, ids = model.config, model.alphabet
+    feats = {ids["R", rule.source, rule.target]: 1.0}
     c = cfg.context_window
     for off in range(-c, c + 1):
         for length in range(1, cfg.max_source_ngram + 1):
             a = pos + off
             if a < 0 or a + length > len(x) or off + length - 1 > c:
                 continue
-            feats[("C", off, x[a : a + length], rule.source, rule.target)] = 1.0
+            feats[ids["C", off, x[a : a + length], rule.source, rule.target]] = 1.0
     return feats
 
 
-def _history_features(out, recent, rule, cfg):
-    """(T, J and COPY features, new recent pairs) of applying rule after
-    out, whose last rules' pairs are recent.  They read only the last
-    target_order output symbols and the recent pairs, which is the beam's
-    merge state, so the beam search computes them once per state and rule."""
+def _history_features(head, recent, rule, model):
+    """(T, J and COPY features, merge state after the step) of applying
+    rule after an output whose last target_order symbols are head and
+    whose last rules' pairs are recent: the beam's merge state (head,
+    recent), which is all the features read.  The merge state after is
+    (the new output's last target_order symbols, the new recent pairs)."""
+    cfg, ids = model.config, model.alphabet
     feats = {}
-    tail = out[-cfg.target_order:] + rule.target
+    tail = head + rule.target
     for m in range(1, cfg.target_order + 1):
         if len(tail) >= m:
-            feats[("T", tail[-m:])] = 1.0
+            feats[ids["T", tail[-m:]]] = 1.0
     seq = recent + ((rule.source, rule.target),)
     for j in range(1, cfg.joint_order + 1):
         if len(seq) >= j:
-            feats[("J", seq[-j:])] = 1.0
+            feats[ids["J", seq[-j:]]] = 1.0
     if cfg.copy_feature and rule.source == rule.target:
-        feats[("COPY",)] = 1.0
+        feats[ids[("COPY",)]] = 1.0
     j_keep = cfg.joint_order - 1
-    return feats, (seq[-j_keep:] if j_keep else ())
+    return feats, (tail[-cfg.target_order:], seq[-j_keep:] if j_keep else ())
+
+
+def _history_row(model, head, recent):
+    """The model's history memo row of merge state (head, recent): a dict
+    from (rule source, rule target) to _history_features of that rule."""
+    row = model.history.get((head, recent))
+    if row is None:
+        row = model.history[head, recent] = {}
+    return row
 
 
 _END = (EOS,)
 
 
-def _part(tag, fired):
-    return {(tag, idx): 1.0 for idx in sorted(fired)}
+def _part(tag, fired, ids):
+    return {ids[tag, idx]: 1.0 for idx in sorted(fired)}
 
 
 class _CorpusScorer:
@@ -243,10 +298,11 @@ class _CorpusScorer:
     once here, from lm_bin_features and freq_bin_features, which stay the
     definition of what fires; a step picks its run by threshold index.
     The LMB and FQB runs of a step are merged into one dict, cached per
-    (LM index, frequency index) pair.  The dicts are shared: read them,
-    never change them."""
+    (LM index, frequency index) pair.  The parts are keyed by the model's
+    feature ids.  The dicts are shared: read them, never change them."""
 
     def __init__(self, model):
+        ids = model.alphabet
         self.lm = model.lm if model.uses_lm else None
         self.trie = model.trie if model.uses_freq else None
         self._lm_parts = self._freq_parts = [{}]
@@ -257,7 +313,7 @@ class _CorpusScorer:
             # (increasing) thresholds; k = catch_all: none is.
             self._neg_thresholds = [-t for t in bins.thresholds]
             self._lm_parts = [
-                _part("LMB", lm_bin_features(score, bins))
+                _part("LMB", lm_bin_features(score, bins), ids)
                 for score in (*bins.thresholds, float("-inf"))
             ]
         if self.trie is not None:
@@ -266,7 +322,7 @@ class _CorpusScorer:
             # count; the last index is the zero count's.
             self._freq_thresholds = bins.thresholds
             self._freq_parts = [
-                _part("FQB", freq_bin_features(count, bins))
+                _part("FQB", freq_bin_features(count, bins), ids)
                 for count in (bins.thresholds[0] / 2, *bins.thresholds, 0)
             ]
         self._merged = {}
@@ -320,11 +376,17 @@ def _step(x, pos, rule, state, model):
     The one place a derivation advances.  The features are the rule,
     history and corpus parts merged in that order (R, C..., T..., J...,
     COPY, LMB..., FQB...; no key occurs in two parts); decode_nbest calls
-    the same three parts, caching the first two.
+    the same three parts, caching the first and reading the second from
+    the same memo.
     """
     out, rules, recent, lm_sum, tail, node = state
-    feats = _rule_features(x, pos, rule, model.config)
-    history, recent = _history_features(out, recent, rule, model.config)
+    feats = _rule_features(x, pos, rule, model)
+    head = out[-model.config.target_order:]
+    row, pair = _history_row(model, head, recent), (rule.source, rule.target)
+    part = row.get(pair)
+    if part is None:
+        part = row[pair] = _history_features(head, recent, rule, model)
+    history, (_, recent) = part
     final = pos + len(rule.source) == len(x)
     corpus, lm_sum, tail, node = model.scorer.step(
         len(out), rule.target, lm_sum, tail, node, final
@@ -335,7 +397,8 @@ def _step(x, pos, rule, state, model):
 
 
 def featurize_step(x, pos, rule, target_so_far, prev_rules, model):
-    """Feature vector for applying rule at pos; see _step."""
+    """Feature vector for applying rule at pos, keyed by feature id
+    (model.alphabet.names[id] is the name); see _step."""
     state = _state(model, tuple(target_so_far), tuple(prev_rules))
     feats, _ = _step(tuple(x), pos, rule, state, model)
     return feats
@@ -367,7 +430,8 @@ def _summed(trail):
 
 
 def derivation_features(x, derivation, model):
-    """Summed step features of a full derivation."""
+    """(Summed step features of a full derivation, keyed by feature id,
+    output)."""
     state, trail, pos = _state(model), None, 0
     for rule in derivation:
         feats, state = _step(x, pos, rule, state, model)
@@ -405,9 +469,10 @@ def decode_nbest(x, model, beam_width, n):
 
     Each part of a step is scored where it is first known: the rule part
     once per (position, rule) in a table that lives for this call only,
-    under this call's weights; the history part once per (state, rule);
-    the corpus part per hypothesis, from the LM sum, tail and trie node it
-    carries.  _dot is a left fold over keys in part order, so continuing
+    under this call's weights; the history part once per (state, rule),
+    built once per model in its history memo; the corpus part per
+    hypothesis, from the LM sum, tail and trie node it carries.  _dot is
+    a left fold over keys in part order, so continuing
     the table's partial sums gives the step score bit for bit.  A
     candidate's features are the trail of parts its hypothesis carried,
     summed as derivation_features sums them when first read, so no
@@ -418,22 +483,23 @@ def decode_nbest(x, model, beam_width, n):
     x = tuple(x)
     index = model.index
     max_src = max(model.max_source, 1)
-    cfg = model.config
-    m_keep = cfg.target_order
     weights = model.weights
     corpus_step = model.scorer.step
 
-    # beams[t]: merge state (last m_keep output symbols, recent rule pairs)
-    # -> {output: (score, state, trail)}, so equal-output items in one
-    # state collapse.
+    # beams[t]: merge state (last target_order output symbols, recent rule
+    # pairs) -> {output: (score, state, trail)}, so equal-output items in
+    # one state collapse.
     beams = [{} for _ in range(len(x) + 1)]
     beams[0][((), ())] = {(): (0.0, _state(model), None)}
 
     for t in range(len(x)):
         if not beams[t]:
             continue
-        groups = [sorted(g.values(), key=_order_key)[:n] for g in beams[t].values()]
-        ranked = sorted(groups, key=lambda items: _order_key(items[0]))[:beam_width]
+        groups = [
+            (merge, sorted(g.values(), key=_order_key)[:n])
+            for merge, g in beams[t].items()
+        ]
+        ranked = sorted(groups, key=lambda group: _order_key(group[1][0]))[:beam_width]
         matches = []
         for length in range(1, min(max_src, len(x) - t) + 1):
             matches.extend(index.get(x[t : t + length], ()))
@@ -441,17 +507,20 @@ def decode_nbest(x, model, beam_width, n):
             matches = [Rule((x[t],), (x[t],))]
         table = []
         for rule in matches:
-            static = _rule_features(x, t, rule, cfg)
+            static = _rule_features(x, t, rule, model)
             end = t + len(rule.source)
-            table.append((rule, static, _dot(weights, static), end, end == len(x)))
-        for items in ranked:
+            table.append((rule, (rule.source, rule.target), static,
+                          _dot(weights, static), end, end == len(x)))
+        for (head, recent), items in ranked:
             # Every item of a state shares what the history part reads.
-            head, _, recent, _, _, _ = items[0][1]
-            for rule, static, static_dot, end, final in table:
-                history, new_recent = _history_features(head, recent, rule, cfg)
+            row = _history_row(model, head, recent)
+            for rule, pair, static, static_dot, end, final in table:
+                part = row.get(pair)
+                if part is None:
+                    part = row[pair] = _history_features(head, recent, rule, model)
+                history, merge = part
                 partial = _dot(weights, history, static_dot)
-                merged = (head[-m_keep:] + rule.target)[-m_keep:]
-                group = beams[end].setdefault((merged, new_recent), {})
+                group = beams[end].setdefault(merge, {})
                 for score, (out, rules, _, lm_sum, tail, node), trail in items:
                     corpus, new_sum, new_tail, new_node = corpus_step(
                         len(out), rule.target, lm_sum, tail, node, final
@@ -466,7 +535,7 @@ def decode_nbest(x, model, beam_width, n):
                         continue
                     group[new_out] = (
                         total,
-                        (new_out, rules + (rule,), new_recent, new_sum, new_tail,
+                        (new_out, rules + (rule,), merge[1], new_sum, new_tail,
                          new_node),
                         (trail, static, history, corpus),
                     )
@@ -505,12 +574,22 @@ def loss(gold_output, cand_output, kind="levenshtein"):
 
 def _loss_bound(gold_output, cand_output, kind="levenshtein"):
     """An upper bound of loss(gold_output, cand_output, kind) that needs no
-    edit-distance table: the longer length, or 1 for zero-one."""
+    edit-distance table: 1 for zero-one; for levenshtein, the longer of
+    the two outputs once their common prefix and suffix are stripped,
+    which leaves the edit distance as it is."""
     if kind == "zero-one":
         return 1.0
     if kind != "levenshtein":
         raise ValueError(f"unknown loss {kind!r}")
-    return float(max(len(gold_output), len(cand_output)))
+    a, b = gold_output, cand_output
+    shorter = min(len(a), len(b))
+    i = 0
+    while i < shorter and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < shorter - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    return float(max(len(a), len(b)) - i - j)
 
 
 def mira_update(weights, gold, candidates, c, loss_kind="levenshtein", avg=None):
@@ -639,10 +718,12 @@ def save_model(model, path, lm_path=None, lexicon_path=None):
             out.write("#rule\t" + json.dumps(
                 [_plain(rule.source), _plain(rule.target)], ensure_ascii=False
             ) + "\n")
-        for key in sorted(model.weights, key=repr):
+        names = model.alphabet.names
+        for key in sorted(model.weights, key=lambda i: repr(names[i])):
             w = model.weights[key]
             if w != 0.0:
-                out.write(json.dumps(_plain(key), ensure_ascii=False) + f"\t{w!r}\n")
+                name = json.dumps(_plain(names[key]), ensure_ascii=False)
+                out.write(f"{name}\t{w!r}\n")
 
 
 def load_model(path):
@@ -655,6 +736,7 @@ def load_model(path):
     freq_bins = None
     rules = set()
     weights = {}
+    alphabet = Alphabet()
     refs = {}
     with open(path, encoding="utf-8") as src:
         first = src.readline().rstrip("\n")
@@ -682,12 +764,12 @@ def load_model(path):
                     rules.add(Rule(tuple(src_t), tuple(tgt_t)))
                 else:
                     key_json, w = line.split("\t")
-                    weights[_tupled(json.loads(key_json))] = float(w)
+                    weights[alphabet[_tupled(json.loads(key_json))]] = float(w)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(lineno, f"bad model line: {exc}") from exc
     model = Model(
         weights=weights, rules=frozenset(rules), config=config or FeatureConfig(),
-        lm_bins=lm_bins, freq_bins=freq_bins,
+        lm_bins=lm_bins, freq_bins=freq_bins, alphabet=alphabet,
     )
     return model, refs
 

@@ -228,7 +228,8 @@ def test_criterion_07_decoder_exactness():
         keys = set()
         for _, _, deriv in brute_decode(x, model, 10**9):
             keys.update(derivation_features(x, deriv, model)[0])
-        model.weights.update({k: rng.uniform(-1, 1) for k in sorted(keys, key=repr)})
+        keys = sorted(keys, key=lambda k: repr(model.alphabet.names[k]))
+        model.weights.update({k: rng.uniform(-1, 1) for k in keys})
         n = rng.randint(1, 6)
         want = brute_decode(x, model, n)
         got = decode_nbest(x, model, 10**5, n)

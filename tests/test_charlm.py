@@ -79,6 +79,30 @@ def test_unknown_symbol_gets_base_mass():
     assert 0.0 < p <= lm._base + 1e-12
 
 
+def test_unk_mass_lies_outside_the_normalised_distribution():
+    # alphabet + EOS sum to 1 at every history; an unseen symbol gets its
+    # interpolated base mass on top, pinned here at its hand-computed value:
+    # corpus {ab, ac}, base 1/4, P1(unk) = 4 * 1/4 / (6 + 4), then
+    # P(unk|a) = 2 * P1(unk) / 4 and P(unk|<s>) = 1 * P1(unk) / (2 + 1)
+    lm = train_charlm([("a", "b"), ("a", "c")], 2)
+    support = sorted(lm.alphabet) + [EOS]
+    p1 = 4 * 0.25 / (6 + 4)
+    pinned = {(): p1, ("a",): 2 * p1 / 4, ("b",): 2 * p1 / 4, ("c",): 2 * p1 / 4,
+              (BOS,): p1 / 3, ("q",): p1}
+    for history, unseen in pinned.items():
+        assert abs(sum(lm.prob(history, w) for w in support) - 1.0) <= 1e-12
+        assert lm.prob(history, "never-seen") == pytest.approx(unseen, abs=1e-15)
+    rng = random.Random(4)
+    words = [tuple(rng.choice("abcd") for _ in range(rng.randint(1, 6)))
+             for _ in range(40)]
+    lm = train_charlm(words, 3)
+    support = sorted(lm.alphabet) + [EOS]
+    for _ in range(50):
+        history = tuple(rng.choice("abcdq" + BOS) for _ in range(rng.randint(0, 3)))
+        assert abs(sum(lm.prob(history, w) for w in support) - 1.0) <= 1e-12
+        assert lm.prob(history, "never-seen") > 0.0
+
+
 def test_dropping_top_order_reduces_to_lower_model():
     words = [("a", "b", "c"), ("a", "c"), ("b", "a")]
     lm3 = train_charlm(words, 3)

@@ -29,6 +29,8 @@ from chartrans.transducer import (
     Rule,
     TrainConfig,
     _dot,
+    _history_features,
+    _loss_bound,
     _state,
     _step,
     decode_nbest,
@@ -58,10 +60,24 @@ PLAIN = FeatureConfig(lm_features=False, freq_features=False)
 
 
 def plain_model(rules, weights=None, **cfg):
+    """A model without corpus features; weights, if given, are keyed by
+    feature name and interned through the model's alphabet."""
     config = FeatureConfig(
         **{"lm_features": False, "freq_features": False, **cfg}
     )
-    return Model(weights=weights or {}, rules=frozenset(rules), config=config)
+    model = Model(weights={}, rules=frozenset(rules), config=config)
+    model.weights.update(by_id(model, weights or {}))
+    return model
+
+
+def by_id(model, named):
+    """named (feature name -> value) keyed by the model's feature ids."""
+    return {model.alphabet[k]: v for k, v in named.items()}
+
+
+def by_name(model, feats):
+    """feats (feature id -> value) keyed by feature name, in its order."""
+    return {model.alphabet.names[k]: v for k, v in feats.items()}
 
 
 def test_extract_rules_from_links():
@@ -98,9 +114,9 @@ def test_extract_rules_rejects_insertion_links():
 def test_copy_feature_fires_on_identity_rule():
     model = plain_model({Rule(("a",), ("a",))})
     feats = featurize_step(("a",), 0, Rule(("a",), ("a",)), (), (), model)
-    assert ("COPY",) in feats
+    assert ("COPY",) in by_name(model, feats)
     feats2 = featurize_step(("a",), 0, Rule(("a",), ("b",)), (), (), model)
-    assert ("COPY",) not in feats2
+    assert ("COPY",) not in by_name(model, feats2)
 
 
 def test_minimal_config_feature_set():
@@ -110,7 +126,7 @@ def test_minimal_config_feature_set():
     )
     rule = Rule(("a",), ("x",))
     feats = featurize_step(("a", "b"), 0, rule, (), (), model)
-    assert set(feats) == {
+    assert set(by_name(model, feats)) == {
         ("R", ("a",), ("x",)),
         ("C", 0, ("a",), ("a",), ("x",)),
         ("T", ("x",)),
@@ -124,7 +140,7 @@ def test_context_window_spans():
     )
     rule = Rule(("b",), ("y",))
     feats = featurize_step(("a", "b", "c"), 1, rule, (), (), model)
-    context_keys = {k for k in feats if k[0] == "C"}
+    context_keys = {k for k in by_name(model, feats) if k[0] == "C"}
     assert context_keys == {
         ("C", -1, ("a",), ("b",), ("y",)),
         ("C", -1, ("a", "b"), ("b",), ("y",)),
@@ -145,7 +161,7 @@ def test_lm_bins_in_feature_vector():
         lm=lm, lm_bins=bins,
     )
     feats = featurize_step(("a", "b"), 0, Rule(("a",), ("x",)), (), (), model)
-    lmb = {k for k in feats if k[0] == "LMB"}
+    lmb = {k for k in by_name(model, feats) if k[0] == "LMB"}
     assert lmb == {("LMB", 0), ("LMB", 1), ("LMB", 2)}
 
 
@@ -161,8 +177,9 @@ def test_corpus_features_only_add_keys():
     )
     x = ("a", "b")
     rule = Rule(("a",), ("x",))
-    f_off = featurize_step(x, 0, rule, (), (), off)
-    f_on = featurize_step(x, 0, rule, (), (), on)
+    # two models, two alphabets: compare the vectors by name
+    f_off = by_name(off, featurize_step(x, 0, rule, (), (), off))
+    f_on = by_name(on, featurize_step(x, 0, rule, (), (), on))
     assert set(f_off) <= set(f_on)
     extra = set(f_on) - set(f_off)
     assert extra and all(k[0] in ("LMB", "FQB") for k in extra)
@@ -179,20 +196,20 @@ def test_freq_bins_use_exact_count_on_final_step():
     )
     rule = Rule(("a",), ("x",))
     # final step: exact count of "x" is 7 -> only threshold 1 fires
-    final = featurize_step(("a",), 0, rule, (), (), model)
+    final = by_name(model, featurize_step(("a",), 0, rule, (), (), model))
     assert {k for k in final if k[0] == "FQB"} == {("FQB", 0)}
     # non-final step: prefix count of "x" is 57 -> thresholds 1 and 10
-    mid = featurize_step(("a", "b"), 0, rule, (), (), model)
+    mid = by_name(model, featurize_step(("a", "b"), 0, rule, (), (), model))
     assert {k for k in mid if k[0] == "FQB"} == {("FQB", 0), ("FQB", 1)}
 
 
 def test_decode_single_rule():
     rule = Rule(("a",), ("x",))
-    model = plain_model({rule})
-    model.weights.update({("R", ("a",), ("x",)): 0.5})
+    model = plain_model({rule}, {("R", ("a",), ("x",)): 0.5})
     cands = decode_nbest(("a",), model, 5, 1)
     assert len(cands) == 1
     assert cands[0].output == ("x",)
+    assert cands[0].score == 0.5
     assert cands[0].score == pytest.approx(
         _dot(model.weights, cands[0].features)
     )
@@ -205,7 +222,8 @@ def test_decode_matches_exhaustive_tilings():
     keys = set()
     for _, _, deriv in brute_decode(("a", "b"), model, 100):
         keys.update(derivation_features(("a", "b"), deriv, model)[0])
-    model.weights.update({k: rng.uniform(-1, 1) for k in sorted(keys, key=repr)})
+    keys = sorted(keys, key=lambda k: repr(model.alphabet.names[k]))
+    model.weights.update({k: rng.uniform(-1, 1) for k in keys})
     want = brute_decode(("a", "b"), model, 10)
     got = decode_nbest(("a", "b"), model, 1000, 10)
     assert [c.output for c in got] == [w[1] for w in want]
@@ -235,7 +253,8 @@ def test_decode_exhaustive_randomized():
         keys = set()
         for _, _, deriv in brute_decode(x, model, 10**9):
             keys.update(derivation_features(x, deriv, model)[0])
-        model.weights.update({k: rng.uniform(-1, 1) for k in sorted(keys, key=repr)})
+        keys = sorted(keys, key=lambda k: repr(model.alphabet.names[k]))
+        model.weights.update({k: rng.uniform(-1, 1) for k in keys})
         n = rng.randint(1, 5)
         want = brute_decode(x, model, n)
         got = decode_nbest(x, model, 100000, n)
@@ -273,12 +292,12 @@ def test_lexicon_steers_decoding_toward_real_word():
     }
     trie = build_trie(Lexicon({tuple("pierce"): 30}))
     fbins = FreqBinConfig((1, 10))
-    weights = {("FQB", 0): 1.0, ("FQB", 1): 1.0}
     model = Model(
-        weights=weights, rules=frozenset(rules),
+        weights={}, rules=frozenset(rules),
         config=FeatureConfig(lm_features=False),
         trie=trie, freq_bins=fbins,
     )
+    model.weights.update(by_id(model, {("FQB", 0): 1.0, ("FQB", 1): 1.0}))
     cands = decode_nbest(("P", "I", "A", "S"), model, 50, 2)
     assert cands[0].output == tuple("pierce")
     assert tuple("piece") in {c.output for c in cands}
@@ -315,7 +334,8 @@ def test_incremental_corpus_state_matches_scratch_decode():
         keys = set()
         for _, _, deriv in brute_decode(x, model, 10**9):
             keys.update(derivation_features(x, deriv, model)[0])
-        model.weights.update({k: rng.uniform(-1, 1) for k in sorted(keys, key=repr)})
+        keys = sorted(keys, key=lambda k: repr(model.alphabet.names[k]))
+        model.weights.update({k: rng.uniform(-1, 1) for k in keys})
         want = brute_decode(x, model, 6)
         got = decode_nbest(x, model, 10**6, 10**6)[:6]
         assert [c.output for c in got] == [w[1] for w in want]
@@ -350,8 +370,8 @@ def test_candidate_features_match_rescoring_with_corpus_features():
                 scratch = featurize_step(x, pos, rule, target, prev, model)
                 assert list(scratch.items()) == list(step.items())
                 pos += len(rule.source)
-            assert any(k[0] == "LMB" for k in feats)
-            assert any(k[0] == "FQB" for k in feats)
+            assert any(k[0] == "LMB" for k in by_name(model, feats))
+            assert any(k[0] == "FQB" for k in by_name(model, feats))
             checked += 1
     assert checked > len(held)
 
@@ -430,6 +450,16 @@ def test_loss_matches_brute_force_oracle():
         a = tuple(rng.choice("abc") for _ in range(rng.randint(0, 6)))
         b = tuple(rng.choice("abc") for _ in range(rng.randint(0, 6)))
         assert loss(a, b) == brute_edit_distance(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.lists(st.sampled_from("abc"), max_size=8).map(tuple),
+    b=st.lists(st.sampled_from("abc"), max_size=8).map(tuple),
+    kind=st.sampled_from(["levenshtein", "zero-one"]),
+)
+def test_loss_bound_is_never_below_the_loss(a, b, kind):
+    assert _loss_bound(a, b, kind) >= loss(a, b, kind)
 
 
 def _toy_alignments(pairs):
@@ -538,13 +568,24 @@ def test_model_save_load_round_trip(tmp_path):
     assert refs == {}
     assert again.rules == model.rules
     assert again.config == model.config
-    assert again.weights == {
-        k: v for k, v in model.weights.items() if v != 0.0
+    # the two alphabets number the features differently: compare by name
+    assert by_name(again, again.weights) == {
+        k: v for k, v in by_name(model, model.weights).items() if v != 0.0
     }
     src = pairs[0].source
     assert [c.output for c in decode_nbest(src, again, 10, 3)] == [
         c.output for c in decode_nbest(src, model, 10, 3)
     ]
+
+
+def test_weights_keyed_by_name_are_refused():
+    rule = Rule(("a",), ("b",))
+    with pytest.raises(TypeError, match=r"\('R', \('a',\), \('b',\)\).*model\.alphabet"):
+        Model(weights={("R", ("a",), ("b",)): 1.0}, rules=frozenset([rule]), config=PLAIN)
+    model = plain_model([rule], {("R", ("a",), ("b",)): 1.0})
+    with pytest.raises(TypeError, match="model.alphabet"):
+        dataclasses.replace(model, weights={"R": 1.0})
+    assert by_name(model, model.weights) == {("R", ("a",), ("b",)): 1.0}
 
 
 def test_format_nbest_lines():
@@ -605,7 +646,8 @@ def test_rule_index_follows_replaced_rules():
     assert decode_nbest(("a",), model, 5, 1)[0].output == ("b",)
     rule = Rule(("a",), ("c",))
     replaced = dataclasses.replace(
-        model, rules=frozenset([rule]), weights={("R", rule.source, rule.target): 1.0}
+        model, rules=frozenset([rule]),
+        weights=by_id(model, {("R", rule.source, rule.target): 1.0}),
     )
     assert decode_nbest(("a",), replaced, 5, 1)[0].output == ("c",)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -663,6 +705,7 @@ def test_prebuilt_bin_parts_are_the_fired_bins():
         for count in [0, 1, 10**9] + counts:
             lm.sum, leaf.prefix_count = score, count
             feats, new_sum, _, node = scorer.step(0, ("a",), 0.0, (), root, False)
+            feats = by_name(model, feats)
             want = {
                 **{("LMB", j): 1.0 for j in sorted(lm_bin_features(score, lm_bins))},
                 **{("FQB", j): 1.0 for j in sorted(freq_bin_features(count, freq_bins))},
@@ -672,7 +715,7 @@ def test_prebuilt_bin_parts_are_the_fired_bins():
     # a target the trie lacks counts 0: the zero feature
     feats, _, _, node = scorer.step(0, ("b",), 0.0, (), root, False)
     assert node is None
-    assert [k for k in feats if k[0] == "FQB"] == [("FQB", freq_bins.zero_feature)]
+    assert [k for k in by_name(model, feats) if k[0] == "FQB"] == [("FQB", freq_bins.zero_feature)]
 
 
 def test_corpus_scorer_follows_replaced_resources():
@@ -685,7 +728,7 @@ def test_corpus_scorer_follows_replaced_resources():
     low = dataclasses.replace(model, lm_bins=BinConfig((-50.0,), -50.0, 0.0))
     assert low.scorer is not scorer
     feats = low.scorer.step(0, ("q",), 0.0, history_tail(lm, ()), None, False)[0]
-    assert list(feats) == [("LMB", 0)]
+    assert list(by_name(low, feats)) == [("LMB", 0)]
     assert model.scorer is scorer
     with pytest.raises(dataclasses.FrozenInstanceError):
         model.lm_bins = low.lm_bins
@@ -783,3 +826,56 @@ def test_lazy_candidate_features_are_the_summed_trail(corpus_model):
         feats, _ = derivation_features(held[0].source, cand.derivation, model)
         assert cand == Candidate(cand.output, cand.derivation, cand.score, feats)
         assert cand.features is cand.features
+
+
+def test_decoding_held_out_words_leaves_the_saved_bytes(corpus_model, tmp_path):
+    # decoding interns names no weight has; the file holds weights only,
+    # named, so it keeps its bytes
+    model, held = corpus_model
+    path, again = tmp_path / "model.txt", tmp_path / "again.txt"
+    save_model(model, path)
+    loaded, _ = load_model(path)
+    loaded = dataclasses.replace(loaded, lm=model.lm, trie=model.trie)
+    size = len(loaded.alphabet.names)
+    for inst in held:
+        assert decode_nbest(inst.source, loaded, 10, 5)
+    assert len(loaded.alphabet.names) > size
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_warmed_history_memo_decodes_as_a_fresh_model(corpus_model, tmp_path):
+    # the memo and the alphabet grown on other words change no output,
+    # score bit or feature name
+    model, held = corpus_model
+    save_model(model, tmp_path / "model.txt")
+    warm, _ = load_model(tmp_path / "model.txt")
+    warm = dataclasses.replace(warm, lm=model.lm, trie=model.trie)
+    for inst in held[1:]:
+        decode_nbest(inst.source, warm, 10, 5)
+    assert warm.history
+    for inst in held[:3]:
+        fresh, _ = load_model(tmp_path / "model.txt")
+        fresh = dataclasses.replace(fresh, lm=model.lm, trie=model.trie)
+        assert not fresh.history
+        got = decode_nbest(inst.source, warm, 10, 5)
+        want = decode_nbest(inst.source, fresh, 10, 5)
+        assert [c.output for c in got] == [c.output for c in want]
+        assert [c.score.hex() for c in got] == [c.score.hex() for c in want]
+        assert [list(by_name(warm, c.features).items()) for c in got] == [
+            list(by_name(fresh, c.features).items()) for c in want
+        ]
+    # every entry is what its key computes from scratch
+    for (head, recent), row in warm.history.items():
+        for (source, target), part in row.items():
+            assert part == _history_features(head, recent, Rule(source, target), warm)
+
+
+def test_replace_starts_an_empty_history_memo(corpus_model):
+    model, held = corpus_model
+    decode_nbest(held[0].source, model, 10, 5)
+    assert model.history
+    changed = dataclasses.replace(model, config=FeatureConfig(target_order=1))
+    assert changed.history == {}
+    assert changed.alphabet is model.alphabet
+    assert model.history
