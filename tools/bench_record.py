@@ -4,7 +4,7 @@ Usage (from the repository root, after untraced benchmark runs):
 
     python3 perfbench/run.py --workload lexicon-2x2 --seed 1 --seconds 55 --trace 0
     ...
-    python3 tools/bench_record.py --pr 11
+    python3 tools/bench_record.py --pr <n>    # writes BENCH_<n>.json
 
 It reads every untraced result file, .perfbench-results/<workload>-s<seed>-t0.json,
 and writes, per workload, the median of each end-to-end metric over the
