@@ -33,21 +33,15 @@ returns.
 import logging
 import math
 from array import array
-from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import chain, compress, groupby
 from operator import itemgetter
 
-from .core import NULL, ParseError, TrainingPair, check_fields
+from .core import NULL, TrainingPair, check_fields, parse_lines
 
 log = logging.getLogger(__name__)
 
 NEG_INF = float("-inf")
-
-# Name of the EM run in progress, for its log lines, where the caller of
-# em_train knows more than the parameters tell: pass 1 of precision
-# alignment.
-_em_run = ContextVar("em_run", default=None)
 
 
 @dataclass(frozen=True)
@@ -482,7 +476,7 @@ def em_train(pairs, params, history=None):
     keys = {}
     moves = params.moves()
     lattices = [_m2m_edges(p.source, p.target, moves, keys, live=True) for p in pairs]
-    return _em(lattices, list(keys), params, history, _em_run.get())[0]
+    return _em(lattices, list(keys), params, history)[0]
 
 
 def viterbi_nbest(x, y, delta, params, n):
@@ -525,14 +519,9 @@ def pass1_align(pairs, params=None):
 
     Returns equal-length padded pairs where insertion links contribute "_"
     on the source and deletion links contribute "_" on the target.
-    Unalignable pairs are dropped with a warning.  Its EM logs as the
-    "1-1 pass 1" run.
+    Unalignable pairs are dropped with a warning.
     """
-    token = _em_run.set("1-1 pass 1")
-    try:
-        alignments = _align_each(pairs, params or ONE_TO_ONE)
-    finally:
-        _em_run.reset(token)
+    alignments = _align_each(pairs, params or ONE_TO_ONE)
     return [
         TrainingPair(
             tuple(link.source[0] if link.source else NULL for link in a.links),
@@ -643,12 +632,4 @@ def write_alignments(alignments, stream):
 def read_alignments(stream):
     """The alignments of the non-blank lines of stream (lines or a string);
     a bad line raises ParseError with its number."""
-    lines = stream.splitlines() if isinstance(stream, str) else stream
-    alignments = []
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            try:
-                alignments.append(parse_alignment(line))
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from exc
-    return alignments
+    return parse_lines(stream, parse_alignment)

@@ -34,9 +34,14 @@ import math
 from dataclasses import dataclass
 from statistics import mean, pstdev
 
+from .core import parse_lines
+
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
+
+BIN_SPREAD = 3
+BIN_STEP = 0.5
 
 
 class CharLM:
@@ -182,9 +187,9 @@ class BinConfig:
         return len(self.thresholds)
 
 
-def make_bins(lm, words, spread=3, step=0.5):
+def make_bins(lm, words):
     """Thresholds spanning a normal distribution around the mean word
-    score: mu + k * step * sigma for k = +spread..-spread."""
+    score: mu + k * BIN_STEP * sigma for k = +BIN_SPREAD..-BIN_SPREAD."""
     words = list(dict.fromkeys(tuple(w) for w in words))
     if not words:
         raise ValueError("empty word list")
@@ -194,7 +199,7 @@ def make_bins(lm, words, spread=3, step=0.5):
     if sigma == 0.0:
         return BinConfig((mu,), mu, sigma)
     thresholds = tuple(
-        mu + k * step * sigma for k in range(spread, -spread - 1, -1)
+        mu + k * BIN_STEP * sigma for k in range(BIN_SPREAD, -BIN_SPREAD - 1, -1)
     )
     return BinConfig(thresholds, mu, sigma)
 
@@ -217,18 +222,33 @@ def save_charlm(lm, path):
 
 
 def load_charlm(path):
+    """Read a save_charlm file; a malformed line, the header lines
+    included, raises ParseError with its number."""
+    alphabet = set()
+    tables = []
+
+    def parse(line):
+        if not tables:
+            if not line.startswith("#charlm\torder="):
+                raise ValueError("not a charlm file")
+            order = int(line.split("=", 1)[1])
+            if order < 1:
+                raise ValueError(f"order must be >= 1, got {order}")
+            tables.extend({} for _ in range(order))
+        elif line.startswith("#alphabet\t"):
+            alphabet.update(line.split("\t", 1)[1].split())
+        else:
+            m, h, sym, count = line.split("\t")
+            m, h, count = int(m), tuple(h.split()), int(count)
+            if not len(h) == m < len(tables):
+                raise ValueError(f"level {m} with {len(h)} history symbols "
+                                 f"in an order-{len(tables)} LM")
+            if count < 1:
+                raise ValueError(f"count {count} must be >= 1")
+            tables[m].setdefault(h, {})[sym] = count
+
     with open(path, encoding="utf-8") as src:
-        header = src.readline().strip()
-        if not header.startswith("#charlm"):
-            raise ValueError(f"{path}: not a charlm file")
-        order = int(header.split("order=")[1])
-        alpha_line = src.readline().strip()
-        alphabet = set(alpha_line.split("\t")[1].split()) if "\t" in alpha_line else set()
-        tables = [{} for _ in range(order)]
-        for line in src:
-            if not line.strip():
-                continue
-            m, h, sym, count = line.rstrip("\n").split("\t")
-            slot = tables[int(m)].setdefault(tuple(h.split()), {})
-            slot[sym] = int(count)
-    return CharLM(order, alphabet, tables)
+        parse_lines(src, parse)
+    if not tables:
+        raise ValueError(f"{path}: not a charlm file")
+    return CharLM(len(tables), alphabet, tables)

@@ -126,25 +126,23 @@ def _convert(key, text):
         raise ValueError(f"{core.shown(key, text)}: {exc}") from exc
 
 
+def _setting(text):
+    """(key, value) of a "key = value" text."""
+    if "=" not in text:
+        raise ValueError(f"expected key = value, got {text.strip()!r}")
+    key, value = (part.strip() for part in text.split("=", 1))
+    return key, _convert(key, value)
+
+
 def load_config(path=None, overrides=()):
     """The RunConfig of a key = value file and then the overrides; every
     value is checked here, by the library object that reads it."""
     values = {}
     if path:
         with open(path, encoding="utf-8") as src:
-            for lineno, line in enumerate(src, start=1):
-                line = _COMMENT.split(line, maxsplit=1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key = value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                values[key] = _convert(key, value)
-    for item in overrides:
-        if "=" not in item:
-            raise ValueError(f"override {item!r} is not key=value")
-        key, value = (part.strip() for part in item.split("=", 1))
-        values[key] = _convert(key, value)
+            lines = (_COMMENT.split(line, maxsplit=1)[0] for line in src)
+            values.update(core.parse_lines(lines, _setting))
+    values.update(map(_setting, overrides))
     return RunConfig(**values)
 
 
@@ -200,6 +198,23 @@ def _hash_inputs(*parts):
     return digest.hexdigest()[:10]
 
 
+def _write_cache(path, write):
+    """write(name) to a temporary name beside path, then rename it to path:
+    a cache that exists is whole, and a failed or killed write leaves none."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write(path, text):
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(text)
+
+
 def load_resources(cfg):
     """Build (or reuse cached) character LM and pruned lexicon from the
     word list; caches live beside the word list, keyed by a content hash.
@@ -220,7 +235,7 @@ def load_resources(cfg):
             lm = charlm.load_charlm(lm_path)
         else:
             lm = charlm.train_charlm(words, cfg.lm_order)
-            charlm.save_charlm(lm, lm_path)
+            _write_cache(lm_path, lambda tmp: charlm.save_charlm(lm, tmp))
         lm_bins = charlm.make_bins(lm, words)
 
     if not cfg.disable_freq:
@@ -233,8 +248,8 @@ def load_resources(cfg):
                 lex = freqtrie.parse_lexicon(_read(lex_path))
             else:
                 lex = freqtrie.prune_lexicon(lex, freqtrie.parse_lexicon(en_raw))
-                with open(lex_path, "w", encoding="utf-8") as out:
-                    out.write(freqtrie.serialize_lexicon(lex))
+                text = freqtrie.serialize_lexicon(lex)
+                _write_cache(lex_path, lambda tmp: _write(tmp, text))
         refs["lexicon"] = lex_path
         trie = freqtrie.build_trie(lex)
         freq_bins = freqtrie.FreqBinConfig(cfg.freq_thresholds)
@@ -280,15 +295,7 @@ def _sources(cfg, path):
     text = _read(path)
     if cfg.task == "inflection":
         return [p.source for p in core.parse_inflections(text)]
-    out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            out.append(core.parse_seq(line.split("\t", 1)[0]))
-        except core.ValidationError as exc:
-            raise core.ParseError(lineno, str(exc)) from exc
-    return out
+    return core.parse_lines(text, lambda line: core.parse_seq(line.split("\t", 1)[0]))
 
 
 def cmd_decode(cfg, input_path=None, output_path=None):
@@ -313,20 +320,18 @@ def read_nbest(path):
     """Group n-best lines back into per-source candidate lists, in file
     order; a rank of 0 or 1 starts a new block."""
     blocks = []
-    for lineno, line in enumerate(_read(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            src, rank, output, _score = line.split("\t")
-            rank = int(rank)
-        except ValueError as exc:
-            raise core.ParseError(lineno, f"bad n-best line: {exc}") from None
+
+    def parse(line):
+        src, rank, output, _score = line.split("\t")
+        rank = int(rank)
         if rank <= 1:
             blocks.append((tuple(src.split()), []))
         elif not blocks:
-            raise core.ParseError(lineno, f"rank {rank} before any rank 1")
+            raise ValueError(f"rank {rank} before any rank 1")
         if rank >= 1:
             blocks[-1][1].append(tuple(output.split()) if output else ())
+
+    core.parse_lines(_read(path), parse)
     return blocks
 
 
@@ -360,8 +365,7 @@ def cmd_prune(cfg):
     pruned = freqtrie.prune_lexicon(target, english)
     os.makedirs(cfg.outdir, exist_ok=True)
     out_path = cfg.path("pruned_lexicon.txt")
-    with open(out_path, "w", encoding="utf-8") as out:
-        out.write(freqtrie.serialize_lexicon(pruned))
+    _write(out_path, freqtrie.serialize_lexicon(pruned))
     print(
         f"kept {len(pruned.counts)} of {len(target.counts)} words -> {out_path}"
     )

@@ -27,6 +27,23 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+def parse_lines(stream, parse, start=1):
+    """[parse(line) for each non-blank line of stream, in order], where
+    stream is a string or an iterable of lines and parse sees each line
+    without its newline.  A ValueError from parse becomes a ParseError
+    naming the line, counting the first line of stream as line start."""
+    lines = stream.splitlines() if isinstance(stream, str) else stream
+    out = []
+    for lineno, line in enumerate(lines, start):
+        line = line.rstrip("\n")
+        if line and not line.isspace():
+            try:
+                out.append(parse(line))
+            except ValueError as exc:
+                raise ParseError(lineno, str(exc)) from exc
+    return out
+
+
 def shown(key, value):
     """key = value as a configuration file writes it."""
     text = ",".join(map(str, value)) if isinstance(value, tuple) else value
@@ -47,21 +64,21 @@ class ValidationError(ValueError):
     """Structurally valid input that violates a data invariant."""
 
 
-def make_symbol(text, allow_null=False):
+def make_symbol(text):
     """Validate and normalize a single token."""
     text = unicodedata.normalize("NFC", text)
     if not text:
         raise ValidationError("empty symbol")
     if any(ch.isspace() for ch in text):
         raise ValidationError(f"symbol {text!r} contains whitespace")
-    if text == NULL and not allow_null:
+    if text == NULL:
         raise ValidationError(f"reserved null token {NULL!r} in data")
     return text
 
 
-def parse_seq(text, allow_null=False):
+def parse_seq(text):
     """Parse a space-separated token string into a symbol sequence."""
-    return tuple(make_symbol(tok, allow_null=allow_null) for tok in text.split())
+    return tuple(make_symbol(tok) for tok in text.split())
 
 
 def word_seq(word):
@@ -92,10 +109,11 @@ class EvalInstance:
             raise ValidationError("instance with no references")
 
 
-def _lines(stream):
-    if isinstance(stream, str):
-        return stream.splitlines()
-    return [line.rstrip("\n") for line in stream]
+def _pair(line):
+    if line.count("\t") != 1:
+        raise ValueError(f"expected exactly one tab, got {line.count(chr(9))}")
+    src, tgt = line.split("\t")
+    return TrainingPair(parse_seq(src), parse_seq(tgt))
 
 
 def parse_pairs(stream):
@@ -103,41 +121,24 @@ def parse_pairs(stream):
 
     Blank lines are skipped; order is preserved.
     """
-    pairs = []
-    for lineno, line in enumerate(_lines(stream), start=1):
-        if not line.strip():
-            continue
-        if line.count("\t") != 1:
-            raise ParseError(lineno, f"expected exactly one tab, got {line.count(chr(9))}")
-        src, tgt = line.split("\t")
-        try:
-            pairs.append(TrainingPair(parse_seq(src), parse_seq(tgt)))
-        except ValidationError as exc:
-            raise ParseError(lineno, str(exc)) from exc
-    return pairs
+    return parse_lines(stream, _pair)
 
 
 def serialize_pairs(pairs):
     return "".join(f"{seq_text(p.source)}\t{seq_text(p.target)}\n" for p in pairs)
 
 
+def _eval_instance(line):
+    if line.count("\t") != 1:
+        raise ValueError("expected exactly one tab")
+    src, refs = line.split("\t")
+    refset = frozenset(parse_seq(r) for r in refs.split("|") if r.strip())
+    return EvalInstance(parse_seq(src), refset)
+
+
 def parse_eval(stream):
     """Parse "SRC<TAB>REF1|REF2|..." lines into evaluation instances."""
-    instances = []
-    for lineno, line in enumerate(_lines(stream), start=1):
-        if not line.strip():
-            continue
-        if line.count("\t") != 1:
-            raise ParseError(lineno, "expected exactly one tab")
-        src, refs = line.split("\t")
-        try:
-            refset = frozenset(
-                parse_seq(r) for r in refs.split("|") if r.strip()
-            )
-            instances.append(EvalInstance(parse_seq(src), refset))
-        except ValidationError as exc:
-            raise ParseError(lineno, str(exc)) from exc
-    return instances
+    return parse_lines(stream, _eval_instance)
 
 
 def serialize_eval(instances):
@@ -169,22 +170,18 @@ def inflection_to_pairs(lemma, tags, form):
     return TrainingPair(tuple(lemma) + tag_syms, tuple(form))
 
 
+def _inflection(line):
+    fields = line.split("\t")
+    if len(fields) != 3:
+        raise ValueError(f"expected 3 tab-separated fields, got {len(fields)}")
+    lemma, form, tags = fields
+    return inflection_to_pairs(word_seq(lemma), tags, word_seq(form))
+
+
 def parse_inflections(stream):
     """Parse "LEMMA<TAB>FORM<TAB>TAGS" lines (plain strings, split into
     characters on ingestion)."""
-    pairs = []
-    for lineno, line in enumerate(_lines(stream), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(lineno, f"expected 3 tab-separated fields, got {len(fields)}")
-        lemma, form, tags = fields
-        try:
-            pairs.append(inflection_to_pairs(word_seq(lemma), tags, word_seq(form)))
-        except ValidationError as exc:
-            raise ParseError(lineno, str(exc)) from exc
-    return pairs
+    return parse_lines(stream, _inflection)
 
 
 def _uses_tags(pairs):

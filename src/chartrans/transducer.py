@@ -48,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 from .charlm import EOS, extend_score, history_tail, lm_bin_features, BinConfig
-from .core import ParseError, TrainingPair, check_fields
+from .core import TrainingPair, check_fields, parse_lines, word_accuracy
 from .freqtrie import FreqBinConfig, freq_bin_features, walk
 
 log = logging.getLogger(__name__)
@@ -680,12 +680,8 @@ def train(pairs, alignments, cfg=None, feature_config=None, lm=None,
 
 
 def _accuracy(model, instances, beam):
-    hits = 0
-    for inst in instances:
-        cands = decode_nbest(inst.source, model, beam, 1)
-        if cands and cands[0].output in inst.references:
-            hits += 1
-    return hits / len(instances) if instances else 0.0
+    best = [decode_nbest(inst.source, model, beam, 1) for inst in instances]
+    return word_accuracy([c[0].output if c else None for c in best], instances)
 
 
 def _plain(key):
@@ -731,46 +727,40 @@ def load_model(path):
     hold any lm/lexicon paths recorded at save time.  The model has no LM
     or trie until the caller loads them from those paths.  A bad line
     raises ParseError with its number."""
-    config = None
-    lm_bins = None
-    freq_bins = None
+    head = {"config": FeatureConfig()}
     rules = set()
     weights = {}
     alphabet = Alphabet()
     refs = {}
+
+    def parse(line):
+        tag, _, rest = line.partition("\t")
+        try:
+            if tag == "#features":
+                head["config"] = FeatureConfig(**json.loads(rest))
+            elif tag == "#lmbins":
+                blob = json.loads(rest)
+                head["lm_bins"] = BinConfig(
+                    tuple(blob["thresholds"]), blob["mu"], blob["sigma"]
+                )
+                refs["lm"] = blob.get("path")
+            elif tag == "#freqbins":
+                blob = json.loads(rest)
+                head["freq_bins"] = FreqBinConfig(tuple(blob["thresholds"]))
+                refs["lexicon"] = blob.get("path")
+            elif tag == "#rule":
+                src_t, tgt_t = json.loads(rest)
+                rules.add(Rule(tuple(src_t), tuple(tgt_t)))
+            else:
+                weights[alphabet[_tupled(json.loads(tag))]] = float(rest)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad model line: {exc}") from exc
+
     with open(path, encoding="utf-8") as src:
-        first = src.readline().rstrip("\n")
-        if first != "#model\tv1":
+        if src.readline().rstrip("\n") != "#model\tv1":
             raise ValueError(f"{path}: not a model file")
-        for lineno, line in enumerate(src, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                if line.startswith("#features\t"):
-                    config = FeatureConfig(**json.loads(line.split("\t", 1)[1]))
-                elif line.startswith("#lmbins\t"):
-                    blob = json.loads(line.split("\t", 1)[1])
-                    lm_bins = BinConfig(
-                        tuple(blob["thresholds"]), blob["mu"], blob["sigma"]
-                    )
-                    refs["lm"] = blob.get("path")
-                elif line.startswith("#freqbins\t"):
-                    blob = json.loads(line.split("\t", 1)[1])
-                    freq_bins = FreqBinConfig(tuple(blob["thresholds"]))
-                    refs["lexicon"] = blob.get("path")
-                elif line.startswith("#rule\t"):
-                    src_t, tgt_t = json.loads(line.split("\t", 1)[1])
-                    rules.add(Rule(tuple(src_t), tuple(tgt_t)))
-                else:
-                    key_json, w = line.split("\t")
-                    weights[alphabet[_tupled(json.loads(key_json))]] = float(w)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(lineno, f"bad model line: {exc}") from exc
-    model = Model(
-        weights=weights, rules=frozenset(rules), config=config or FeatureConfig(),
-        lm_bins=lm_bins, freq_bins=freq_bins, alphabet=alphabet,
-    )
+        parse_lines(src, parse, start=2)
+    model = Model(weights=weights, rules=frozenset(rules), alphabet=alphabet, **head)
     return model, refs
 
 

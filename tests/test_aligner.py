@@ -524,6 +524,6 @@ def test_em_log_lines_name_their_run(caplog):
         if rec.msg.startswith("EM iteration"):
             run = rec.getMessage().split("(", 1)[1].split(")", 1)[0]
             runs.setdefault(run, []).append(rec.args[0])
-    assert list(runs) == ["1-1 pass 1", "merge pass 2", "m2m 2-2"]
+    assert list(runs) == ["m2m 1-1", "merge pass 2", "m2m 2-2"]
     for iterations in runs.values():
         assert iterations == list(range(1, len(iterations) + 1))

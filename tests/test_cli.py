@@ -16,10 +16,11 @@ from chartrans.cli import (
     cmd_prune,
     cmd_train,
     load_config,
+    load_resources,
     main,
     read_nbest,
 )
-from chartrans import transducer
+from chartrans import charlm, transducer
 from chartrans.core import ParseError, parse_pairs
 from chartrans.aligner import read_alignments
 
@@ -221,6 +222,60 @@ def test_inflection_decode_input_error_names_its_line(tmp_path):
     bad.write_text("mira\tmiro\tV;PRS\ngana\tV;PST\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 2"):
         cmd_decode(cfg, input_path=str(bad))
+
+
+def _run_argv(cfg):
+    """--set options that give main the paths and epochs of cfg."""
+    keys = ("pairs", "test", "wordlist", "outdir", "epochs")
+    return [arg for key in keys for arg in ("--set", f"{key}={getattr(cfg, key)}")]
+
+
+def test_bad_word_list_count_stops_train_with_its_line(tmp_path, capsys):
+    cfg = write_context_task(tmp_path, n_train=10, n_test=3)
+    cfg.epochs = 1
+    cmd_align(cfg)
+    words = tmp_path / "words.txt"
+    lineno = len(words.read_text(encoding="utf-8").splitlines()) + 1
+    with open(words, "a", encoding="utf-8") as out:
+        out.write("yx\tthree\n")
+    assert main(["train", *_run_argv(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {lineno}: count 'three' ")
+    assert not (tmp_path / "out" / "model.txt").exists()
+
+
+def test_bad_lm_cache_line_stops_decode_with_an_error(tmp_path, capsys):
+    cfg = write_context_task(tmp_path, n_train=10, n_test=3)
+    cfg.epochs = 1
+    cmd_align(cfg)
+    cmd_train(cfg)
+    [cache] = tmp_path.glob("*.lm")
+    lineno = len(cache.read_text(encoding="utf-8").splitlines()) + 1
+    with open(cache, "a", encoding="utf-8") as out:
+        out.write("9\ta b c d e f g h i\tx\t1\n")
+    assert main(["decode", *_run_argv(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {lineno}: level 9 ")
+
+
+def test_failed_lm_cache_write_leaves_no_cache(tmp_path, monkeypatch):
+    cfg = write_context_task(tmp_path, n_train=10, n_test=3)
+    inputs = sorted(tmp_path.iterdir())
+    save_charlm = charlm.save_charlm
+
+    def save_then_fail(lm, path):
+        save_charlm(lm, path)
+        with open(path, "r+", encoding="utf-8") as out:
+            out.truncate(out.seek(0, 2) // 2)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(charlm, "save_charlm", save_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        load_resources(cfg)
+    assert sorted(tmp_path.iterdir()) == inputs
+    monkeypatch.setattr(charlm, "save_charlm", save_charlm)
+    lm = load_resources(cfg)[0]
+    [cache] = tmp_path.glob("*.lm")
+    assert charlm.load_charlm(cache).tables == lm.tables
 
 
 def test_baseline_alignment_links_a_to_w(tmp_path):
