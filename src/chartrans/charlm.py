@@ -18,11 +18,20 @@ history (history_tail), so extend_score carries that tail from symbol to
 symbol instead of the whole prefix, and CharLM.logprob memoises
 (tail, symbol) -> log10 p on the model.  The memo returns the floats the
 recursion computes, so scores are unchanged; it serves the decoder's step
-features, the end transition of complete words and make_bins alike, and
-holds at most one entry per distinct (tail, symbol) asked for.  A decoder
-carries the tail with each hypothesis and moves it, with the running sum,
-through CharLM.advance, which reads the memo rows without a call per
-transition.
+features and the end transition of complete words, and holds at most one
+entry per distinct (tail, symbol) asked for.  A decoder carries the tail
+with each hypothesis and moves it, with the running sum, through
+CharLM.advance, which reads the memo rows without a call per transition.
+
+Set-up reads each word as its full-order n-grams (_grams): one per
+transition, a tail followed by its symbol.  train_charlm counts the
+distinct grams of the word list once and adds each count to every level.
+make_bins asks logprob once per distinct gram, which also fills the memo
+the decoder reads later, and scores a word as the left fold of its grams'
+log-probabilities from 0.0, divided by its number of transitions.  Those
+are score_prefix's additions in score_prefix's order, so every score, and
+so every threshold, keeps its bits.  The fold adds with +=, not with
+sum(), which compensates float sums from Python 3.12 on.
 
 The bins fired by a score are always a contiguous run: every threshold
 from the highest one at or below the score down, or the catch-all alone.
@@ -31,10 +40,12 @@ and pick it by that threshold index.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from statistics import mean, pstdev
 
-from .core import parse_lines
+from .core import parse_lines, reading
 
 BOS = "<s>"
 EOS = "</s>"
@@ -112,23 +123,30 @@ class CharLM:
         return logsum, tail
 
 
+def _grams(word, order):
+    """The full-order n-grams of the BOS/EOS-padded word, one per transition."""
+    seq = (BOS,) * (order - 1) + word + (EOS,)
+    return [seq[i : i + order] for i in range(len(word) + 1)]
+
+
 def train_charlm(words, order):
-    """Collect type-based n-gram counts over begin/end-padded words."""
+    """Collect type-based n-gram counts over begin/end-padded words: each
+    distinct full-order gram's count goes to every level m, under its last
+    m history symbols."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     words = list(dict.fromkeys(tuple(w) for w in words))
     if not words:
         raise ValueError("empty training word list")
     alphabet = {sym for w in words for sym in w}
+    grams = Counter(chain.from_iterable(_grams(w, order) for w in words))
     tables = [{} for _ in range(order)]
-    for w in words:
-        seq = (BOS,) * (order - 1) + w + (EOS,)
-        for i in range(order - 1, len(seq)):
-            nxt = seq[i]
-            for m in range(order):
-                h = seq[i - m : i]
-                slot = tables[m].setdefault(h, {})
-                slot[nxt] = slot.get(nxt, 0) + 1
+    k = order - 1
+    for gram, count in grams.items():
+        nxt = gram[k]
+        for m, table in enumerate(tables):
+            slot = table.setdefault(gram[k - m : k], {})
+            slot[nxt] = slot.get(nxt, 0) + count
     return CharLM(order, alphabet, tables)
 
 
@@ -189,11 +207,22 @@ class BinConfig:
 
 def make_bins(lm, words):
     """Thresholds spanning a normal distribution around the mean word
-    score: mu + k * BIN_STEP * sigma for k = +BIN_SPREAD..-BIN_SPREAD."""
+    score: mu + k * BIN_STEP * sigma for k = +BIN_SPREAD..-BIN_SPREAD.  A
+    word's score is score_prefix(lm, word, complete=True), bit for bit
+    (see the module docstring)."""
     words = list(dict.fromkeys(tuple(w) for w in words))
     if not words:
         raise ValueError("empty word list")
-    scores = [score_prefix(lm, w, complete=True) for w in words]
+    logprobs = {}
+    scores = []
+    for w in words:
+        logsum = 0.0
+        for gram in _grams(w, lm.order):
+            lp = logprobs.get(gram)
+            if lp is None:
+                lp = logprobs[gram] = lm.logprob(gram[:-1], gram[-1])
+            logsum += lp
+        scores.append(logsum / (len(w) + 1))
     mu = mean(scores)
     sigma = pstdev(scores)
     if sigma == 0.0:
@@ -223,7 +252,7 @@ def save_charlm(lm, path):
 
 def load_charlm(path):
     """Read a save_charlm file; a malformed line, the header lines
-    included, raises ParseError with its number."""
+    included, raises ParseError with its number and path."""
     alphabet = set()
     tables = []
 
@@ -247,7 +276,7 @@ def load_charlm(path):
                 raise ValueError(f"count {count} must be >= 1")
             tables[m].setdefault(h, {})[sym] = count
 
-    with open(path, encoding="utf-8") as src:
+    with open(path, encoding="utf-8") as src, reading(path):
         parse_lines(src, parse)
     if not tables:
         raise ValueError(f"{path}: not a charlm file")

@@ -139,7 +139,7 @@ def load_config(path=None, overrides=()):
     value is checked here, by the library object that reads it."""
     values = {}
     if path:
-        with open(path, encoding="utf-8") as src:
+        with open(path, encoding="utf-8") as src, core.reading(path):
             lines = (_COMMENT.split(line, maxsplit=1)[0] for line in src)
             values.update(core.parse_lines(lines, _setting))
     values.update(map(_setting, overrides))
@@ -151,25 +151,30 @@ def _read(path):
         return src.read()
 
 
+def _parse(path, parse):
+    """parse(the text of path); a ParseError it raises names path."""
+    text = _read(path)
+    with core.reading(path):
+        return parse(text)
+
+
 def read_training_pairs(cfg):
-    text = _read(cfg.pairs)
     if cfg.task == "inflection":
-        pairs = core.parse_inflections(text)
+        pairs = _parse(cfg.pairs, core.parse_inflections)
     else:
-        pairs = core.parse_pairs(text)
+        pairs = _parse(cfg.pairs, core.parse_pairs)
     if cfg.copy_instances:
         pairs = core.copy_augment(pairs, cfg.copy_instances)
     return pairs
 
 
 def read_eval_instances(cfg, path):
-    text = _read(path)
     if cfg.task == "inflection":
         return [
             core.EvalInstance(p.source, frozenset([p.target]))
-            for p in core.parse_inflections(text)
+            for p in _parse(path, core.parse_inflections)
         ]
-    return core.parse_eval(text)
+    return _parse(path, core.parse_eval)
 
 
 def cmd_align(cfg):
@@ -225,7 +230,8 @@ def load_resources(cfg):
     if not cfg.wordlist or (cfg.disable_lm and cfg.disable_freq):
         return lm, lm_bins, trie, freq_bins, refs
     raw = _read(cfg.wordlist)
-    lex = freqtrie.parse_lexicon(raw)
+    with core.reading(cfg.wordlist):
+        lex = freqtrie.parse_lexicon(raw)
 
     if not cfg.disable_lm:
         words = list(lex.counts)
@@ -245,9 +251,11 @@ def load_resources(cfg):
             tag = _hash_inputs(raw, en_raw, "prune-v1")
             lex_path = f"{cfg.wordlist}.{tag}.plex"
             if os.path.exists(lex_path):
-                lex = freqtrie.parse_lexicon(_read(lex_path))
+                lex = _parse(lex_path, freqtrie.parse_lexicon)
             else:
-                lex = freqtrie.prune_lexicon(lex, freqtrie.parse_lexicon(en_raw))
+                with core.reading(cfg.english_wordlist):
+                    english = freqtrie.parse_lexicon(en_raw)
+                lex = freqtrie.prune_lexicon(lex, english)
                 text = freqtrie.serialize_lexicon(lex)
                 _write_cache(lex_path, lambda tmp: _write(tmp, text))
         refs["lexicon"] = lex_path
@@ -257,8 +265,7 @@ def load_resources(cfg):
 
 
 def cmd_train(cfg):
-    with open(cfg.alignment_file, encoding="utf-8") as src:
-        alignments = aligner.read_alignments(src)
+    alignments = _parse(cfg.alignment_file, aligner.read_alignments)
     if not alignments:
         raise ValueError(f"no alignments in {cfg.alignment_file}")
     lm, lm_bins, trie, freq_bins, refs = load_resources(cfg)
@@ -284,7 +291,7 @@ def load_model(cfg):
     if model.config.lm_features and refs.get("lm"):
         resources["lm"] = charlm.load_charlm(refs["lm"])
     if model.config.freq_features and refs.get("lexicon"):
-        lex = freqtrie.parse_lexicon(_read(refs["lexicon"]))
+        lex = _parse(refs["lexicon"], freqtrie.parse_lexicon)
         resources["trie"] = freqtrie.build_trie(lex)
     return dataclasses.replace(model, **resources)
 
@@ -292,10 +299,13 @@ def load_model(cfg):
 def _sources(cfg, path):
     """Source sequences to decode: inflection triples, or pair lines whose
     target column may be missing."""
-    text = _read(path)
     if cfg.task == "inflection":
-        return [p.source for p in core.parse_inflections(text)]
-    return core.parse_lines(text, lambda line: core.parse_seq(line.split("\t", 1)[0]))
+        return [p.source for p in _parse(path, core.parse_inflections)]
+
+    def source(line):
+        return core.parse_seq(line.split("\t", 1)[0])
+
+    return _parse(path, lambda text: core.parse_lines(text, source))
 
 
 def cmd_decode(cfg, input_path=None, output_path=None):
@@ -331,7 +341,7 @@ def read_nbest(path):
         if rank >= 1:
             blocks[-1][1].append(tuple(output.split()) if output else ())
 
-    core.parse_lines(_read(path), parse)
+    _parse(path, lambda text: core.parse_lines(text, parse))
     return blocks
 
 
@@ -360,8 +370,8 @@ def cmd_evaluate(cfg, nbest_path=None, refs_path=None):
 
 
 def cmd_prune(cfg):
-    target = freqtrie.parse_lexicon(_read(cfg.wordlist))
-    english = freqtrie.parse_lexicon(_read(cfg.english_wordlist))
+    target = _parse(cfg.wordlist, freqtrie.parse_lexicon)
+    english = _parse(cfg.english_wordlist, freqtrie.parse_lexicon)
     pruned = freqtrie.prune_lexicon(target, english)
     os.makedirs(cfg.outdir, exist_ok=True)
     out_path = cfg.path("pruned_lexicon.txt")
@@ -442,7 +452,8 @@ def main(argv=None):
         elif args.command == "ablate":
             cmd_ablate(cfg)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"{exc.path}: " if isinstance(exc, core.ParseError) and exc.path else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     return 0
 

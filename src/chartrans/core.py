@@ -6,6 +6,7 @@ immutable after construction, so values can be shared freely.
 """
 
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 # Reserved null token used by the aligner for insertion/deletion padding.
@@ -20,11 +21,26 @@ COPY_TAG = "+COPY"
 
 
 class ParseError(ValueError):
-    """Malformed input line (carries the 1-based line number)."""
+    """Malformed input line: the text is "line N: message", lineno is N,
+    and path is the file's path once a reader of the file has set it
+    through reading(path), else None."""
 
     def __init__(self, lineno, message):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+        self.path = None
+
+
+@contextmanager
+def reading(path):
+    """Name path as the file of a ParseError raised inside that names no
+    file yet."""
+    try:
+        yield
+    except ParseError as exc:
+        if exc.path is None:
+            exc.path = path
+        raise
 
 
 def parse_lines(stream, parse, start=1):

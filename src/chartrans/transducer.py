@@ -48,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
 from .charlm import EOS, extend_score, history_tail, lm_bin_features, BinConfig
-from .core import TrainingPair, check_fields, parse_lines, word_accuracy
+from .core import TrainingPair, check_fields, parse_lines, reading, word_accuracy
 from .freqtrie import FreqBinConfig, freq_bin_features, walk
 
 log = logging.getLogger(__name__)
@@ -726,7 +726,7 @@ def load_model(path):
     """Read a model file; returns (model, resource_refs) where the refs
     hold any lm/lexicon paths recorded at save time.  The model has no LM
     or trie until the caller loads them from those paths.  A bad line
-    raises ParseError with its number."""
+    raises ParseError with its number and path."""
     head = {"config": FeatureConfig()}
     rules = set()
     weights = {}
@@ -759,7 +759,8 @@ def load_model(path):
     with open(path, encoding="utf-8") as src:
         if src.readline().rstrip("\n") != "#model\tv1":
             raise ValueError(f"{path}: not a model file")
-        parse_lines(src, parse, start=2)
+        with reading(path):
+            parse_lines(src, parse, start=2)
     model = Model(weights=weights, rules=frozenset(rules), alphabet=alphabet, **head)
     return model, refs
 

@@ -1,9 +1,14 @@
 import math
 import random
+from statistics import mean, pstdev
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chartrans.charlm import (
+    BIN_SPREAD,
+    BIN_STEP,
     BOS,
     EOS,
     BinConfig,
@@ -17,6 +22,8 @@ from chartrans.charlm import (
     score_prefix,
     train_charlm,
 )
+
+from toytask import brute_ngram_tables
 
 
 def test_counts_single_word():
@@ -365,3 +372,48 @@ def test_advance_is_extend_score_over_the_carried_tail(order):
             extend_score(lm, start, prefix, suffix)[0],
             history_tail(lm, prefix + suffix),
         )
+
+
+# Word lists with repeats and one-symbol words; "x" and "y" stand outside
+# the alphabet of an LM trained on the first list.
+_words = st.lists(st.text("abc", min_size=1, max_size=6), min_size=1, max_size=8)
+_other_words = st.lists(st.text("abcxy", min_size=1, max_size=6), min_size=1, max_size=8)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_words, st.integers(1, 5))
+@example(["a"], 1)  # one one-symbol word, and only the empty history
+@example(["ab", "b", "ab", "b"], 3)
+def test_tables_are_the_textbook_counts(words, order):
+    assert train_charlm(words, order).tables == brute_ngram_tables(words, order)
+
+
+def _outcome(build, *args):
+    """(thresholds, mu, sigma) as float bits, or the ValueError text."""
+    try:
+        bins = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    return [x.hex() for x in (*bins.thresholds, bins.mu, bins.sigma)]
+
+
+def _bins_by_definition(lm, words):
+    """The BinConfig of the mean and spread of the distinct words'
+    complete scores, each from score_prefix."""
+    scores = [score_prefix(lm, w, complete=True) for w in dict.fromkeys(map(tuple, words))]
+    mu, sigma = mean(scores), pstdev(scores)
+    if sigma == 0.0:
+        return BinConfig((mu,), mu, sigma)
+    spread = range(BIN_SPREAD, -BIN_SPREAD - 1, -1)
+    return BinConfig(tuple(mu + k * BIN_STEP * sigma for k in spread), mu, sigma)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_words, _other_words, st.integers(1, 5))
+@example(["ab"], ["ab", "ab"], 2)  # one distinct word: sigma 0
+@example(["ab", "ba"], ["xy", "a", "yab", "a"], 1)
+def test_make_bins_is_the_spread_of_score_prefix(train_words, words, order):
+    # each side gets its own LM, so neither reads the other's memo
+    assert _outcome(make_bins, train_charlm(train_words, order), words) == _outcome(
+        _bins_by_definition, train_charlm(train_words, order), words
+    )

@@ -240,7 +240,7 @@ def test_bad_word_list_count_stops_train_with_its_line(tmp_path, capsys):
         out.write("yx\tthree\n")
     assert main(["train", *_run_argv(cfg)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: line {lineno}: count 'three' ")
+    assert err.startswith(f"error: {words}: line {lineno}: count 'three' ")
     assert not (tmp_path / "out" / "model.txt").exists()
 
 
@@ -254,7 +254,31 @@ def test_bad_lm_cache_line_stops_decode_with_an_error(tmp_path, capsys):
     with open(cache, "a", encoding="utf-8") as out:
         out.write("9\ta b c d e f g h i\tx\t1\n")
     assert main(["decode", *_run_argv(cfg)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: line {lineno}: level 9 ")
+    # the cache is a file the user never named, so the message names it
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cache}: line {lineno}: level 9 ")
+
+
+@pytest.mark.parametrize("command, name, text, lineno", [
+    ("align", "pairs.txt", "a b\tx y\na b x y\n", 2),
+    ("align", "run.cfg", "beam = 3\nno_such_key = 1\n", 2),
+    ("train", "alignments.txt", "a}x b}y\nab\n", 2),
+    ("decode", "test.txt", "a b\n\nc _ d\tC\n", 3),
+], ids=["pairs", "config", "alignments", "decode-input"])
+def test_malformed_line_error_names_its_file(tmp_path, capsys, command, name, text, lineno):
+    cfg = write_context_task(tmp_path, n_train=10, n_test=3)
+    cfg.epochs = 1
+    if command == "decode":
+        cmd_align(cfg)
+        cmd_train(cfg)
+    (tmp_path / "out").mkdir(exist_ok=True)
+    path = tmp_path / ("out" if name == "alignments.txt" else "") / name
+    path.write_text(text, encoding="utf-8")
+    argv = [command, *_run_argv(cfg)]
+    if name == "run.cfg":
+        argv += ["--config", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: line {lineno}: ")
 
 
 def test_failed_lm_cache_write_leaves_no_cache(tmp_path, monkeypatch):

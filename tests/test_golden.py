@@ -1,7 +1,8 @@
 """Golden bytes: align -> train -> decode on a small lexicon task must keep
 writing exactly these files: for the full system (precision alignment,
 LM and frequency features), for it with frequency features off, and for
-the 2-2 baseline aligner with LM features off.  A change that is meant
+the 2-2 baseline aligner with LM features off.  The LM cases also pin the
+LM cache that train writes beside the word list.  A change that is meant
 to alter them updates the hashes and says why."""
 
 import hashlib
@@ -12,16 +13,21 @@ from chartrans.cli import main
 
 from toytask import lexicon_task
 
+# The LM cache is named by a hash of the word list and LM order.
+LM_CACHE = "words.txt.*.lm"
+
 GOLDEN = {
     "full": ("", {
         "alignments.txt": "ea58344e312e78881b11f2d200eb3f850bc6de933460f3c0b11abf5ab173fa51",
         "model.txt": "91d080d8bafaec20e79a44687846849bdbf09b24588443f2d90d4a639e53eb6a",
         "nbest.txt": "7dd9d703a2dd9b3552d6c9122c539a66a7f0f227a95bd270c34157b1b0f0e0b5",
+        LM_CACHE: "980f4f15cd3be84624dc313089ede09e74c978e1c8ced077e7f0fc34dd87b4a7",
     }),
     "lm-no-freq": ("disable_freq = true\n", {
         "alignments.txt": "ea58344e312e78881b11f2d200eb3f850bc6de933460f3c0b11abf5ab173fa51",
         "model.txt": "15e9492a826ccc9ad04f61f6dc1fcf7447d8ba33d5e376813016a2c0faea90c6",
         "nbest.txt": "04216747fcec259f2b788a5976c374007cd3b1223af87354fc4899159b7af8cf",
+        LM_CACHE: "980f4f15cd3be84624dc313089ede09e74c978e1c8ced077e7f0fc34dd87b4a7",
     }),
     "m2m-no-lm": ("disable_precision = true\ndisable_lm = true\n", {
         "alignments.txt": "72fca9ffb11a29886c56bf39a5982c13188daaf55d4b3346d4e592f38e78951e",
@@ -29,6 +35,15 @@ GOLDEN = {
         "nbest.txt": "fc8162b16176f4a92e6619b53ef54018eae5fb1a4f089484cb739a28964bfb5b",
     }),
 }
+
+
+def _golden_file(tmp_path, name):
+    """The file a golden name stands for: the LM cache beside the word
+    list, or an output file."""
+    if name == LM_CACHE:
+        [path] = tmp_path.glob(name)
+        return path
+    return tmp_path / "out" / name
 
 
 def _text(seq):
@@ -63,7 +78,7 @@ def test_pipeline_output_bytes(tmp_path, monkeypatch, case):
     for command in ("align", "train", "decode"):
         assert main([command, "--config", "run.cfg"]) == 0
     hashes = {
-        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        name: hashlib.sha256(_golden_file(tmp_path, name).read_bytes()).hexdigest()
         for name in golden
     }
     assert hashes == golden

@@ -6,6 +6,7 @@ or textbook recursions, independent of the library's DP code paths.
 
 import random
 
+from chartrans.charlm import BOS, EOS
 from chartrans.core import NULL, EvalInstance, TrainingPair
 from chartrans.freqtrie import Lexicon
 from chartrans.transducer import Rule, derivation_features, _dot
@@ -126,6 +127,22 @@ def brute_decode(x, model, n):
     rec(0, [])
     ranked = sorted(best.values(), key=lambda item: item[0])
     return [(score, out_key[1], deriv) for out_key, score, deriv in ranked][:n]
+
+
+def brute_ngram_tables(words, order):
+    """Type-based n-gram counts by their textbook definition: for each
+    distinct word, each position of the word followed by EOS, and each
+    level m < order, count the symbol there after the m symbols before
+    it, left-padded with BOS.  tables[m][history][symbol] = count."""
+    tables = [{} for _ in range(order)]
+    for w in set(map(tuple, words)):
+        seq = w + (EOS,)
+        for i, sym in enumerate(seq):
+            for m in range(order):
+                history = ((BOS,) * m + seq[:i])[i:]
+                row = tables[m].setdefault(history, {})
+                row[sym] = row.get(sym, 0) + 1
+    return tables
 
 
 def brute_edit_distance(a, b):
