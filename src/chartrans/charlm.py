@@ -207,9 +207,11 @@ class BinConfig:
 
 def make_bins(lm, words):
     """Thresholds spanning a normal distribution around the mean word
-    score: mu + k * BIN_STEP * sigma for k = +BIN_SPREAD..-BIN_SPREAD.  A
-    word's score is score_prefix(lm, word, complete=True), bit for bit
-    (see the module docstring)."""
+    score: mu + k * BIN_STEP * sigma for k = +BIN_SPREAD..-BIN_SPREAD, or
+    mu alone when those do not strictly decrease (sigma is zero, or so
+    small that they round together).  A word's score is
+    score_prefix(lm, word, complete=True), bit for bit (see the module
+    docstring)."""
     words = list(dict.fromkeys(tuple(w) for w in words))
     if not words:
         raise ValueError("empty word list")
@@ -225,11 +227,12 @@ def make_bins(lm, words):
         scores.append(logsum / (len(w) + 1))
     mu = mean(scores)
     sigma = pstdev(scores)
-    if sigma == 0.0:
-        return BinConfig((mu,), mu, sigma)
     thresholds = tuple(
         mu + k * BIN_STEP * sigma for k in range(BIN_SPREAD, -BIN_SPREAD - 1, -1)
     )
+    if any(a <= b for a, b in zip(thresholds, thresholds[1:])):
+        # sigma is 0.0, or a few ulps that rounding loses against mu.
+        thresholds = (mu,)
     return BinConfig(thresholds, mu, sigma)
 
 

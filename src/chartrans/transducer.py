@@ -17,15 +17,18 @@ node the state carries.  The corpus part moves the LM sum and tail over
 the rule's target through the LM memo (CharLM.advance), walks the trie
 node over it, and picks its features from bin parts prebuilt per model
 (_CorpusScorer), one dict per (LM bin, frequency bin) pair.  The beam
-search calls the same parts but scores the rule part once per
-(position, rule) in a table that lives for one decode_nbest call, under
-that call's weights, and reads the history part from the model's memo,
-which holds it once per merge state and rule under no weights at all;
-_dot is a left fold, so continuing those partial sums gives the bits of
-scoring each step from scratch.  Candidates keep their hypothesis's trail
+search calls the same parts but lists the source contexts (_contexts)
+once per position, scores the rule part once per (position, rule) in a
+table that lives for one decode_nbest call, under that call's weights,
+and reads the history part from the model's memo, which holds it once
+per merge state and rule under no weights at all; _dot is a left fold,
+so continuing those partial sums gives the bits of scoring each step
+from scratch.  Candidates keep their hypothesis's trail
 of feature parts and sum it only when their features are read.  Training
 is online large-margin (MIRA) against the k-best list, with optional
-weight averaging.
+weight averaging; MIRA reads each candidate's trail part by part,
+subtracting it from the gold features, so training sums only the gold
+derivations.
 
 A Model is frozen and builds its rule index and _CorpusScorer once;
 training updates its weights in place.
@@ -103,7 +106,8 @@ class Candidate:
     decode_nbest hands over the trail of feature parts its hypothesis
     carried instead of the features; they are summed, as _summed sums
     them, the first time features is read, so a caller that reads only
-    outputs and scores never sums them."""
+    outputs and scores never sums them.  mira_update reads the parts
+    themselves (_parts), so training sums no decoded candidate either."""
 
     __slots__ = ("output", "derivation", "score", "_features", "_trail")
 
@@ -117,9 +121,21 @@ class Candidate:
     @property
     def features(self):
         if self._features is None:
-            self._features = _summed(self._trail)
+            self._features = _summed(self._parts())
             self._trail = None
         return self._features
+
+    def _parts(self):
+        """The feature parts, in step order: the features alone once they
+        are known, else the trail's parts, first step first."""
+        if self._features is not None:
+            return (self._features,)
+        steps = []
+        trail = self._trail
+        while trail is not None:
+            steps.append(trail)
+            trail = trail[0]
+        return [part for step in reversed(steps) for part in step[1:]]
 
     def _fields(self):
         return self.output, self.derivation, self.score, self.features
@@ -236,19 +252,28 @@ def _state(model, out=(), rules=()):
     return (out, rules, recent, *model.scorer.start(out))
 
 
-def _rule_features(x, pos, rule, model):
-    """R and C features of applying rule at pos: the rule itself and the
-    source n-grams around the application point.  They read only
-    (pos, rule), so the beam search computes them once per call."""
-    cfg, ids = model.config, model.alphabet
-    feats = {ids["R", rule.source, rule.target]: 1.0}
-    c = cfg.context_window
-    for off in range(-c, c + 1):
-        for length in range(1, cfg.max_source_ngram + 1):
-            a = pos + off
-            if a < 0 or a + length > len(x) or off + length - 1 > c:
-                continue
-            feats[ids["C", off, x[a : a + length], rule.source, rule.target]] = 1.0
+def _contexts(x, pos, cfg):
+    """The (offset, source n-gram) pairs the C features at pos name, by
+    offset, then length: each n-gram of up to max_source_ngram symbols
+    that starts within context_window of pos, ends at most context_window
+    past it and lies inside x."""
+    c, n = cfg.context_window, cfg.max_source_ngram
+    return [
+        (off, x[pos + off : pos + off + length])
+        for off in range(max(-c, -pos), c + 1)
+        for length in range(1, min(n, c - off + 1, len(x) - pos - off) + 1)
+    ]
+
+
+def _rule_features(contexts, rule, model):
+    """R and C features of applying rule where _contexts gave contexts: the
+    rule itself and the source n-grams around the application point.  They
+    read only (position, rule), so the beam search computes them once per
+    call, from one contexts list per position."""
+    ids, source, target = model.alphabet, rule.source, rule.target
+    feats = {ids["R", source, target]: 1.0}
+    for off, gram in contexts:
+        feats[ids["C", off, gram, source, target]] = 1.0
     return feats
 
 
@@ -380,7 +405,7 @@ def _step(x, pos, rule, state, model):
     the same memo.
     """
     out, rules, recent, lm_sum, tail, node = state
-    feats = _rule_features(x, pos, rule, model)
+    feats = _rule_features(_contexts(x, pos, model.config), rule, model)
     head = out[-model.config.target_order:]
     row, pair = _history_row(model, head, recent), (rule.source, rule.target)
     part = row.get(pair)
@@ -413,33 +438,27 @@ def _dot(weights, feats, total=0):
     return total
 
 
-def _summed(trail):
-    """Features of a (previous trail, feature part, ...) chain, summed
-    first step first, so key order and float sums do not depend on who
-    built it."""
-    steps = []
-    while trail is not None:
-        steps.append(trail)
-        trail = trail[0]
+def _summed(parts):
+    """Features of a derivation's feature parts, summed in step order, so
+    key order and float sums do not depend on who built the parts."""
     feats = {}
-    for step in reversed(steps):
-        for part in step[1:]:
-            for k, v in part.items():
-                feats[k] = feats.get(k, 0.0) + v
+    for part in parts:
+        for k, v in part.items():
+            feats[k] = feats.get(k, 0.0) + v
     return feats
 
 
 def derivation_features(x, derivation, model):
     """(Summed step features of a full derivation, keyed by feature id,
     output)."""
-    state, trail, pos = _state(model), None, 0
+    state, steps, pos = _state(model), [], 0
     for rule in derivation:
         feats, state = _step(x, pos, rule, state, model)
-        trail = (trail, feats)
+        steps.append(feats)
         pos += len(rule.source)
     if pos != len(x):
         raise ValueError("derivation does not tile the source")
-    return _summed(trail), state[0]
+    return _summed(steps), state[0]
 
 
 def gold_candidate(x, derivation, model):
@@ -468,15 +487,16 @@ def decode_nbest(x, model, beam_width, n):
     matches exhaustive enumeration.
 
     Each part of a step is scored where it is first known: the rule part
-    once per (position, rule) in a table that lives for this call only,
-    under this call's weights; the history part once per (state, rule),
-    built once per model in its history memo; the corpus part per
-    hypothesis, from the LM sum, tail and trie node it carries.  _dot is
-    a left fold over keys in part order, so continuing
-    the table's partial sums gives the step score bit for bit.  A
-    candidate's features are the trail of parts its hypothesis carried,
-    summed as derivation_features sums them when first read, so no
-    derivation is scored twice and none is summed unless asked for.
+    once per (position, rule), from the position's source contexts listed
+    once, in a table that lives for this call only, under this call's
+    weights; the history part once per (state, rule), built once per
+    model in its history memo; the corpus part per hypothesis, from the LM
+    sum, tail and trie node it carries.  _dot is a left fold over keys in
+    part order, so continuing the table's partial sums gives the step
+    score bit for bit.  A candidate's features are the trail of parts its
+    hypothesis carried, summed as derivation_features sums them when
+    first read, so no derivation is scored twice and none is summed unless
+    asked for; mira_update reads the trail without summing it.
     """
     if n < 1 or beam_width < n:
         raise ValueError("need beam >= n >= 1")
@@ -505,9 +525,10 @@ def decode_nbest(x, model, beam_width, n):
             matches.extend(index.get(x[t : t + length], ()))
         if not matches:
             matches = [Rule((x[t],), (x[t],))]
+        contexts = _contexts(x, t, model.config)
         table = []
         for rule in matches:
-            static = _rule_features(x, t, rule, model)
+            static = _rule_features(contexts, rule, model)
             end = t + len(rule.source)
             table.append((rule, (rule.source, rule.target), static,
                           _dot(weights, static), end, end == len(x)))
@@ -597,35 +618,39 @@ def mira_update(weights, gold, candidates, c, loss_kind="levenshtein", avg=None)
     order: step the weights by the smallest tau <= C restoring a margin
     of loss(candidate); an unclipped step makes the constraint tight.
 
-    The margin is weighed in one pass over the gold and candidate
-    features, in the key order of their difference vector (gold keys,
-    then candidate-only keys) and skipping zero differences, which is
-    _dot(weights, diff) bit for bit.  The loss is computed only when the
-    margin is below its bound, and the difference vector built only for a
-    violated constraint."""
-    gold_feats = gold.features
+    A candidate's difference vector is built in one walk: the gold
+    features, less the candidate's feature parts one at a time in step
+    order (Candidate._parts), so a decoded candidate's trail is read, never
+    summed.  Its key order is gold keys, then candidate-only keys as they
+    first appear.  That is the gold features less the summed candidate
+    features bit for bit when every part holds 1.0 indicators and the gold
+    values are whole numbers, as decode_nbest's parts and gold_candidate's
+    features are: every partial difference is then an exact integer.  A
+    candidate with explicit features has one part, so it is exact for any
+    values.
+    The margin is weighed in one pass over that vector, skipping zero
+    differences, which is _dot(weights, diff) bit for bit; the loss is
+    computed only when the margin is below its bound, and a violated
+    constraint steps along the same vector with its zeros dropped."""
+    gold_feats, weight = gold.features, weights.get
     for cand in candidates:
         if cand.output == gold.output:
             continue
-        cand_feats = cand.features
+        diff = dict(gold_feats)
+        get = diff.get
+        for part in cand._parts():
+            for k, v in part.items():
+                diff[k] = get(k, 0.0) - v
         margin, differs = 0, False
-        for k, v in gold_feats.items():
-            v -= cand_feats.get(k, 0.0)
+        for k, v in diff.items():
             if v != 0.0:
-                margin += weights.get(k, 0.0) * v
-                differs = True
-        for k, v in cand_feats.items():
-            if k not in gold_feats and v != 0.0:
-                margin += weights.get(k, 0.0) * (0.0 - v)
+                margin += weight(k, 0.0) * v
                 differs = True
         if not differs or margin >= _loss_bound(gold.output, cand.output, loss_kind):
             continue
         cost = loss(gold.output, cand.output, loss_kind)
         if margin >= cost:
             continue
-        diff = dict(gold_feats)
-        for k, v in cand_feats.items():
-            diff[k] = diff.get(k, 0.0) - v
         diff = {k: v for k, v in diff.items() if v != 0.0}
         sqnorm = sum(v * v for v in diff.values())
         tau = min(c, (cost - margin) / sqnorm)

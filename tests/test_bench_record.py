@@ -1,5 +1,6 @@
 """tools/bench_record.py: per-workload medians over the seeds run, with
-each seed's values and hashes, from the untraced result files."""
+each seed's values and hashes, from the untraced result files, and their
+ratios to the newest earlier record."""
 
 import importlib.util
 import json
@@ -60,3 +61,35 @@ def test_failed_or_mixed_results_are_refused(tmp_path, capsys):
     assert tool.main(args) == 1
     assert "more than one" in capsys.readouterr().err
     assert not (tmp_path / "BENCH_7.json").exists()
+
+
+def test_medians_are_compared_with_the_newest_earlier_record(tmp_path, capsys):
+    for seed, speed in [(1, 10.0), (2, 30.0), (3, 20.0)]:
+        _result(tmp_path, "lexicon-2x2", seed, speed)
+    _result(tmp_path, "lexicon-full", 1, 5.0)
+
+    def earlier(pr, two_speed, full=None):
+        workloads = {"lexicon-2x2": {"median": {"decode_words_per_s": two_speed,
+                                                "accuracy": 0.0}}}
+        if full is not None:
+            workloads["lexicon-full"] = {"median": {"decode_words_per_s": full}}
+        (tmp_path / f"BENCH_{pr}.json").write_text(
+            json.dumps({"pr": pr, "workloads": workloads}), encoding="utf-8")
+
+    earlier(3, 1.0, full=1.0)
+    earlier(6, 16.0)    # the newest below 7
+    earlier(12, 99.0)   # later than the record written
+    (tmp_path / "BENCH_notes.json").write_text("{}", encoding="utf-8")
+    args = ["--pr", "7", "--results", str(tmp_path), "--out-dir", str(tmp_path)]
+    assert _tool().main(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == [
+        "medians against BENCH_6.json (new / earlier = ratio):",
+        "  lexicon-2x2 accuracy: 0.5 / 0 = n/a",
+        "  lexicon-2x2 decode_words_per_s: 20 / 16 = 1.250",
+    ]
+    # with no earlier record, nothing is compared
+    for pr in (3, 6):
+        (tmp_path / f"BENCH_{pr}.json").unlink()
+    assert _tool().main(args) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == []

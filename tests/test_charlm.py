@@ -237,6 +237,14 @@ def test_make_bins_degenerate_sigma():
     assert bins.sigma == 0.0
 
 
+def test_make_bins_with_a_spread_of_a_few_ulps_gives_one_bin():
+    # The two words score 2 ulps apart: the seven thresholds round together.
+    lm = train_charlm(["ababb", "abbab"], 4)
+    bins = make_bins(lm, ["ababb", "abbab"])
+    assert 0.0 < bins.sigma < 1e-15
+    assert bins.thresholds == (bins.mu,)
+
+
 WORKED_BINS = BinConfig(
     (-0.9, -0.975, -1.05), mu=-0.975, sigma=0.05
 )
@@ -399,13 +407,15 @@ def _outcome(build, *args):
 
 def _bins_by_definition(lm, words):
     """The BinConfig of the mean and spread of the distinct words'
-    complete scores, each from score_prefix."""
+    complete scores, each from score_prefix: mu alone when the spread's
+    thresholds do not strictly decrease."""
     scores = [score_prefix(lm, w, complete=True) for w in dict.fromkeys(map(tuple, words))]
     mu, sigma = mean(scores), pstdev(scores)
-    if sigma == 0.0:
-        return BinConfig((mu,), mu, sigma)
     spread = range(BIN_SPREAD, -BIN_SPREAD - 1, -1)
-    return BinConfig(tuple(mu + k * BIN_STEP * sigma for k in spread), mu, sigma)
+    thresholds = tuple(mu + k * BIN_STEP * sigma for k in spread)
+    if len(set(thresholds)) < len(thresholds):
+        thresholds = (mu,)
+    return BinConfig(thresholds, mu, sigma)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)

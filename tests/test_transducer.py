@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chartrans import transducer
 from chartrans.aligner import Alignment, AlignmentLink, precision_align
 from chartrans.charlm import (
     BinConfig,
@@ -148,6 +149,40 @@ def test_context_window_spans():
         ("C", 0, ("b", "c"), ("b",), ("y",)),
         ("C", 1, ("c",), ("b",), ("y",)),
     }
+
+
+def _rule_part_reference(x, pos, rule, cfg):
+    """The R and C feature names of applying rule at pos, from the window
+    loop over every (offset, length), skipping what falls outside."""
+    names = [("R", rule.source, rule.target)]
+    c = cfg.context_window
+    for off in range(-c, c + 1):
+        for length in range(1, cfg.max_source_ngram + 1):
+            a = pos + off
+            if a < 0 or a + length > len(x) or off + length - 1 > c:
+                continue
+            names.append(("C", off, x[a : a + length], rule.source, rule.target))
+    return names
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=st.lists(st.sampled_from("abc"), min_size=1, max_size=7).map(tuple),
+    data=st.data(),
+    window=st.integers(0, 3),
+    ngram=st.integers(1, 3),
+)
+def test_rule_part_names_are_the_window_loop(x, data, window, ngram):
+    pos = data.draw(st.integers(0, len(x) - 1))
+    span = data.draw(st.integers(1, len(x) - pos))
+    target = data.draw(st.lists(st.sampled_from("xy"), max_size=2).map(tuple))
+    so_far = data.draw(st.lists(st.sampled_from("xy"), max_size=3).map(tuple))
+    rule = Rule(x[pos : pos + span], target)
+    model = plain_model({rule}, context_window=window, max_source_ngram=ngram)
+    feats = featurize_step(x, pos, rule, so_far, (), model)
+    rule_part = [k for k in by_name(model, feats) if k[0] in ("R", "C")]
+    assert rule_part == _rule_part_reference(x, pos, rule, model.config)
+    assert list(by_name(model, feats))[: len(rule_part)] == rule_part
 
 
 def test_lm_bins_in_feature_vector():
@@ -487,6 +522,23 @@ def test_train_reaches_full_training_accuracy():
     assert hits == len(pairs)
 
 
+def test_train_sums_only_the_gold_derivations(monkeypatch):
+    # MIRA reads decoded candidates' trails, so the one sum per pair and
+    # epoch is the gold derivation's
+    pairs = context_pairs(random.Random(29), 20)
+    calls = []
+    summed = transducer._summed
+
+    def counted(parts):
+        calls.append(1)
+        return summed(parts)
+
+    monkeypatch.setattr(transducer, "_summed", counted)
+    train(pairs, context_alignments(pairs), cfg=TrainConfig(epochs=3, nbest=5, beam=10),
+          feature_config=PLAIN)
+    assert len(calls) == len(pairs) * 3
+
+
 def test_train_zero_epochs_gives_zero_scores():
     rng = random.Random(24)
     pairs = digraph_pairs(rng, 10)
@@ -788,21 +840,47 @@ _VALUES = st.one_of(
     st.floats(-4.0, 4.0, allow_nan=False),
 )
 _FEATS = st.dictionaries(_KEYS, _VALUES, max_size=8)
+_COUNTS = st.dictionaries(_KEYS, st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.0, 3.0]), max_size=8)
+# A trail's steps, each one to three parts of 1.0 indicators, as decode_nbest
+# builds them.
+_STEPS = st.lists(
+    st.lists(st.dictionaries(_KEYS, st.just(1.0), max_size=4), min_size=1, max_size=3),
+    max_size=4,
+)
 _OUTPUTS = st.lists(st.sampled_from("abc"), max_size=4).map(tuple)
+
+
+def _trail_candidate(output, steps):
+    trail = None
+    for parts in steps:
+        trail = (trail, *parts)
+    return Candidate(output, (), 0.0, trail=trail)
+
+
+@st.composite
+def _gold_and_candidates(draw):
+    """(gold, candidates) with explicit features of any values or, with
+    integer gold values, as mira_update's exactness needs, trail-built
+    candidates among them."""
+    trails = draw(st.booleans())
+    gold = Candidate(draw(_OUTPUTS), (), 0.0, draw(_COUNTS if trails else _FEATS))
+    explicit = st.builds(lambda out, feats: Candidate(out, (), 0.0, feats), _OUTPUTS, _FEATS)
+    built = st.one_of(explicit, st.builds(_trail_candidate, _OUTPUTS, _STEPS))
+    return gold, draw(st.lists(built if trails else explicit, max_size=6))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     weights=st.dictionaries(_KEYS, st.floats(-3.0, 3.0, allow_nan=False), max_size=8),
-    gold=st.tuples(_OUTPUTS, _FEATS),
-    cands=st.lists(st.tuples(_OUTPUTS, _FEATS), max_size=6),
+    gold_and_cands=_gold_and_candidates(),
     c=st.sampled_from([0.05, 1.0, math.inf]),
     loss_kind=st.sampled_from(["levenshtein", "zero-one"]),
     step=st.integers(1, 50),
 )
-def test_mira_update_matches_the_reference(weights, gold, cands, c, loss_kind, step):
-    gold = Candidate(gold[0], (), 0.0, gold[1])
-    cands = [Candidate(out, (), 0.0, feats) for out, feats in cands]
+def test_mira_update_matches_the_reference(weights, gold_and_cands, c, loss_kind, step):
+    # mira_update runs first, so it reads the trails before the reference
+    # sums them
+    gold, cands = gold_and_cands
     got_w, got_u = dict(weights), {}
     want_w, want_u = dict(weights), {}
     outcomes = []
@@ -817,6 +895,33 @@ def test_mira_update_matches_the_reference(weights, gold, cands, c, loss_kind, s
     assert got_u == want_u
     assert list(got_w.items()) == list(want_w.items())
     assert list(got_u.items()) == list(want_u.items())
+
+
+def test_mira_update_reads_trails_as_summed_features(corpus_model):
+    # decoded candidates updated from their trails, and the same candidates
+    # with features from derivation_features, step by step
+    model, held = corpus_model
+    from_trail = dataclasses.replace(model, weights=dict(model.weights))
+    summed = dataclasses.replace(model, weights=dict(model.weights))
+    u_trail, u_summed = {}, {}
+    for step, inst in enumerate(held[:6], start=1):
+        x = inst.source
+        trailed = decode_nbest(x, from_trail, 10, 5)
+        explicit = [
+            Candidate(c.output, c.derivation, c.score,
+                      derivation_features(x, c.derivation, summed)[0])
+            for c in decode_nbest(x, summed, 10, 5)
+        ]
+        assert [c.output for c in trailed] == [c.output for c in explicit]
+        gold = explicit[-1]
+        mira_update(from_trail.weights, gold, trailed, 0.05, avg=(u_trail, step))
+        mira_update(summed.weights, gold, explicit, 0.05, avg=(u_summed, step))
+        assert all(c._features is None for c in trailed)
+        for got, want in [(from_trail.weights, summed.weights), (u_trail, u_summed)]:
+            assert [(k, v.hex()) for k, v in got.items()] == [
+                (k, v.hex()) for k, v in want.items()
+            ]
+    assert u_trail and from_trail.weights != model.weights
 
 
 def test_lazy_candidate_features_are_the_summed_trail(corpus_model):

@@ -11,7 +11,10 @@ and writes, per workload, the median of each end-to-end metric over the
 seeds run, each seed's values, rounds and output hashes, and the Python
 version and CPU count the runs had.  A result whose output checks failed,
 or results from more than one Python version or CPU count, are refused:
-such a record would compare unlike runs.
+such a record would compare unlike runs.  It then prints, per workload
+and metric, the ratio of each new median to the same median in the newest
+earlier record, the BENCH_<n>.json in the output directory with the
+highest n below <pr>.
 """
 
 import argparse
@@ -54,6 +57,31 @@ def collect(results):
     return {"python": python, "nproc": nproc, "units": units, "workloads": workloads}
 
 
+def earlier_record(out_dir, pr):
+    """The path of the BENCH_<n>.json in out_dir with the highest n < pr,
+    or None."""
+    found = []
+    for path in out_dir.glob("BENCH_*.json"):
+        n = path.stem[len("BENCH_"):]
+        if n.isdigit() and int(n) < pr:
+            found.append((int(n), path))
+    return max(found)[1] if found else None
+
+
+def ratio_lines(record, earlier):
+    """One line per workload and metric that both records hold: the new
+    median, the earlier one and their ratio."""
+    lines = []
+    for name, entry in sorted(record["workloads"].items()):
+        old = earlier["workloads"].get(name, {}).get("median", {})
+        for metric, new in sorted(entry["median"].items()):
+            if metric not in old:
+                continue
+            ratio = f"{new / old[metric]:.3f}" if old[metric] else "n/a"
+            lines.append(f"{name} {metric}: {new:.6g} / {old[metric]:.6g} = {ratio}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--pr", type=int, required=True,
@@ -70,6 +98,11 @@ def main(argv=None):
     out.write_text(json.dumps({"pr": args.pr, **record}, indent=1, sort_keys=True) + "\n",
                    encoding="utf-8")
     print(f"wrote {out}")
+    earlier = earlier_record(args.out_dir, args.pr)
+    if earlier is not None:
+        print(f"medians against {earlier.name} (new / earlier = ratio):")
+        for line in ratio_lines(record, json.loads(earlier.read_text(encoding="utf-8"))):
+            print(f"  {line}")
     return 0
 
 
