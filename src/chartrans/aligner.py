@@ -28,6 +28,12 @@ comes back, so every float EM computes, and every alignment decoded from
 its lattices, is the one the untrimmed lattices give.  EM holds δ as
 probabilities by key id and makes the span-keyed DeltaTable once, when it
 returns.
+
+Alignment decodes each pair's 1-best on the lattice EM trimmed, so no
+pair's lattice is built twice: `em_train`'s table carries its fit (the
+trimmed lattices, their spans and the kept pairs) to `_align_each`, which
+takes it off, and pass 2 decodes the lattices its own EM trimmed.
+`viterbi_nbest` is the public view that builds a pair's whole grid itself.
 """
 
 import logging
@@ -79,9 +85,14 @@ ONE_TO_ONE = AlignParams(
 
 
 class DeltaTable:
-    """Joint substring-pair probabilities; the aligner's parameter set."""
+    """Joint substring-pair probabilities; the aligner's parameter set.
+
+    A table that em_train returns also keeps its fit, (trimmed lattices,
+    spans by key id, kept pair indices), until _align_each takes it; a
+    table built from probabilities has none."""
 
     def __init__(self, probs):
+        self._fit = None
         self.probs = {}
         for key, p in probs.items():
             if p < 0:
@@ -101,6 +112,10 @@ class DeltaTable:
 
     def __contains__(self, key):
         return key in self.probs
+
+    def _take_fit(self):
+        fit, self._fit = self._fit, None
+        return fit
 
 
 class Chart:
@@ -472,11 +487,16 @@ def backward(x, y, delta, params):
 
 
 def em_train(pairs, params, history=None):
-    """EM over the joint likelihood of all admissible monotone alignments."""
+    """EM over the joint likelihood of all admissible monotone alignments.
+    The DeltaTable returned keeps the fit that _align_each decodes on: the
+    pairs' lattices as EM trimmed them, their spans and the kept pairs."""
     keys = {}
     moves = params.moves()
     lattices = [_m2m_edges(p.source, p.target, moves, keys, live=True) for p in pairs]
-    return _em(lattices, list(keys), params, history)[0]
+    spans = list(keys)
+    delta, kept = _em(lattices, spans, params, history)
+    delta._fit = (lattices, spans, kept)
+    return delta
 
 
 def viterbi_nbest(x, y, delta, params, n):
@@ -484,28 +504,46 @@ def viterbi_nbest(x, y, delta, params, n):
 
     Ties break toward shorter source spans, then lexicographic target
     spans, compared link by link from the start of the path.  Returns
-    fewer than n alignments when fewer paths exist.
+    fewer than n alignments when fewer paths exist.  The public view: it
+    builds the pair's whole grid itself, where alignment decodes on the
+    lattices EM trimmed, with the same results.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     keys = {}
     lattice = _m2m_edges(x, y, params.moves(), keys)
-    ties = [((len(s), u, s),) for s, u in keys]
-    logd = [delta.logp(*key) for key in keys]
-    return _viterbi(lattice, logd, list(keys), ties, n)
+    spans = list(keys)
+    logd = [delta.logp(*key) for key in spans]
+    return _viterbi(lattice, logd, spans, _m2m_ties(spans), n)
+
+
+def _m2m_ties(spans):
+    return [((len(s), u, s),) for s, u in spans]
+
+
+def _decode_kept(lattices, kept, delta, spans, ties):
+    """The 1-best alignment of each kept pair, decoded on its lattice as EM
+    left it, with log δ by key id.  A kept pair with no path left under δ
+    is excluded with a warning."""
+    logd = [delta.logp(*key) for key in spans]
+    alignments = []
+    for idx in kept:
+        best = _viterbi(lattices[idx], logd, spans, ties, 1)
+        if not best:
+            log.warning("pair %d cannot be decoded; excluded", idx)
+            continue
+        alignments.append(best[0])
+    return alignments
 
 
 def _align_each(pairs, params):
-    """EM, then each pair's 1-best alignment.  A pair with none has no path
-    in its lattice, so EM has already excluded it with a warning; it is
-    dropped here without another."""
+    """EM, then each pair's 1-best alignment, decoded on the lattice EM
+    trimmed (taken off em_train's table, so the lattices go when this
+    returns).  A pair with no path in its lattice is excluded by EM with
+    a warning."""
     delta = em_train(pairs, params)
-    alignments = []
-    for pair in pairs:
-        best = viterbi_nbest(pair.source, pair.target, delta, params, 1)
-        if best:
-            alignments.append(best[0])
-    return alignments
+    lattices, spans, kept = delta._take_fit()
+    return _decode_kept(lattices, kept, delta, spans, _m2m_ties(spans))
 
 
 def baseline_align(pairs, params=None):
@@ -574,16 +612,8 @@ def precision_align(pairs, p1=None):
     lattices = [_merge_edges(p.source, p.target, keys, live=True) for p in padded]
     spans = list(keys)
     delta, active = _em(lattices, spans, p1, run="merge pass 2")
-    logd = [delta.logp(*key) for key in keys]
-    ties = [()] * len(keys)  # full ties keep edge order: fewest merges
-    alignments = []
-    for idx in active:
-        best = _viterbi(lattices[idx], logd, spans, ties, 1)
-        if not best:
-            log.warning("pair %d cannot be decoded in pass 2; excluded", idx)
-            continue
-        alignments.append(best[0])
-    return alignments
+    ties = [()] * len(spans)  # full ties keep edge order: fewest merges
+    return _decode_kept(lattices, active, delta, spans, ties)
 
 
 LINK_SEP = "}"

@@ -3,8 +3,13 @@ library functions by looking them up by name.  A refactor that drops or
 renames one of them must fail here, not in a traced benchmark run."""
 
 import importlib.util
+import logging
 import sys
 from pathlib import Path
+
+from chartrans import aligner
+
+from toytask import lexicon_task
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,3 +39,30 @@ def test_every_traced_and_timed_name_is_still_defined():
     ]
     assert len(targets) > 25
     assert missing == []
+
+
+def test_em_train_keeps_the_tracers_contract(monkeypatch, caplog):
+    # the tracer replaces aligner.em_train by a wrapper that passes its own
+    # history and reads len() of the table returned as the δ entry count;
+    # align must go through it and decode as it does unwrapped
+    _, pairs, _ = lexicon_task(7, 400, 30, 1)
+    aligns = (aligner.baseline_align, aligner.precision_align)
+    unwrapped = [align(pairs) for align in aligns]
+    em_train = aligner.em_train
+    calls = []
+
+    def counted_em_train(pairs, params, history=None):
+        history = [] if history is None else history
+        delta = em_train(pairs, params, history)
+        calls.append((len(history), len(delta)))
+        return delta
+
+    monkeypatch.setattr(aligner, "em_train", counted_em_train)
+    for align, want in zip(aligns, unwrapped):
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="chartrans.aligner"):
+            assert align(pairs) == want
+        m2m = [r.args for r in caplog.records
+               if r.msg.startswith("EM iteration") and "(m2m " in r.getMessage()]
+        assert calls == [(len(m2m), m2m[-1][3])]

@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 
 import chartrans
 from chartrans import aligner
-from chartrans.aligner import ONE_TO_ONE, AlignParams, DeltaTable, em_train, forward
+from chartrans.aligner import (
+    ONE_TO_ONE,
+    AlignParams,
+    DeltaTable,
+    baseline_align,
+    em_train,
+    forward,
+    pass1_align,
+    viterbi_nbest,
+)
 from chartrans.core import NULL, TrainingPair
 
 from toytask import lexicon_task
@@ -252,6 +261,96 @@ def test_pass2_decode_over_trimmed_lattices_matches_fresh_lattices():
         best = aligner._viterbi(trimmed[idx], logd, spans, ties, 5)
         assert best
         assert best == aligner._viterbi(fresh[idx], logd, spans, ties, 5)
+
+
+def _m2m_decode_matches_fresh_grid(pairs, params):
+    """_viterbi at n = 5 on the lattices em_train trimmed gives each kept
+    pair the n-best viterbi_nbest gives on a fresh grid; an excluded pair
+    has none there.  Returns the (trimmed, fresh) edge counts of the kept
+    pairs."""
+    delta = em_train(pairs, params)
+    lattices, spans, kept = delta._take_fit()
+    assert delta._take_fit() is None
+    logd = [delta.logp(*key) for key in spans]
+    ties = aligner._m2m_ties(spans)
+    trimmed = fresh = 0
+    for idx, pair in enumerate(pairs):
+        want = viterbi_nbest(pair.source, pair.target, delta, params, 5)
+        if idx not in kept:
+            assert want == []
+            continue
+        assert want
+        assert aligner._viterbi(lattices[idx], logd, spans, ties, 5) == want
+        trimmed += len(lattices[idx].edges)
+        grid = aligner._m2m_edges(pair.source, pair.target, params.moves(), {})
+        fresh += len(grid.edges)
+    return trimmed, fresh
+
+
+def _rebuilt_alignments(pairs, params):
+    """The alignments of EM, then viterbi_nbest's 1-best of each pair on a
+    fresh grid: what _align_each decodes, with every lattice built twice."""
+    delta = em_train(pairs, params)
+    best = [viterbi_nbest(p.source, p.target, delta, params, 1) for p in pairs]
+    return [b[0] for b in best if b]
+
+
+def _padded(alignments):
+    return [
+        TrainingPair(
+            tuple(link.source[0] if link.source else NULL for link in a.links),
+            tuple(link.target[0] if link.target else NULL for link in a.links),
+        )
+        for a in alignments
+    ]
+
+
+def _align_matches_rebuilt_decode(pairs):
+    for params in (TWO_TWO, ONE_TO_ONE):
+        assert baseline_align(pairs, params) == _rebuilt_alignments(pairs, params)
+    assert pass1_align(pairs) == _padded(_rebuilt_alignments(pairs, ONE_TO_ONE))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from([TWO_TWO, ONE_TO_ONE]), pair_sets)
+@example(TWO_TWO, ZEROING_TWO_TWO)
+@example(ONE_TO_ONE, ZEROING_ONE_TO_ONE)
+def test_m2m_decode_over_trimmed_lattices_matches_fresh_grid(params, pairs):
+    _m2m_decode_matches_fresh_grid(pairs, params)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(pair_sets)
+@example(ZEROING_TWO_TWO)
+@example(ZEROING_ONE_TO_ONE)
+def test_align_matches_em_then_rebuilt_viterbi(pairs):
+    _align_matches_rebuilt_decode(pairs)
+
+
+def test_lexicon_align_decodes_trimmed_lattices_as_fresh_grids():
+    _, pairs, _ = lexicon_task(7, 400, 60, 1)
+    trimmed, fresh = _m2m_decode_matches_fresh_grid(pairs, TWO_TWO)
+    assert trimmed < fresh
+    # with nulls on either side every 1-1 grid edge is on some path, and
+    # on these pairs none loses its weight; ZEROING_ONE_TO_ONE trims 1-1
+    _m2m_decode_matches_fresh_grid(pairs, ONE_TO_ONE)
+    _align_matches_rebuilt_decode(pairs)
+
+
+def test_align_builds_each_pairs_m2m_lattice_once(monkeypatch):
+    _, pairs, _ = lexicon_task(7, 400, 30, 1)
+    built = []
+    m2m_edges = aligner._m2m_edges
+
+    def counted(*args, **kwargs):
+        built.append(args[:2])
+        return m2m_edges(*args, **kwargs)
+
+    monkeypatch.setattr(aligner, "_m2m_edges", counted)
+    for align in (aligner.baseline_align, aligner.precision_align):
+        built.clear()
+        assert len(align(pairs)) == len(pairs)
+        assert built == [(p.source, p.target) for p in pairs]
 
 
 @pytest.mark.parametrize("disable_precision", ["false", "true"])
