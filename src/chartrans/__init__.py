@@ -45,7 +45,6 @@ from .transducer import (
     TrainConfig,
     decode_nbest,
     extract_rules,
-    featurize_step,
     loss,
     mira_update,
     train,

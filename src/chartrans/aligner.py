@@ -177,8 +177,7 @@ class Lattice:
     up to three orders, each built once per lattice.  `edges` holds (from
     node, to node, key id) grouped by ascending to node, for the forward
     pass and Viterbi.  `out` is the reversed lattice the backward pass
-    runs on: (to node, from node, key id) grouped by descending from node,
-    built on first read, so a lattice only decoded never builds it.
+    runs on: (to node, from node, key id) grouped by descending from node.
     `gamma` is the order in which the E-step adds expected counts: `edges`
     itself, or its triples grouped from the goal down.  Flat ints keep a
     training set's edges small enough to cache across EM iterations.
@@ -194,13 +193,7 @@ class Lattice:
     nodes: int
     edges: array
     gamma: array
-    _out: array = None
-
-    @property
-    def out(self):
-        if self._out is None:
-            self._out = _regroup(self.edges, 0, (1, 0, 2))
-        return self._out
+    out: array
 
 
 def _triples(edges):
@@ -237,40 +230,38 @@ def _regroup(edges, field, layout):
     return out
 
 
+def _kept(edges, keep):
+    return array("i", chain.from_iterable(compress(_triples(edges), keep)))
+
+
 def _lattice(nodes, edges, gamma_from_goal=False, live=False):
-    """A Lattice over edges grouped by ascending to node.  With live, only
-    the edges on some start→goal path are kept, whatever δ is."""
-    lattice = Lattice(nodes, edges, edges)
+    """A Lattice over edges grouped by ascending to node, with its other
+    orders built from them.  With live, only the edges on some start→goal
+    path are kept, whatever δ is."""
     if live:
-        _trim(lattice, *_reach(nodes, edges))
-    if gamma_from_goal:
-        lattice.gamma = _regroup(lattice.edges, 1, (0, 1, 2))
-    return lattice
+        alpha, beta = _reach(nodes, edges)
+        edges = _kept(edges, [alpha[src] + beta[dst] != NEG_INF
+                              for src, dst, _ in _triples(edges)])
+    gamma = _regroup(edges, 1, (0, 1, 2)) if gamma_from_goal else edges
+    return Lattice(nodes, edges, gamma, _regroup(edges, 0, (1, 0, 2)))
 
 
-def _trim(lattice, alpha, beta, logd=None):
+def _trim(lattice, alpha, beta, logd):
     """Cut the lattice down, in place, to the edges with finite alpha at
-    their from node, logd (when given) and beta at their to node: those on
-    a start→goal path of nonzero weight, the only edges whose terms add to
-    a finite alpha or beta, to gamma or to a _viterbi path.  The same cut
-    serves the build-time live trim (_reach's alpha and beta, no logd) and
-    each E-step.  Only edges go; node ids stay the grid's, and `out` is cut
-    only if it has been built."""
+    their from node, logd and beta at their to node: those on a start→goal
+    path of nonzero weight, the only edges whose terms add to a finite
+    alpha or beta, to gamma or to a _viterbi path.  Only edges go; node ids
+    stay the grid's."""
 
     def cut(edges, triples):
-        if logd is None:
-            keep = [alpha[src] + beta[dst] != NEG_INF for src, dst, _ in triples]
-        else:
-            keep = [alpha[src] + logd[key] + beta[dst] != NEG_INF
-                    for src, dst, key in triples]
-        edges[:] = array("i", chain.from_iterable(compress(_triples(edges), keep)))
+        edges[:] = _kept(edges, [alpha[src] + logd[key] + beta[dst] != NEG_INF
+                                 for src, dst, key in triples])
 
     if lattice.gamma is not lattice.edges:
         cut(lattice.gamma, _triples(lattice.gamma))
     cut(lattice.edges, _triples(lattice.edges))
-    out = lattice._out  # (to, from, key) triples
-    if out is not None:
-        cut(out, zip(out[1::3], out[0::3], out[2::3]))
+    out = lattice.out  # (to, from, key) triples
+    cut(out, zip(out[1::3], out[0::3], out[2::3]))
 
 
 def _m2m_edges(x, y, moves, keys, live=False):

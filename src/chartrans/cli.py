@@ -328,17 +328,21 @@ def cmd_decode(cfg, input_path=None, output_path=None):
 
 def read_nbest(path):
     """Group n-best lines back into per-source candidate lists, in file
-    order; a rank of 0 or 1 starts a new block."""
-    blocks = []
+    order.  A rank of 0 (no candidates) or 1 opens a block; any other rank
+    must be one more than the previous line's, for the same source."""
+    blocks, prev = [], None  # prev: (source, rank) of the previous line
 
     def parse(line):
+        nonlocal prev
         src, rank, output, _score = line.split("\t")
-        rank = int(rank)
-        if rank <= 1:
-            blocks.append((tuple(src.split()), []))
-        elif not blocks:
-            raise ValueError(f"rank {rank} before any rank 1")
-        if rank >= 1:
+        src, rank = tuple(src.split()), int(rank)
+        if rank in (0, 1):
+            blocks.append((src, []))
+        elif prev != (src, rank - 1):
+            raise ValueError(f"rank {rank} of {' '.join(src)!r} neither opens a block "
+                             f"(rank 0 or 1) nor follows its rank {rank - 1}")
+        prev = (src, rank)
+        if rank:
             blocks[-1][1].append(tuple(output.split()) if output else ())
 
     _parse(path, lambda text: core.parse_lines(text, parse))

@@ -6,29 +6,28 @@ step with sparse indicator features: the rule itself, source context
 n-grams around the application point, target n-grams of the growing
 output, joint rule n-grams, a copy indicator, and (when corpus resources
 are attached) cumulative language-model and frequency bin features
-computed on the output prefix.  One step function, _step, computes a
-step's features and advances the derivation state (output, rules, recent
-rule pairs, running LM sum, LM history tail, trie node); derivation_features
-and featurize_step go through it.  It is three parts, each reading less
-than the last: the rule part (R, C) reads only the position and rule, the
-history part (T, J, COPY) only the beam's merge state and the rule, the
-corpus part (LMB, FQB) the output's length and the LM sum, tail and trie
-node the state carries.  The corpus part moves the LM sum and tail over
-the rule's target through the LM memo (CharLM.advance), walks the trie
-node over it, and picks its features from bin parts prebuilt per model
-(_CorpusScorer), one dict per (LM bin, frequency bin) pair.  The beam
-search calls the same parts but lists the source contexts (_contexts)
-once per position, scores the rule part once per (position, rule) in a
-table that lives for one decode_nbest call, under that call's weights,
-and reads the history part from the model's memo, which holds it once
-per merge state and rule under no weights at all; _dot is a left fold,
-so continuing those partial sums gives the bits of scoring each step
-from scratch.  Candidates keep their hypothesis's trail
-of feature parts and sum it only when their features are read.  Training
-is online large-margin (MIRA) against the k-best list, with optional
-weight averaging; MIRA reads each candidate's trail part by part,
-subtracting it from the gold features, so training sums only the gold
-derivations.
+computed on the output prefix.  A step's features are three parts, each
+reading less than the last, and three builders are the only way a step is
+scored: the rule part (R, C; _rule_features) reads only the position and
+rule, the history part (T, J, COPY; _history_features, memoised on the
+model) only the beam's merge state and the rule, and the corpus part
+(LMB, FQB; _CorpusScorer.step) the output's length and the LM sum, tail
+and trie node the derivation carries.  The corpus part moves the LM sum
+and tail over the rule's target through the LM memo (CharLM.advance),
+walks the trie node over it, and picks its features from bin parts
+prebuilt per model, one dict per (LM bin, frequency bin) pair.  Two
+callers string the parts together: decode_nbest, which lists the source
+contexts (_contexts) once per position, scores the rule part once per
+(position, rule) in a table that lives for one call, under that call's
+weights, and continues those partial sums (_dot is a left fold, so that
+gives the bits of scoring each step from scratch); and _derivation_parts,
+which walks one given derivation, such as a gold one, and builds each
+step's parts as the beam builds them.  Candidates keep their hypothesis's
+trail of feature parts and sum it only when their features are read.
+Training is online large-margin (MIRA) against the k-best list, with
+optional weight averaging; MIRA reads each candidate's trail part by
+part, subtracting it from the gold features, so training sums only the
+gold derivations.
 
 A Model is frozen and builds its rule index and _CorpusScorer once;
 training updates its weights in place.
@@ -50,7 +49,8 @@ import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 
-from .charlm import EOS, extend_score, history_tail, lm_bin_features, BinConfig
+from .charlm import EOS, history_tail, lm_bin_features, BinConfig
+from .charlm import extend_score  # noqa: F401  unused: perfbench traces it by this name
 from .core import TrainingPair, check_fields, parse_lines, reading, word_accuracy
 from .freqtrie import FreqBinConfig, freq_bin_features, walk
 
@@ -103,11 +103,12 @@ class TrainConfig:
 class Candidate:
     """An n-best entry: output, derivation, score and summed features.
 
-    decode_nbest hands over the trail of feature parts its hypothesis
-    carried instead of the features; they are summed, as _summed sums
-    them, the first time features is read, so a caller that reads only
-    outputs and scores never sums them.  mira_update reads the parts
-    themselves (_parts), so training sums no decoded candidate either."""
+    decode_nbest hands over the trail of feature parts (per step, its rule,
+    history and corpus parts) its hypothesis carried instead of the
+    features; they are summed, as _summed sums them, the first time
+    features is read, so a caller that reads only outputs and scores never
+    sums them.  mira_update reads the parts themselves (_parts), so
+    training sums no decoded candidate either."""
 
     __slots__ = ("output", "derivation", "score", "_features", "_trail")
 
@@ -242,16 +243,6 @@ def extract_rules(alignments):
     return frozenset(rules), golds
 
 
-def _state(model, out=(), rules=()):
-    """Derivation state after emitting out through rules: (output, rules,
-    (source, target) pairs of the last joint_order - 1 rules, then the
-    corpus state of _CorpusScorer.start).  Built from the output from
-    scratch; _step carries the corpus state on instead."""
-    j_keep = model.config.joint_order - 1
-    recent = tuple((r.source, r.target) for r in rules[-j_keep:]) if j_keep else ()
-    return (out, rules, recent, *model.scorer.start(out))
-
-
 def _contexts(x, pos, cfg):
     """The (offset, source n-gram) pairs the C features at pos name, by
     offset, then length: each n-gram of up to max_source_ngram symbols
@@ -299,15 +290,6 @@ def _history_features(head, recent, rule, model):
     return feats, (tail[-cfg.target_order:], seq[-j_keep:] if j_keep else ())
 
 
-def _history_row(model, head, recent):
-    """The model's history memo row of merge state (head, recent): a dict
-    from (rule source, rule target) to _history_features of that rule."""
-    row = model.history.get((head, recent))
-    if row is None:
-        row = model.history[head, recent] = {}
-    return row
-
-
 _END = (EOS,)
 
 
@@ -324,7 +306,9 @@ class _CorpusScorer:
     definition of what fires; a step picks its run by threshold index.
     The LMB and FQB runs of a step are merged into one dict, cached per
     (LM index, frequency index) pair.  The parts are keyed by the model's
-    feature ids.  The dicts are shared: read them, never change them."""
+    feature ids.  The dicts are shared: read them, never change them.
+    start is the corpus state every derivation begins in, the empty
+    output's: (LM sum 0.0, LM history tail or None, trie root or None)."""
 
     def __init__(self, model):
         ids = model.alphabet
@@ -351,19 +335,8 @@ class _CorpusScorer:
                 for count in (bins.thresholds[0] / 2, *bins.thresholds, 0)
             ]
         self._merged = {}
-
-    def start(self, out):
-        """(running log10 LM sum of out's transitions, LM history tail of
-        out, trie node out reaches or None) of an output emitted from
-        scratch; the sum is 0.0 and the tail None without the LM, and the
-        node None without the trie."""
-        lm_sum, tail, node = 0.0, None, None
-        if self.lm is not None:
-            lm_sum = extend_score(self.lm, 0.0, (), out)[0]
-            tail = history_tail(self.lm, out)
-        if self.trie is not None:
-            node = walk(self.trie, out)
-        return lm_sum, tail, node
+        tail = history_tail(self.lm, ()) if self.lm is not None else None
+        self.start = (0.0, tail, self.trie)
 
     def step(self, n_out, target, lm_sum, tail, node, final):
         """(LMB and FQB features, new LM sum, new LM tail, new trie node)
@@ -395,40 +368,6 @@ class _CorpusScorer:
         return feats, lm_sum, tail, node
 
 
-def _step(x, pos, rule, state, model):
-    """(features, new state) for applying rule at pos to state.
-
-    The one place a derivation advances.  The features are the rule,
-    history and corpus parts merged in that order (R, C..., T..., J...,
-    COPY, LMB..., FQB...; no key occurs in two parts); decode_nbest calls
-    the same three parts, caching the first and reading the second from
-    the same memo.
-    """
-    out, rules, recent, lm_sum, tail, node = state
-    feats = _rule_features(_contexts(x, pos, model.config), rule, model)
-    head = out[-model.config.target_order:]
-    row, pair = _history_row(model, head, recent), (rule.source, rule.target)
-    part = row.get(pair)
-    if part is None:
-        part = row[pair] = _history_features(head, recent, rule, model)
-    history, (_, recent) = part
-    final = pos + len(rule.source) == len(x)
-    corpus, lm_sum, tail, node = model.scorer.step(
-        len(out), rule.target, lm_sum, tail, node, final
-    )
-    feats.update(history)
-    feats.update(corpus)
-    return feats, (out + rule.target, rules + (rule,), recent, lm_sum, tail, node)
-
-
-def featurize_step(x, pos, rule, target_so_far, prev_rules, model):
-    """Feature vector for applying rule at pos, keyed by feature id
-    (model.alphabet.names[id] is the name); see _step."""
-    state = _state(model, tuple(target_so_far), tuple(prev_rules))
-    feats, _ = _step(tuple(x), pos, rule, state, model)
-    return feats
-
-
 def _dot(weights, feats, total=0):
     """total plus the weighted features, added one key at a time in order.
     A left fold, so _dot(w, b, _dot(w, a)) is _dot(w, a | b) bit for bit
@@ -448,17 +387,39 @@ def _summed(parts):
     return feats
 
 
-def derivation_features(x, derivation, model):
-    """(Summed step features of a full derivation, keyed by feature id,
-    output)."""
-    state, steps, pos = _state(model), [], 0
+def _derivation_parts(x, derivation, model):
+    """(Feature parts of derivation applied to x, output): per step, the
+    rule, history and corpus parts, first step first, each built as
+    decode_nbest builds it (the rule part from the position's source
+    contexts, the history part read from or added to the model's memo, the
+    corpus part from the LM sum, tail and trie node carried on), so they
+    equal a decoded candidate's trail part by part (Candidate._parts)."""
+    cfg, corpus_step = model.config, model.scorer.step
+    parts, out, pos, merge = [], (), 0, ((), ())
+    lm_sum, tail, node = model.scorer.start
     for rule in derivation:
-        feats, state = _step(x, pos, rule, state, model)
-        steps.append(feats)
-        pos += len(rule.source)
+        row, pair = model.history.setdefault(merge, {}), (rule.source, rule.target)
+        part = row.get(pair)
+        if part is None:
+            part = row[pair] = _history_features(*merge, rule, model)
+        history, merge = part
+        end = pos + len(rule.source)
+        corpus, lm_sum, tail, node = corpus_step(
+            len(out), rule.target, lm_sum, tail, node, end == len(x)
+        )
+        parts += (_rule_features(_contexts(x, pos, cfg), rule, model), history, corpus)
+        out += rule.target
+        pos = end
     if pos != len(x):
         raise ValueError("derivation does not tile the source")
-    return _summed(steps), state[0]
+    return parts, out
+
+
+def derivation_features(x, derivation, model):
+    """(Summed step features of a full derivation, keyed by feature id,
+    output): _derivation_parts summed as a decoded candidate's trail is."""
+    parts, out = _derivation_parts(x, derivation, model)
+    return _summed(parts), out
 
 
 def gold_candidate(x, derivation, model):
@@ -469,7 +430,7 @@ def gold_candidate(x, derivation, model):
 def _order_key(item):
     """Beam order: score descending, then output, then rules (Rule orders
     as its (source, target) pair)."""
-    score, (out, rules, _, _, _, _), _ = item
+    score, (out, rules, _, _, _), _ = item
     return (-score, out, rules)
 
 
@@ -486,17 +447,19 @@ def decode_nbest(x, model, beam_width, n):
     features disabled and a beam at least the state count the result
     matches exhaustive enumeration.
 
-    Each part of a step is scored where it is first known: the rule part
-    once per (position, rule), from the position's source contexts listed
-    once, in a table that lives for this call only, under this call's
-    weights; the history part once per (state, rule), built once per
-    model in its history memo; the corpus part per hypothesis, from the LM
-    sum, tail and trie node it carries.  _dot is a left fold over keys in
-    part order, so continuing the table's partial sums gives the step
-    score bit for bit.  A candidate's features are the trail of parts its
-    hypothesis carried, summed as derivation_features sums them when
-    first read, so no derivation is scored twice and none is summed unless
-    asked for; mira_update reads the trail without summing it.
+    Each step is scored from its three parts, each where it is first
+    known: the rule part once per (position, rule), from the position's
+    source contexts listed once, in a table that lives for this call only,
+    under this call's weights; the history part once per (state, rule),
+    built once per model in its history memo; the corpus part per
+    hypothesis, from the LM sum, tail and trie node it carries, starting
+    at the scorer's start.  _dot is a left fold over keys in part order,
+    so continuing the table's partial sums gives the step score bit for
+    bit.  A candidate's features are the trail of parts its hypothesis
+    carried, the parts _derivation_parts builds for its derivation, summed
+    as derivation_features sums them when first read, so no derivation is
+    scored twice and none is summed unless asked for; mira_update reads
+    the trail without summing it.
     """
     if n < 1 or beam_width < n:
         raise ValueError("need beam >= n >= 1")
@@ -508,9 +471,10 @@ def decode_nbest(x, model, beam_width, n):
 
     # beams[t]: merge state (last target_order output symbols, recent rule
     # pairs) -> {output: (score, state, trail)}, so equal-output items in
-    # one state collapse.
+    # one state collapse; state is (output, rules, LM sum, LM tail, trie
+    # node).
     beams = [{} for _ in range(len(x) + 1)]
-    beams[0][((), ())] = {(): (0.0, _state(model), None)}
+    beams[0][((), ())] = {(): (0.0, ((), (), *model.scorer.start), None)}
 
     for t in range(len(x)):
         if not beams[t]:
@@ -534,7 +498,7 @@ def decode_nbest(x, model, beam_width, n):
                           _dot(weights, static), end, end == len(x)))
         for (head, recent), items in ranked:
             # Every item of a state shares what the history part reads.
-            row = _history_row(model, head, recent)
+            row = model.history.setdefault((head, recent), {})
             for rule, pair, static, static_dot, end, final in table:
                 part = row.get(pair)
                 if part is None:
@@ -542,7 +506,7 @@ def decode_nbest(x, model, beam_width, n):
                 history, merge = part
                 partial = _dot(weights, history, static_dot)
                 group = beams[end].setdefault(merge, {})
-                for score, (out, rules, _, lm_sum, tail, node), trail in items:
+                for score, (out, rules, lm_sum, tail, node), trail in items:
                     corpus, new_sum, new_tail, new_node = corpus_step(
                         len(out), rule.target, lm_sum, tail, node, final
                     )
@@ -556,8 +520,7 @@ def decode_nbest(x, model, beam_width, n):
                         continue
                     group[new_out] = (
                         total,
-                        (new_out, rules + (rule,), merge[1], new_sum, new_tail,
-                         new_node),
+                        (new_out, rules + (rule,), new_sum, new_tail, new_node),
                         (trail, static, history, corpus),
                     )
     finals = {}
@@ -569,7 +532,7 @@ def decode_nbest(x, model, beam_width, n):
     ranked = sorted(finals.values(), key=_order_key)[:n]
     return [
         Candidate(output, rules, score, trail=trail)
-        for score, (output, rules, _, _, _, _), trail in ranked
+        for score, (output, rules, _, _, _), trail in ranked
     ]
 
 

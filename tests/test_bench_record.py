@@ -1,12 +1,13 @@
 """tools/bench_record.py: per-workload medians over the seeds run, with
 each seed's values and hashes, from the untraced result files, and their
-ratios to the newest earlier record."""
+ratios to the newest earlier record, and the line count of src/chartrans."""
 
 import importlib.util
 import json
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_record.py"
 
 
 def _tool():
@@ -93,3 +94,19 @@ def test_medians_are_compared_with_the_newest_earlier_record(tmp_path, capsys):
         (tmp_path / f"BENCH_{pr}.json").unlink()
     assert _tool().main(args) == 0
     assert capsys.readouterr().out.splitlines()[1:] == []
+
+
+def test_record_holds_the_source_line_count_beside_the_earlier_one(tmp_path, capsys):
+    _result(tmp_path, "lexicon-2x2", 1, 10.0)
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in (ROOT / "src" / "chartrans").glob("*.py"))
+    (tmp_path / "BENCH_6.json").write_text(
+        json.dumps({"pr": 6, "src_lines": 3000, "workloads": {}}), encoding="utf-8")
+    args = ["--pr", "7", "--results", str(tmp_path), "--out-dir", str(tmp_path)]
+    assert _tool().main(args) == 0
+    record = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
+    assert record["src_lines"] == lines > 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "medians against BENCH_6.json (new / earlier = ratio):",
+        f"src_lines: {lines} (BENCH_6.json: 3000)",
+    ]

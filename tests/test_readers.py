@@ -38,6 +38,13 @@ MALFORMED = [
                  "reserved null token", id="decode-input"),
     pytest.param(cli.read_nbest, "a\t1\tx\t0.5\na\ttwo\ty\t0.2\n", 2,
                  "invalid literal for int()", id="nbest"),
+    pytest.param(cli.read_nbest, "a b\t1\tx\t0.5\na b\t3\ty\t0.2\n", 2,
+                 "rank 3 of 'a b' neither opens a block", id="nbest-rank-gap"),
+    pytest.param(cli.read_nbest, "a\t1\tx\t0.5\nc\t-2\tz\t0.1\n", 2,
+                 "rank -2 of 'c' neither opens a block", id="nbest-negative-rank"),
+    # d's rank 2 would otherwise join c's block and be scored against c
+    pytest.param(cli.read_nbest, "c\t0\t\tNaN\nd\t2\tq\t0.5\n", 2,
+                 "rank 2 of 'd' neither opens a block", id="nbest-foreign-source"),
     pytest.param(load_model, MODEL + '#lmbins\t{"mu": 0, "sigma": 1}\n', 2,
                  "bad model line: 'thresholds'", id="model-lmbins"),
     pytest.param(load_model, MODEL + '#features\t{"no_such_feature": 1}\n', 2,

@@ -29,15 +29,13 @@ from chartrans.transducer import (
     Model,
     Rule,
     TrainConfig,
+    _derivation_parts,
     _dot,
     _history_features,
     _loss_bound,
-    _state,
-    _step,
     decode_nbest,
     derivation_features,
     extract_rules,
-    featurize_step,
     format_nbest,
     gold_candidate,
     load_model,
@@ -81,6 +79,23 @@ def by_name(model, feats):
     return {model.alphabet.names[k]: v for k, v in feats.items()}
 
 
+def word_features(x, rule, model):
+    """The features of rule applied to all of x, a one-step word."""
+    return derivation_features(x, (rule,), model)[0]
+
+
+def step_features(x, pos, rule, model):
+    """The features of applying rule at pos, a step inside x: that step's
+    rule, history and corpus parts from _derivation_parts, merged in order,
+    with identity rules Rule((s,), (s,)) over the rest of x."""
+    def identities(span):
+        return tuple(Rule((s,), (s,)) for s in span)
+
+    derivation = identities(x[:pos]) + (rule,) + identities(x[pos + len(rule.source):])
+    parts, _ = _derivation_parts(x, derivation, model)
+    return {k: v for part in parts[3 * pos : 3 * pos + 3] for k, v in part.items()}
+
+
 def test_extract_rules_from_links():
     alignment = Alignment(
         links=(
@@ -114,9 +129,9 @@ def test_extract_rules_rejects_insertion_links():
 
 def test_copy_feature_fires_on_identity_rule():
     model = plain_model({Rule(("a",), ("a",))})
-    feats = featurize_step(("a",), 0, Rule(("a",), ("a",)), (), (), model)
+    feats = word_features(("a",), Rule(("a",), ("a",)), model)
     assert ("COPY",) in by_name(model, feats)
-    feats2 = featurize_step(("a",), 0, Rule(("a",), ("b",)), (), (), model)
+    feats2 = word_features(("a",), Rule(("a",), ("b",)), model)
     assert ("COPY",) not in by_name(model, feats2)
 
 
@@ -126,7 +141,7 @@ def test_minimal_config_feature_set():
         context_window=0, max_source_ngram=1, target_order=1, joint_order=1,
     )
     rule = Rule(("a",), ("x",))
-    feats = featurize_step(("a", "b"), 0, rule, (), (), model)
+    feats = step_features(("a", "b"), 0, rule, model)
     assert set(by_name(model, feats)) == {
         ("R", ("a",), ("x",)),
         ("C", 0, ("a",), ("a",), ("x",)),
@@ -140,7 +155,7 @@ def test_context_window_spans():
         {Rule(("b",), ("y",))}, context_window=1, max_source_ngram=2
     )
     rule = Rule(("b",), ("y",))
-    feats = featurize_step(("a", "b", "c"), 1, rule, (), (), model)
+    feats = step_features(("a", "b", "c"), 1, rule, model)
     context_keys = {k for k in by_name(model, feats) if k[0] == "C"}
     assert context_keys == {
         ("C", -1, ("a",), ("b",), ("y",)),
@@ -176,10 +191,9 @@ def test_rule_part_names_are_the_window_loop(x, data, window, ngram):
     pos = data.draw(st.integers(0, len(x) - 1))
     span = data.draw(st.integers(1, len(x) - pos))
     target = data.draw(st.lists(st.sampled_from("xy"), max_size=2).map(tuple))
-    so_far = data.draw(st.lists(st.sampled_from("xy"), max_size=3).map(tuple))
     rule = Rule(x[pos : pos + span], target)
     model = plain_model({rule}, context_window=window, max_source_ngram=ngram)
-    feats = featurize_step(x, pos, rule, so_far, (), model)
+    feats = step_features(x, pos, rule, model)
     rule_part = [k for k in by_name(model, feats) if k[0] in ("R", "C")]
     assert rule_part == _rule_part_reference(x, pos, rule, model.config)
     assert list(by_name(model, feats))[: len(rule_part)] == rule_part
@@ -195,7 +209,7 @@ def test_lm_bins_in_feature_vector():
         config=FeatureConfig(freq_features=False),
         lm=lm, lm_bins=bins,
     )
-    feats = featurize_step(("a", "b"), 0, Rule(("a",), ("x",)), (), (), model)
+    feats = step_features(("a", "b"), 0, Rule(("a",), ("x",)), model)
     lmb = {k for k in by_name(model, feats) if k[0] == "LMB"}
     assert lmb == {("LMB", 0), ("LMB", 1), ("LMB", 2)}
 
@@ -213,8 +227,8 @@ def test_corpus_features_only_add_keys():
     x = ("a", "b")
     rule = Rule(("a",), ("x",))
     # two models, two alphabets: compare the vectors by name
-    f_off = by_name(off, featurize_step(x, 0, rule, (), (), off))
-    f_on = by_name(on, featurize_step(x, 0, rule, (), (), on))
+    f_off = by_name(off, step_features(x, 0, rule, off))
+    f_on = by_name(on, step_features(x, 0, rule, on))
     assert set(f_off) <= set(f_on)
     extra = set(f_on) - set(f_off)
     assert extra and all(k[0] in ("LMB", "FQB") for k in extra)
@@ -231,10 +245,10 @@ def test_freq_bins_use_exact_count_on_final_step():
     )
     rule = Rule(("a",), ("x",))
     # final step: exact count of "x" is 7 -> only threshold 1 fires
-    final = by_name(model, featurize_step(("a",), 0, rule, (), (), model))
+    final = by_name(model, word_features(("a",), rule, model))
     assert {k for k in final if k[0] == "FQB"} == {("FQB", 0)}
     # non-final step: prefix count of "x" is 57 -> thresholds 1 and 10
-    mid = by_name(model, featurize_step(("a", "b"), 0, rule, (), (), model))
+    mid = by_name(model, step_features(("a", "b"), 0, rule, model))
     assert {k for k in mid if k[0] == "FQB"} == {("FQB", 0), ("FQB", 1)}
 
 
@@ -380,8 +394,7 @@ def test_incremental_corpus_state_matches_scratch_decode():
 
 def test_candidate_features_match_rescoring_with_corpus_features():
     # the beam search sums the step vectors it scored with; replaying the
-    # derivation must give the same vector, and featurize_step, which
-    # rebuilds the state from the prefix, the same vector at every step
+    # derivation must give the same vector
     lexicon, pairs, held = lexicon_task(31, lex_size=400, n_train=30, n_test=15)
     words = list(lexicon.counts)
     lm = train_charlm(words, 3)
@@ -398,13 +411,6 @@ def test_candidate_features_match_rescoring_with_corpus_features():
             feats, out = derivation_features(x, cand.derivation, model)
             assert out == cand.output
             assert list(cand.features.items()) == list(feats.items())
-            state, pos = _state(model), 0
-            for rule in cand.derivation:
-                target, prev = state[0], state[1]
-                step, state = _step(x, pos, rule, state, model)
-                scratch = featurize_step(x, pos, rule, target, prev, model)
-                assert list(scratch.items()) == list(step.items())
-                pos += len(rule.source)
             assert any(k[0] == "LMB" for k in by_name(model, feats))
             assert any(k[0] == "FQB" for k in by_name(model, feats))
             checked += 1
@@ -669,16 +675,33 @@ def corpus_model():
 
 def _folded_score(x, derivation, model):
     """The derivation's score as a left fold over its steps, each step's
-    features replayed through _step and weighted key by key: no table."""
-    state, pos, score = _state(model), 0, 0.0
-    for rule in derivation:
-        feats, state = _step(x, pos, rule, state, model)
+    three parts from _derivation_parts weighted key by key: no table."""
+    parts, _ = _derivation_parts(x, derivation, model)
+    score = 0.0
+    for step in range(0, len(parts), 3):
         step_score = 0
-        for k, v in feats.items():
-            step_score += model.weights.get(k, 0.0) * v
+        for part in parts[step : step + 3]:
+            for k, v in part.items():
+                step_score += model.weights.get(k, 0.0) * v
         score += step_score
-        pos += len(rule.source)
     return score
+
+
+def test_derivation_parts_are_the_beams_parts(corpus_model):
+    # the walker over a given derivation and the beam search build each
+    # step's rule, history and corpus parts alike, key order included
+    model, held = corpus_model
+    checked = 0
+    for inst in held:
+        for cand in decode_nbest(inst.source, model, 10, 5):
+            parts, out = _derivation_parts(inst.source, cand.derivation, model)
+            assert out == cand.output
+            want = cand._parts()
+            assert len(parts) == len(want) == 3 * len(cand.derivation)
+            for got, built in zip(parts, want):
+                assert list(got.items()) == list(built.items())
+            checked += 1
+    assert checked > len(held)
 
 
 def test_candidate_scores_are_step_folds(corpus_model):
@@ -726,6 +749,8 @@ def test_decode_after_mira_update_uses_new_weights(corpus_model):
 
 class _FixedLM:
     """Stands in for a CharLM: every advance lands on the sum it is set to."""
+
+    order = 2
 
     def __init__(self):
         self.sum = 0.0
@@ -779,6 +804,7 @@ def test_corpus_scorer_follows_replaced_resources():
     scorer = model.scorer
     low = dataclasses.replace(model, lm_bins=BinConfig((-50.0,), -50.0, 0.0))
     assert low.scorer is not scorer
+    assert low.scorer.start == (0.0, history_tail(lm, ()), None)
     feats = low.scorer.step(0, ("q",), 0.0, history_tail(lm, ()), None, False)[0]
     assert list(by_name(low, feats)) == [("LMB", 0)]
     assert model.scorer is scorer

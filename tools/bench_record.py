@@ -14,7 +14,9 @@ or results from more than one Python version or CPU count, are refused:
 such a record would compare unlike runs.  It then prints, per workload
 and metric, the ratio of each new median to the same median in the newest
 earlier record, the BENCH_<n>.json in the output directory with the
-highest n below <pr>.
+highest n below <pr>.  The record also holds src_lines, the total lines of
+src/chartrans/*.py in this checkout, printed beside the earlier record's
+when that has it too.
 """
 
 import argparse
@@ -57,6 +59,12 @@ def collect(results):
     return {"python": python, "nproc": nproc, "units": units, "workloads": workloads}
 
 
+def src_lines():
+    """The total lines of src/chartrans/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (ROOT / "src" / "chartrans").glob("*.py"))
+
+
 def earlier_record(out_dir, pr):
     """The path of the BENCH_<n>.json in out_dir with the highest n < pr,
     or None."""
@@ -94,15 +102,18 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    record = {"pr": args.pr, "src_lines": src_lines(), **record}
     out = args.out_dir / f"BENCH_{args.pr}.json"
-    out.write_text(json.dumps({"pr": args.pr, **record}, indent=1, sort_keys=True) + "\n",
-                   encoding="utf-8")
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     earlier = earlier_record(args.out_dir, args.pr)
     if earlier is not None:
+        old = json.loads(earlier.read_text(encoding="utf-8"))
         print(f"medians against {earlier.name} (new / earlier = ratio):")
-        for line in ratio_lines(record, json.loads(earlier.read_text(encoding="utf-8"))):
+        for line in ratio_lines(record, old):
             print(f"  {line}")
+        if "src_lines" in old:
+            print(f"src_lines: {record['src_lines']} ({earlier.name}: {old['src_lines']})")
     return 0
 
 
