@@ -1,8 +1,10 @@
 """Golden bytes: align -> train -> decode on a small lexicon task must keep
 writing exactly these files: for the full system (precision alignment,
 LM and frequency features), for it with frequency features off, and for
-the 2-2 baseline aligner with LM features off.  The LM cases also pin the
-LM cache that train writes beside the word list.  A change that is meant
+the 2-2 baseline aligner with LM features off.  The same full system on a
+small inflection task, with one copy instance, pins the tag symbols and
+the +COPY pair.  The LM cases also pin the LM cache that train writes
+beside the word list.  A change that is meant
 to alter them updates the hashes and says why."""
 
 import hashlib
@@ -11,7 +13,7 @@ import pytest
 
 from chartrans.cli import main
 
-from toytask import lexicon_task
+from toytask import inflection_task, lexicon_task
 
 # The LM cache is named by a hash of the word list and LM order.
 LM_CACHE = "words.txt.*.lm"
@@ -34,6 +36,12 @@ GOLDEN = {
         "model.txt": "db4b0856c7ab8eacf9faa2759c176354375550eeea8d6a4d22c10029ac230047",
         "nbest.txt": "fc8162b16176f4a92e6619b53ef54018eae5fb1a4f089484cb739a28964bfb5b",
     }),
+    "inflection": ("task = inflection\ncopy_instances = 1\n", {
+        "alignments.txt": "34acf8ec16a0d145ae8aa33013912b4bf3277b2a0d0d73e3cf01c666f809ae3e",
+        "model.txt": "aa6b479d6bc6cd7e361bf611e33780ddc4f6d7098ce853205fa46e5ae4904913",
+        "nbest.txt": "1a8b98d117f7bef8350e9a8738f763fbc9ed09026ef887bd1ba36be1ece606c9",
+        LM_CACHE: "cc568a0c518800ac75e46a4be62b1f5f1af8850356ae315a225b2312f5375fce",
+    }),
 }
 
 
@@ -50,14 +58,16 @@ def _text(seq):
     return " ".join(seq)
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_pipeline_output_bytes(tmp_path, monkeypatch, case):
-    extra, golden = GOLDEN[case]
-    lexicon, pairs, held = lexicon_task(11, lex_size=1500, n_train=60, n_test=60)
-    (tmp_path / "words.txt").write_text(
+def _write_words(path, lexicon):
+    path.write_text(
         "".join(f"{''.join(w)}\t{c}\n" for w, c in lexicon.counts.items()),
         encoding="utf-8",
     )
+
+
+def _write_lexicon_task(tmp_path):
+    lexicon, pairs, held = lexicon_task(11, lex_size=1500, n_train=60, n_test=60)
+    _write_words(tmp_path / "words.txt", lexicon)
     (tmp_path / "train.txt").write_text(
         "".join(f"{_text(p.source)}\t{_text(p.target)}\n" for p in pairs),
         encoding="utf-8",
@@ -69,6 +79,24 @@ def test_pipeline_output_bytes(tmp_path, monkeypatch, case):
         ),
         encoding="utf-8",
     )
+
+
+def _write_inflection_task(tmp_path):
+    lexicon, train, held = inflection_task(11, lex_size=300, n_train=60, n_test=60)
+    _write_words(tmp_path / "words.txt", lexicon)
+    for name, triples in (("train.txt", train), ("test.txt", held)):
+        (tmp_path / name).write_text(
+            "".join("\t".join(t) + "\n" for t in triples), encoding="utf-8"
+        )
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_pipeline_output_bytes(tmp_path, monkeypatch, case):
+    extra, golden = GOLDEN[case]
+    if case == "inflection":
+        _write_inflection_task(tmp_path)
+    else:
+        _write_lexicon_task(tmp_path)
     (tmp_path / "run.cfg").write_text(
         "pairs = train.txt\ntest = test.txt\nwordlist = words.txt\n"
         "outdir = out\nepochs = 2\ndecode_nbest = 5\n" + extra,

@@ -273,3 +273,49 @@ def lexicon_task(seed, lex_size=2000, n_train=100, n_test=150):
         EvalInstance(pronounce(w), frozenset([w])) for w in sample[n_train:]
     ]
     return Lexicon(counts), pairs, held
+
+
+# Inflection task: lemmas are lexicon_task spellings, each tag set picks a
+# suffix, and a lemma's final "e" drops before a vowel-initial suffix.
+
+INFLECTION_SUFFIXES = {
+    "V;PRS": "",
+    "V;PRS;3;SG": "s",
+    "V;PST": "ed",
+    "V;V.PTCP;PRS": "ing",
+    "V;NFIN;AGT": "er",
+}
+
+
+def inflect(lemma, tags):
+    """The form of lemma (a string) under a tag string of
+    INFLECTION_SUFFIXES."""
+    suffix = INFLECTION_SUFFIXES[tags]
+    if lemma.endswith("e") and suffix[:1] in tuple(_VOWELS):
+        lemma = lemma[:-1]
+    return lemma + suffix
+
+
+def inflection_task(seed, lex_size=400, n_train=100, n_test=150):
+    """Returns (lexicon of every form of lex_size lemmas, training triples,
+    held-out triples); a triple is (lemma, form, tags) as strings, the
+    columns of the inflection file format, and every form is in the
+    lexicon."""
+    rng = random.Random(seed)
+    lemmas = []
+    seen = set()
+    while len(lemmas) < lex_size:
+        lemma = "".join(_spelling(rng))
+        if lemma not in seen:
+            seen.add(lemma)
+            lemmas.append(lemma)
+    triples = [
+        (lemma, inflect(lemma, tags), tags)
+        for lemma in lemmas
+        for tags in INFLECTION_SUFFIXES
+    ]
+    counts = {}
+    for i, (_, form, _) in enumerate(triples):
+        counts[tuple(form)] = counts.get(tuple(form), 0) + max(1, int(200 / (i + 1) ** 0.5))
+    sample = rng.sample(triples, n_train + n_test)
+    return Lexicon(counts), sample[:n_train], sample[n_train:]
