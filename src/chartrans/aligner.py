@@ -15,19 +15,20 @@ Both run on one engine, after Goodman's (1999) semiring parsing: one
 inside/Viterbi algorithm over a hypergraph, each lattice shape supplying
 only its edges.  `_m2m_edges` and `_merge_edges` build a pair's lattice as
 a list of (from node, to node, span-key id) edges; one forward/backward,
-one E-step and one n-best Viterbi run over either, with δ as
-log-probabilities indexed by key id.  All charts store log-domain values;
-probabilities are recovered on read.
+one E-step and one n-best Viterbi run over either, with δ indexed by key
+id.  EM and the public forward/backward views sum probabilities, but a
+pair whose likelihood underflows (0.0 or subnormal), or has no path, is
+summed over log δ; charts store logs, and Viterbi runs over log δ.
 
 EM's lattices are built once, trimmed to live edges by one cut: before
 the first iteration to the edges on some start→goal path, and after each
-E-step to the edges that added to the expected counts.  A trim only drops
-edges; every node keeps its grid id.  Every other edge's terms are
-NEG_INF, which change no sum, and a span pair whose δ reaches 0 never
-comes back, so every float EM computes, and every alignment decoded from
-its lattices, is the one the untrimmed lattices give.  EM holds δ as
-probabilities by key id and makes the span-keyed DeltaTable once, when it
-returns.
+E-step to the edges whose expected count was not 0.0.  A trim only drops
+edges; every node keeps its grid id.  A count of 0.0 had a factor 0 (a
+span pair whose δ reaches 0 never comes back) or fell below half an ulp
+of any normal likelihood, so the floats EM computes, and the alignments
+decoded from its lattices, are the ones the untrimmed lattices give.  EM
+holds δ as probabilities by key id and makes the span-keyed DeltaTable
+once, when it returns.
 
 Alignment decodes each pair's 1-best on the lattice EM trimmed, so no
 pair's lattice is built twice: `em_train`'s table carries its fit (the
@@ -38,8 +39,10 @@ takes it off, and pass 2 decodes the lattices its own EM trimmed.
 
 import logging
 import math
+import sys
 from array import array
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain, compress, groupby
 from operator import itemgetter
 
@@ -48,6 +51,7 @@ from .core import NULL, TrainingPair, check_fields, parse_lines
 log = logging.getLogger(__name__)
 
 NEG_INF = float("-inf")
+MIN_NORMAL = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,8 @@ class DeltaTable:
 
 class Chart:
     """Table of monotone path sums over (source prefix, target prefix)
-    cells, given as a list of rows of logs."""
+    cells, given as a list of rows of logs.  The sums are EM's: over
+    probabilities, or over log δ when the pair's likelihood underflows."""
 
     def __init__(self, log):
         self.log = log
@@ -246,22 +251,18 @@ def _lattice(nodes, edges, gamma_from_goal=False, live=False):
     return Lattice(nodes, edges, gamma, _regroup(edges, 0, (1, 0, 2)))
 
 
-def _trim(lattice, alpha, beta, logd):
-    """Cut the lattice down, in place, to the edges with finite alpha at
-    their from node, logd and beta at their to node: those on a start→goal
-    path of nonzero weight, the only edges whose terms add to a finite
-    alpha or beta, to gamma or to a _viterbi path.  Only edges go; node ids
-    stay the grid's."""
+def _trim(lattice, dead):
+    """Cut the lattice down, in place, to the edges whose (from, to) node
+    pair, which names one edge, is not in dead: the E-step's edges whose
+    term in gamma was zero.  Only edges go; node ids stay the grid's."""
 
-    def cut(edges, triples):
-        edges[:] = _kept(edges, [alpha[src] + logd[key] + beta[dst] != NEG_INF
-                                 for src, dst, key in triples])
+    def cut(edges, ends):
+        edges[:] = _kept(edges, [end not in dead for end in ends])
 
     if lattice.gamma is not lattice.edges:
-        cut(lattice.gamma, _triples(lattice.gamma))
-    cut(lattice.edges, _triples(lattice.edges))
-    out = lattice.out  # (to, from, key) triples
-    cut(out, zip(out[1::3], out[0::3], out[2::3]))
+        cut(lattice.gamma, zip(lattice.gamma[0::3], lattice.gamma[1::3]))
+    cut(lattice.edges, zip(lattice.edges[0::3], lattice.edges[1::3]))
+    cut(lattice.out, zip(lattice.out[1::3], lattice.out[0::3]))  # (to, from, key)
 
 
 def _m2m_edges(x, y, moves, keys, live=False):
@@ -322,55 +323,80 @@ def _merge_edges(x, y, keys, live=False):
     return _lattice(len(x) + 1, edges, gamma_from_goal=True, live=live)
 
 
-def _inside(nodes, edges, logd, start):
-    """Log-sum over the paths from start to each node, along edges given as
-    (from, to, key) triples grouped by to node in topological order; each
-    node's terms are summed in edge order.  No value is +inf, so a term is
-    NEG_INF exactly when its from node's value or its logd is."""
-    value = [NEG_INF] * nodes
-    value[start] = 0.0
-    node, terms = start, None
+def _inside(nodes, edges, d, start):
+    """Sum over the paths from start to each node of their product of δ by
+    key id d, along edges given as (from, to, key) triples grouped by to
+    node in topological order; each node's terms are added in edge order."""
+    value = [0.0] * nodes
+    value[start] = total = 1.0
+    node = start
     for src, dst, key in _triples(edges):
         if dst != node:
-            if terms:
-                value[node] = _logsum(terms)
+            value[node] = total
+            node, total = dst, 0.0
+        total += value[src] * d[key]
+    value[node] = total
+    return value
+
+
+def _log_inside(nodes, edges, logd, start):
+    """_inside over log δ, each node's terms log-summed in edge order.  A
+    term is NEG_INF exactly when its from node's value or its logd is."""
+    value = [NEG_INF] * nodes
+    value[start] = 0.0
+    node, terms = start, [0.0]
+    for src, dst, key in _triples(edges):
+        if dst != node:
+            value[node] = _logsum(terms)
             node, terms = dst, []
         terms.append(value[src] + logd[key])
-    if terms:
-        value[node] = _logsum(terms)
+    value[node] = _logsum(terms)
     return value
 
 
 def _forward(lattice, logd):
     """alpha[node]: log-sum over the paths from the start to node."""
-    return _inside(lattice.nodes, lattice.edges, logd, 0)
+    return _log_inside(lattice.nodes, lattice.edges, logd, 0)
 
 
 def _backward(lattice, logd):
-    """beta[node]: log-sum over the paths from node to the goal, summed as
-    _forward sums, over the reversed lattice."""
-    return _inside(lattice.nodes, lattice.out, logd, -1)
+    """beta[node]: _forward's log-sum over the reversed lattice."""
+    return _log_inside(lattice.nodes, lattice.out, logd, -1)
 
 
-def _estep(lattice, logd, gamma):
-    """Add one pair's expected key counts to gamma (key id → count) and
-    trim the lattice to the edges that added to them; returns its
-    log-likelihood, NEG_INF when no path reaches the goal."""
-    alpha = _forward(lattice, logd)
-    ll = alpha[-1]
-    if ll == NEG_INF:
-        return NEG_INF
-    beta = _backward(lattice, logd)
-    dead = False
-    exp = math.exp
-    for src, dst, key in _triples(lattice.gamma):
-        path = alpha[src] + logd[key] + beta[dst]
-        if path != NEG_INF:
-            gamma[key] = gamma.get(key, 0.0) + exp(path - ll)
+def _logs(values):
+    return [math.log(v) if v > 0.0 else NEG_INF for v in values]
+
+
+def _estep(lattice, d, gamma, logd):
+    """Add one pair's expected key counts under δ by key id d to gamma (key
+    id → count) and trim the lattice to the edges whose count was not 0.0;
+    returns log(Z), its log-likelihood.  When Z underflows, the sums run
+    over log δ, logd(), and give NEG_INF if no path reaches the goal."""
+    alpha = _inside(lattice.nodes, lattice.edges, d, 0)
+    z = alpha[-1]
+    if z >= MIN_NORMAL:
+        beta = _inside(lattice.nodes, lattice.out, d, -1)
+        counts = (alpha[src] * d[key] * beta[dst] / z
+                  for src, dst, key in _triples(lattice.gamma))
+        ll = math.log(z)
+    else:
+        logd, exp = logd(), math.exp
+        alpha = _forward(lattice, logd)
+        ll = alpha[-1]
+        if ll == NEG_INF:
+            return NEG_INF
+        beta = _backward(lattice, logd)
+        counts = (exp(alpha[src] + logd[key] + beta[dst] - ll)
+                  for src, dst, key in _triples(lattice.gamma))
+    dead = []
+    for (src, dst, key), count in zip(_triples(lattice.gamma), counts):
+        if count:
+            gamma[key] = gamma.get(key, 0.0) + count
         else:
-            dead = True
+            dead.append((src, dst))
     if dead:
-        _trim(lattice, alpha, beta, logd)
+        _trim(lattice, set(dead))
     return ll
 
 
@@ -383,10 +409,10 @@ def _em(lattices, spans, params, history=None, run=None):
     edge under the uniform start.  history, when given, collects one
     (log-likelihood, delta total mass) entry per iteration, and each
     iteration logs one INFO line naming the run ("m2m X-Y" from params
-    unless given).  δ is held as a dict from key id to probability, with
-    only its nonzero entries; each iteration's log δ is NEG_INF at every
-    other key id, so spans at δ = 0 cost nothing.  Returns (the DeltaTable
-    of δ by span, indices of the pairs kept)."""
+    unless given).  δ is a dict from key id to its nonzero probabilities,
+    listed by key id for the E-steps; log δ is built only for an iteration
+    in which a likelihood underflows.  Returns (the DeltaTable of δ by
+    span, indices of the pairs kept)."""
     run = run or f"m2m {params.max_x}-{params.max_y}"
     message = (
         f"EM iteration %d ({run}): log-likelihood %.6f, %d pairs kept, "
@@ -396,14 +422,13 @@ def _em(lattices, spans, params, history=None, run=None):
     active = list(range(len(lattices)))
     prev_ll = None
     for iteration in range(params.max_iterations):
-        logd = [NEG_INF] * len(spans)
-        for k, p in delta.items():
-            logd[k] = math.log(p)
+        d = [delta.get(k, 0.0) for k in range(len(spans))]
+        logd = cache(partial(_logs, d))
         gamma = {}
         total_ll = 0.0
         kept = []
         for idx in active:
-            ll = _estep(lattices[idx], logd, gamma)
+            ll = _estep(lattices[idx], d, gamma, logd)
             if ll == NEG_INF:
                 if iteration == 0:
                     log.warning("pair %d cannot be aligned; excluded", idx)
@@ -457,24 +482,36 @@ def _viterbi(lattice, logd, spans, ties, n):
     ]
 
 
-def _m2m_chart(x, y, delta, params, run):
+def _chart(lattice, keys, delta, backward=False):
+    """The logs of alpha (or beta) over lattice, whose key ids number keys,
+    summed as _estep sums them under delta."""
+    d = [delta.prob(*key) for key in keys]
+    value = _inside(lattice.nodes, lattice.edges, d, 0)
+    if value[-1] < MIN_NORMAL:
+        return (_backward if backward else _forward)(lattice, _logs(d))
+    if backward:
+        value = _inside(lattice.nodes, lattice.out, d, -1)
+    return _logs(value)
+
+
+def _m2m_chart(x, y, delta, params, backward):
     keys = {}
     lattice = _m2m_edges(x, y, params.moves(), keys)
-    flat = run(lattice, [delta.logp(*key) for key in keys])
+    flat = _chart(lattice, keys, delta, backward)
     width = len(y) + 1
     return Chart([flat[r : r + width] for r in range(0, len(flat), width)])
 
 
 def forward(x, y, delta, params):
     """Sum over all admissible monotone alignments; alpha(T, V) is the
-    total likelihood."""
-    return _m2m_chart(x, y, delta, params, _forward)
+    total likelihood, and its log the one EM gives the pair."""
+    return _m2m_chart(x, y, delta, params, False)
 
 
 def backward(x, y, delta, params):
     """Mirror of forward: beta(t, v) sums suffix paths; beta(0, 0) equals
     alpha(T, V)."""
-    return _m2m_chart(x, y, delta, params, _backward)
+    return _m2m_chart(x, y, delta, params, True)
 
 
 def em_train(pairs, params, history=None):
@@ -578,7 +615,7 @@ def forward_insertion_merging(x, y, delta):
         raise ValueError(f"padded lengths differ: {len(x)} vs {len(y)}")
     keys = {}
     lattice = _merge_edges(x, y, keys)
-    alpha = _forward(lattice, [delta.logp(*key) for key in keys])
+    alpha = _chart(lattice, keys, delta)
     lead = _leading_nulls(x)
     rows = [[0.0 if t <= lead else NEG_INF] * len(alpha) for t in range(len(alpha))]
     for t in range(lead + 1, len(alpha)):

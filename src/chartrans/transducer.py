@@ -393,17 +393,20 @@ def _derivation_parts(x, derivation, model):
     decode_nbest builds it (the rule part from the position's source
     contexts, the history part read from or added to the model's memo, the
     corpus part from the LM sum, tail and trie node carried on), so they
-    equal a decoded candidate's trail part by part (Candidate._parts)."""
+    equal a decoded candidate's trail part by part (Candidate._parts).
+    Raises ValueError when the derivation's source spans do not spell x."""
     cfg, corpus_step = model.config, model.scorer.step
     parts, out, pos, merge = [], (), 0, ((), ())
     lm_sum, tail, node = model.scorer.start
-    for rule in derivation:
+    for step, rule in enumerate(derivation):
+        end = pos + len(rule.source)
+        if tuple(x[pos:end]) != rule.source:
+            raise ValueError(f"step {step} rewrites {rule.source}, not x[{pos}:{end}]")
         row, pair = model.history.setdefault(merge, {}), (rule.source, rule.target)
         part = row.get(pair)
         if part is None:
             part = row[pair] = _history_features(*merge, rule, model)
         history, merge = part
-        end = pos + len(rule.source)
         corpus, lm_sum, tail, node = corpus_step(
             len(out), rule.target, lm_sum, tail, node, end == len(x)
         )

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chartrans import aligner
 from chartrans.aligner import (
@@ -101,6 +104,80 @@ def test_backward_empty_and_single():
     delta = DeltaTable({(("a",), ("b",)): 0.7})
     params = AlignParams(1, 1, False, False)
     assert backward(("a",), ("b",), delta, params).value(0, 0) == pytest.approx(0.7)
+
+
+def test_em_keeps_a_pair_whose_likelihood_underflows():
+    # 100 distinct symbols, one to one: the grid has 100 ** 2 span pairs,
+    # so the only path's likelihood under uniform delta is 1e-400, 0.0 as a
+    # float, and that pair's E-step sums logs where the short pair's sums
+    # probabilities
+    long = TrainingPair(tuple(f"a{i}" for i in range(100)),
+                        tuple(f"b{i}" for i in range(100)))
+    short = TrainingPair(("a0",), ("b0",))
+    params = AlignParams(1, 1, False, False, max_iterations=3, tol=1e-300)
+    keys = {}
+    lattices = [aligner._m2m_edges(p.source, p.target, params.moves(), keys)
+                for p in (long, short)]
+    d = [1.0 / len(keys)] * len(keys)
+    assert aligner._inside(lattices[0].nodes, lattices[0].edges, d, 0)[-1] == 0.0
+    lls = [aligner._forward(lattice, aligner._logs(d))[-1] for lattice in lattices]
+    assert lls[0] == pytest.approx(-100 * math.log(100 ** 2), rel=1e-12)
+    uniform = DeltaTable(dict.fromkeys(keys, 1.0 / len(keys)))
+    assert [forward(p.source, p.target, uniform, params).log_corner()
+            for p in (long, short)] == lls
+    history = []
+    delta = em_train([long, short], params, history)
+    assert delta._take_fit()[2] == [0, 1]
+    assert history[0][0] == 0.0 + lls[0] + lls[1]
+    # every key of the long pair's path keeps its count of one
+    assert delta.prob(("a1",), ("b1",)) == pytest.approx(1 / 101, rel=1e-12)
+    assert delta.prob(("a0",), ("b0",)) == pytest.approx(2 / 101, rel=1e-12)
+    assert len(delta) == 100
+
+
+def test_a_subnormal_likelihood_sums_logs():
+    x, y = ("a", "b"), ("p", "q")
+    keys = {}
+    lattice = aligner._m2m_edges(x, y, AlignParams(1, 1, False, False).moves(), keys)
+    small = {(("a",), ("p",)): 1e-160, (("b",), ("q",)): 1e-155}
+    d = [small.get(key, 0.0) for key in keys]
+    z = aligner._inside(lattice.nodes, lattice.edges, d, 0)[-1]
+    assert 0.0 < z < aligner.MIN_NORMAL
+    gamma = {}
+    ll = aligner._estep(lattice, d, gamma, lambda: aligner._logs(d))
+    assert ll == math.log(1e-160) + math.log(1e-155)
+    assert gamma == {keys[(("a",), ("p",))]: 1.0, keys[(("b",), ("q",))]: 1.0}
+
+
+small_pairs = st.lists(
+    st.builds(
+        lambda x, y: TrainingPair(tuple(x), tuple(y)),
+        st.lists(st.sampled_from("ab"), min_size=1, max_size=5),
+        st.lists(st.sampled_from("xy"), min_size=1, max_size=6),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from([AlignParams(2, 2, True, False), AlignParams(1, 2, False, True),
+                     ONE_TO_ONE]),
+    small_pairs,
+)
+def test_first_em_log_likelihood_is_the_brute_force_sum(params, pairs):
+    keys = {}
+    for p in pairs:
+        aligner._m2m_edges(p.source, p.target, params.moves(), keys)
+    uniform = DeltaTable(dict.fromkeys(keys, 1.0 / len(keys)))
+    sums = [brute_path_sum(p.source, p.target, uniform, params) for p in pairs]
+    history = []
+    em_train(pairs, dataclasses.replace(params, max_iterations=1), history)
+    if not any(sums):
+        assert history == []
+    else:
+        want = sum(math.log(s) for s in sums if s > 0.0)
+        assert history[0][0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_em_forced_alignment_joint_normalization():
@@ -351,7 +428,8 @@ def _pass2_loglik(x, y, delta):
     """The log-likelihood pass-2 EM gives one padded pair under delta."""
     keys = {}
     lattice = aligner._merge_edges(x, y, keys)
-    return aligner._estep(lattice, [delta.logp(*key) for key in keys], {})
+    d = [delta.prob(*key) for key in keys]
+    return aligner._estep(lattice, d, {}, lambda: aligner._logs(d))
 
 
 def _random_padded_pair(rng):

@@ -129,9 +129,10 @@ def _pass2_history_matches_estep(pairs):
 
     history, deltas = _em_runs(run, ONE_TO_ONE)
     for (ll, _), delta in zip(history, [_uniform(spans)] + deltas):
-        logd = [delta.logp(*span) for span in spans]
+        d = [delta.prob(*span) for span in spans]
         lls = [
-            aligner._estep(aligner._merge_edges(p.source, p.target, keys), logd, {})
+            aligner._estep(aligner._merge_edges(p.source, p.target, keys), d, {},
+                           lambda: aligner._logs(d))
             for p in pairs
         ]
         assert ll == _fold(lls)  # bit-exact

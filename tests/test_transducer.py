@@ -321,6 +321,19 @@ def test_decode_identity_fallback():
     assert cands[0].output == ("x", "q")
 
 
+def test_a_derivation_of_another_word_is_refused():
+    model = plain_model({Rule(("a",), ("x",))})
+    # the spans add up to len(x) but spell q z, not a b
+    with pytest.raises(ValueError, match="step 0"):
+        derivation_features(("a", "b"), (Rule(("q",), ("x",)), Rule(("z",), ("y",))), model)
+    with pytest.raises(ValueError, match="step 1"):
+        gold_candidate(("a", "b"), (Rule(("a",), ("x",)), Rule(("z",), ("y",))), model)
+    with pytest.raises(ValueError, match="step 1"):
+        derivation_features(("a",), (Rule(("a",), ("x",)), Rule(("b",), ("y",))), model)
+    with pytest.raises(ValueError, match="tile"):
+        derivation_features(("a", "b"), (Rule(("a",), ("x",)),), model)
+
+
 def test_decode_requires_valid_beam():
     model = plain_model({Rule(("a",), ("x",))})
     with pytest.raises(ValueError):
