@@ -372,32 +372,31 @@ def _estep(lattice, d, gamma, logd):
     """Add one pair's expected key counts under δ by key id d to gamma (key
     id → count) and trim the lattice to the edges whose count was not 0.0;
     returns log(Z), its log-likelihood.  When Z underflows, the sums run
-    over log δ, logd(), and give NEG_INF if no path reaches the goal."""
+    over log δ, logd(), on the lattice as it is, and give NEG_INF if no
+    path reaches the goal."""
     alpha = _inside(lattice.nodes, lattice.edges, d, 0)
     z = alpha[-1]
-    if z >= MIN_NORMAL:
-        beta = _inside(lattice.nodes, lattice.out, d, -1)
-        counts = (alpha[src] * d[key] * beta[dst] / z
-                  for src, dst, key in _triples(lattice.gamma))
-        ll = math.log(z)
-    else:
-        logd, exp = logd(), math.exp
-        alpha = _forward(lattice, logd)
+    if z < MIN_NORMAL:
+        logd = logd()
+        alpha, beta = _forward(lattice, logd), _backward(lattice, logd)
         ll = alpha[-1]
-        if ll == NEG_INF:
-            return NEG_INF
-        beta = _backward(lattice, logd)
-        counts = (exp(alpha[src] + logd[key] + beta[dst] - ll)
-                  for src, dst, key in _triples(lattice.gamma))
+        if ll != NEG_INF:
+            for src, dst, key in _triples(lattice.gamma):
+                path = alpha[src] + logd[key] + beta[dst]
+                if path != NEG_INF:
+                    gamma[key] = gamma.get(key, 0.0) + math.exp(path - ll)
+        return ll
+    beta = _inside(lattice.nodes, lattice.out, d, -1)
     dead = []
-    for (src, dst, key), count in zip(_triples(lattice.gamma), counts):
-        if count:
-            gamma[key] = gamma.get(key, 0.0) + count
+    for src, dst, key in _triples(lattice.gamma):
+        path = alpha[src] * d[key] * beta[dst]
+        if path:
+            gamma[key] = gamma.get(key, 0.0) + path / z
         else:
             dead.append((src, dst))
     if dead:
         _trim(lattice, set(dead))
-    return ll
+    return math.log(z)
 
 
 def _em(lattices, spans, params, history=None, run=None):

@@ -291,7 +291,7 @@ def inflect(lemma, tags):
     """The form of lemma (a string) under a tag string of
     INFLECTION_SUFFIXES."""
     suffix = INFLECTION_SUFFIXES[tags]
-    if lemma.endswith("e") and suffix[:1] in tuple(_VOWELS):
+    if lemma.endswith("e") and suffix and suffix[0] in _VOWELS:
         lemma = lemma[:-1]
     return lemma + suffix
 
