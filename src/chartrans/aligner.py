@@ -20,20 +20,18 @@ id.  EM and the public forward/backward views sum probabilities, but a
 pair whose likelihood underflows (0.0 or subnormal), or has no path, is
 summed over log δ; charts store logs, and Viterbi runs over log δ.
 
-EM's lattices are built once, trimmed to live edges by one cut: before
-the first iteration to the edges on some start→goal path, and after each
-E-step to the edges whose expected count was not 0.0.  A trim only drops
-edges; every node keeps its grid id.  A count of 0.0 had a factor 0 (a
-span pair whose δ reaches 0 never comes back) or fell below half an ulp
-of any normal likelihood, so the floats EM computes, and the alignments
-decoded from its lattices, are the ones the untrimmed lattices give.  EM
+EM's lattices are cut once, when built, to the edges on some start→goal
+path, and never change after; every node keeps its grid id.  The edges
+cut add nothing to a likelihood or a count, and an edge whose δ reaches
+0 adds 0.0 terms and is skipped by Viterbi, so the floats EM computes,
+and the alignments decoded from its lattices, are the whole grids'.  EM
 holds δ as probabilities by key id and makes the span-keyed DeltaTable
 once, when it returns.
 
-Alignment decodes each pair's 1-best on the lattice EM trimmed, so no
+Alignment decodes each pair's 1-best on the lattice EM ran on, so no
 pair's lattice is built twice: `em_train`'s table carries its fit (the
-trimmed lattices, their spans and the kept pairs) to `_align_each`, which
-takes it off, and pass 2 decodes the lattices its own EM trimmed.
+lattices, their spans and the kept pairs) to `_align_each`, which takes
+it off, and pass 2 decodes the lattices of its own EM.
 `viterbi_nbest` is the public view that builds a pair's whole grid itself.
 """
 
@@ -91,9 +89,9 @@ ONE_TO_ONE = AlignParams(
 class DeltaTable:
     """Joint substring-pair probabilities; the aligner's parameter set.
 
-    A table that em_train returns also keeps its fit, (trimmed lattices,
-    spans by key id, kept pair indices), until _align_each takes it; a
-    table built from probabilities has none."""
+    A table that em_train returns also keeps its fit, (the lattices as
+    built, spans by key id, kept pair indices), until _align_each takes
+    it; a table built from probabilities has none."""
 
     def __init__(self, probs):
         self._fit = None
@@ -175,7 +173,7 @@ class Alignment:
         return tuple(t for link in self.links for t in link.target)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Lattice:
     """One pair's lattice: nodes numbered in topological order (0 the
     start, the last the goal) and its edges as flat array('i') triples, in
@@ -189,11 +187,10 @@ class Lattice:
     Within a group, edges keep their builder's order, which fixes every
     floating-point sum and Viterbi tie.
 
-    EM's lattices are built once, trimmed to live edges: those on a
-    start→goal path of nonzero weight.  Trims shrink the arrays in place,
-    so a lattice keeps its memory block through EM, and drop edges only:
-    `nodes` and every node id stay the grid's, so a trimmed lattice's
-    charts still expose every cell."""
+    EM's lattices are cut once, at build, to the edges on some start→goal
+    path, and never change after.  The cut drops edges only: `nodes` and
+    every node id stay the grid's, so a cut lattice's charts still expose
+    every cell."""
 
     nodes: int
     edges: array
@@ -235,34 +232,16 @@ def _regroup(edges, field, layout):
     return out
 
 
-def _kept(edges, keep):
-    return array("i", chain.from_iterable(compress(_triples(edges), keep)))
-
-
 def _lattice(nodes, edges, gamma_from_goal=False, live=False):
     """A Lattice over edges grouped by ascending to node, with its other
     orders built from them.  With live, only the edges on some start→goal
     path are kept, whatever δ is."""
     if live:
         alpha, beta = _reach(nodes, edges)
-        edges = _kept(edges, [alpha[src] + beta[dst] != NEG_INF
-                              for src, dst, _ in _triples(edges)])
+        keep = [alpha[src] + beta[dst] != NEG_INF for src, dst, _ in _triples(edges)]
+        edges = array("i", chain.from_iterable(compress(_triples(edges), keep)))
     gamma = _regroup(edges, 1, (0, 1, 2)) if gamma_from_goal else edges
     return Lattice(nodes, edges, gamma, _regroup(edges, 0, (1, 0, 2)))
-
-
-def _trim(lattice, dead):
-    """Cut the lattice down, in place, to the edges whose (from, to) node
-    pair, which names one edge, is not in dead: the E-step's edges whose
-    term in gamma was zero.  Only edges go; node ids stay the grid's."""
-
-    def cut(edges, ends):
-        edges[:] = _kept(edges, [end not in dead for end in ends])
-
-    if lattice.gamma is not lattice.edges:
-        cut(lattice.gamma, zip(lattice.gamma[0::3], lattice.gamma[1::3]))
-    cut(lattice.edges, zip(lattice.edges[0::3], lattice.edges[1::3]))
-    cut(lattice.out, zip(lattice.out[1::3], lattice.out[0::3]))  # (to, from, key)
 
 
 def _m2m_edges(x, y, moves, keys, live=False):
@@ -370,10 +349,10 @@ def _logs(values):
 
 def _estep(lattice, d, gamma, logd):
     """Add one pair's expected key counts under δ by key id d to gamma (key
-    id → count) and trim the lattice to the edges whose count was not 0.0;
-    returns log(Z), its log-likelihood.  When Z underflows, the sums run
-    over log δ, logd(), on the lattice as it is, and give NEG_INF if no
-    path reaches the goal."""
+    id → count), reading the lattice as built; returns log(Z), its
+    log-likelihood.  An edge whose count is 0.0 adds no key to gamma.
+    When Z underflows, the sums run over log δ, logd(), and give NEG_INF
+    if no path reaches the goal."""
     alpha = _inside(lattice.nodes, lattice.edges, d, 0)
     z = alpha[-1]
     if z < MIN_NORMAL:
@@ -387,15 +366,10 @@ def _estep(lattice, d, gamma, logd):
                     gamma[key] = gamma.get(key, 0.0) + math.exp(path - ll)
         return ll
     beta = _inside(lattice.nodes, lattice.out, d, -1)
-    dead = []
     for src, dst, key in _triples(lattice.gamma):
         path = alpha[src] * d[key] * beta[dst]
         if path:
             gamma[key] = gamma.get(key, 0.0) + path / z
-        else:
-            dead.append((src, dst))
-    if dead:
-        _trim(lattice, set(dead))
     return math.log(z)
 
 
@@ -403,12 +377,11 @@ def _em(lattices, spans, params, history=None, run=None):
     """EM over lattices whose key ids index spans, from δ uniform over the
     spans until the relative log-likelihood change drops below tol.
     Unalignable pairs are excluded with a warning on the first iteration.
-    Each E-step trims its lattice, in place, to the edges that added to
-    γ, keeping its grid node ids; built with live, a lattice has no other
-    edge under the uniform start.  history, when given, collects one
-    (log-likelihood, delta total mass) entry per iteration, and each
-    iteration logs one INFO line naming the run ("m2m X-Y" from params
-    unless given).  δ is a dict from key id to its nonzero probabilities,
+    The lattices are read as built (with live, see _lattice) and never
+    written, so the edges logged are the kept pairs' built edges.  history,
+    when given, collects one (log-likelihood, delta total mass) entry per
+    iteration, and each iteration logs one INFO line naming the run ("m2m
+    X-Y" from params unless given).  δ is a dict from key id to its nonzero probabilities,
     listed by key id for the E-steps; log δ is built only for an iteration
     in which a likelihood underflows.  Returns (the DeltaTable of δ by
     span, indices of the pairs kept)."""
@@ -516,7 +489,8 @@ def backward(x, y, delta, params):
 def em_train(pairs, params, history=None):
     """EM over the joint likelihood of all admissible monotone alignments.
     The DeltaTable returned keeps the fit that _align_each decodes on: the
-    pairs' lattices as EM trimmed them, their spans and the kept pairs."""
+    pairs' lattices as built (cut to live edges, see _lattice), their
+    spans and the kept pairs."""
     keys = {}
     moves = params.moves()
     lattices = [_m2m_edges(p.source, p.target, moves, keys, live=True) for p in pairs]
@@ -533,7 +507,7 @@ def viterbi_nbest(x, y, delta, params, n):
     spans, compared link by link from the start of the path.  Returns
     fewer than n alignments when fewer paths exist.  The public view: it
     builds the pair's whole grid itself, where alignment decodes on the
-    lattices EM trimmed, with the same results.
+    lattices EM ran on, cut to live edges, with the same results.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -549,9 +523,9 @@ def _m2m_ties(spans):
 
 
 def _decode_kept(lattices, kept, delta, spans, ties):
-    """The 1-best alignment of each kept pair, decoded on its lattice as EM
-    left it, with log δ by key id.  A kept pair with no path left under δ
-    is excluded with a warning."""
+    """The 1-best alignment of each kept pair, decoded on the lattice EM ran
+    on, as built, with log δ by key id.  A kept pair with no path left
+    under δ is excluded with a warning."""
     logd = [delta.logp(*key) for key in spans]
     alignments = []
     for idx in kept:
@@ -564,8 +538,8 @@ def _decode_kept(lattices, kept, delta, spans, ties):
 
 
 def _align_each(pairs, params):
-    """EM, then each pair's 1-best alignment, decoded on the lattice EM
-    trimmed (taken off em_train's table, so the lattices go when this
+    """EM, then each pair's 1-best alignment, decoded on the lattice EM ran
+    on, as built (taken off em_train's table, so the lattices go when this
     returns).  A pair with no path in its lattice is excluded by EM with
     a warning."""
     delta = em_train(pairs, params)

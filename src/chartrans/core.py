@@ -214,11 +214,11 @@ def copy_augment(pairs, n):
     single +COPY tag so copies stay distinguishable from real lemmas.
     """
     if n < 0:
-        raise ValueError(f"negative copy count {n}")
+        raise ValueError(f"{shown('copy_instances', n)}: must be >= 0")
     distinct = list(dict.fromkeys(p.target for p in pairs))
     if n > len(distinct):
         raise ValueError(
-            f"requested {n} copy instances but only {len(distinct)} distinct targets"
+            f"{shown('copy_instances', n)}: only {len(distinct)} distinct targets"
         )
     tag = (COPY_TAG,) if _uses_tags(pairs) else ()
     return list(pairs) + [TrainingPair(t + tag, t) for t in distinct[:n]]

@@ -151,6 +151,17 @@ def test_bad_value_stops_align_before_it_writes(tmp_path, capsys, setting):
     assert not (tmp_path / "out" / "alignments.txt").exists()
 
 
+def test_too_many_copy_instances_names_the_key(tmp_path, capsys):
+    (tmp_path / "pairs.txt").write_text("a b\tx y\nc\tz\n", encoding="utf-8")
+    rc = main(["align", "--set", f"pairs={tmp_path}/pairs.txt",
+               "--set", f"outdir={tmp_path}/out", "--set", "copy_instances=5"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: copy_instances = 5: ")
+    assert "2 distinct targets" in err
+    assert not (tmp_path / "out" / "alignments.txt").exists()
+
+
 def test_full_pipeline_reaches_perfect_accuracy(tmp_path):
     cfg = write_context_task(tmp_path)
     cmd_align(cfg)

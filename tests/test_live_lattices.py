@@ -1,5 +1,7 @@
-"""EM trims each lattice to its live edges; these tests hold it to the
-untrimmed lattices the public views build, float for float."""
+"""EM's lattices are cut once, at build, to their live edges, and never
+change during EM; these tests hold EM and decoding on them to the whole
+grids the public views build, float for float.  "Trimmed" in a test name
+means cut at build."""
 
 import dataclasses
 import logging
@@ -37,7 +39,7 @@ def _pairs(*specs):
 
 
 # Pair sets in which keys reach δ = 0 after the first iteration, by
-# underflow, so later E-steps trim lattices that were live before.  In the
+# underflow, so later E-steps run over edges whose terms are 0.0.  In the
 # 2-2 set, pairs 1 and 3 are unalignable: with no insertions, a source
 # symbol covers at most two target symbols.
 ZEROING_TWO_TWO = _pairs(
@@ -179,9 +181,15 @@ def test_em_logs_one_line_per_iteration(caplog):
     assert [line[1] for line in lines] == [ll for ll, _ in history]
     assert {line[2] for line in lines} == {len(ZEROING_TWO_TWO) - 2}
     assert lines[-1][3] == len(delta)
-    live = [line[4] for line in lines]
-    assert all(a >= b for a, b in zip(live, live[1:]))
-    assert live[-1] < live[0]
+    # EM never changes its lattices, so every line counts the kept pairs'
+    # edges as _m2m_edges built them
+    _, _, kept = delta._take_fit()
+    built = [
+        aligner._m2m_edges(p.source, p.target, params.moves(), {}, live=True)
+        for p in ZEROING_TWO_TWO
+    ]
+    edges = sum(len(built[idx].edges) for idx in kept) // 3
+    assert [line[4] for line in lines] == [edges] * 16
 
 
 def _orders_hold(lattice, gamma_from_goal):
@@ -198,14 +206,19 @@ def _orders_hold(lattice, gamma_from_goal):
     assert all(0 <= node < lattice.nodes for edge in edges for node in edge[:2])
 
 
-def test_every_lattice_keeps_its_edge_orders_through_trims(caplog):
-    # lexicon pass-2 lattices are nearly all live, so the zeroing padded
-    # pairs make sure some merge lattices are trimmed after iteration 1
+def _bytes(lattices):
+    return [(x.edges.tobytes(), x.out.tobytes(), x.gamma.tobytes()) for x in lattices]
+
+
+def test_em_leaves_every_lattice_as_built(caplog):
+    # the zeroing pairs drive keys to δ = 0 after iteration 1, so their
+    # lattices hold edges whose terms are 0.0 from then on
     _, pairs, _ = lexicon_task(5, 400, 40, 1)
     padded = aligner.pass1_align(pairs) + ZEROING_PADDED
     for build, items, from_goal in [
         (lambda p, keys, live: aligner._m2m_edges(
-            p.source, p.target, TWO_TWO.moves(), keys, live=live), pairs, False),
+            p.source, p.target, TWO_TWO.moves(), keys, live=live),
+         pairs + ZEROING_TWO_TWO, False),
         (lambda p, keys, live: aligner._merge_edges(
             p.source, p.target, keys, live=live), padded, True),
     ]:
@@ -214,13 +227,11 @@ def test_every_lattice_keeps_its_edge_orders_through_trims(caplog):
             lattices = [build(p, keys, live) for p in items]
             for lattice in lattices:
                 _orders_hold(lattice, from_goal)
-            built = sum(len(lattice.edges) for lattice in lattices)
+            built = _bytes(lattices)
             params = dataclasses.replace(TWO_TWO, max_iterations=16, tol=1e-300)
             with caplog.at_level(logging.ERROR):
                 aligner._em(lattices, list(keys), params)
-            assert sum(len(lattice.edges) for lattice in lattices) < built
-            for lattice in lattices:
-                _orders_hold(lattice, from_goal)
+            assert _bytes(lattices) == built
 
 
 def test_trims_keep_grid_node_ids():
