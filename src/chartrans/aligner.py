@@ -378,7 +378,8 @@ def _em(lattices, spans, params, history=None, run=None):
     spans until the relative log-likelihood change drops below tol.
     Unalignable pairs are excluded with a warning on the first iteration.
     The lattices are read as built (with live, see _lattice) and never
-    written, so the edges logged are the kept pairs' built edges.  history,
+    written; the live edges logged are the kept pairs' edges whose key has
+    positive δ after the iteration, counted only when INFO is on.  history,
     when given, collects one (log-likelihood, delta total mass) entry per
     iteration, and each iteration logs one INFO line naming the run ("m2m
     X-Y" from params unless given).  δ is a dict from key id to its nonzero probabilities,
@@ -416,10 +417,9 @@ def _em(lattices, spans, params, history=None, run=None):
         delta = {k: p for k, v in gamma.items() if (p := v / total) > 0.0}
         if history is not None:
             history.append((total_ll, sum(delta.values())))
-        log.info(
-            message, iteration + 1, total_ll, len(active), len(delta),
-            sum(len(lattices[idx].edges) for idx in active) // 3,
-        )
+        if log.isEnabledFor(logging.INFO):
+            live = sum(k in delta for i in active for k in lattices[i].edges[2::3])
+            log.info(message, iteration + 1, total_ll, len(active), len(delta), live)
         if prev_ll is not None:
             rel = abs(total_ll - prev_ll) / max(abs(prev_ll), 1e-300)
             if rel < params.tol:

@@ -231,7 +231,11 @@ def load_resources(cfg):
         return lm, lm_bins, trie, freq_bins, refs
     raw = _read(cfg.wordlist)
     with core.reading(cfg.wordlist):
-        lex = freqtrie.parse_lexicon(raw)
+        # Only the LM and pruning read a Lexicon; a trie alone needs none.
+        if cfg.disable_lm and not cfg.english_wordlist:
+            trie = freqtrie.read_trie(raw)
+        else:
+            lex = freqtrie.parse_lexicon(raw)
 
     if not cfg.disable_lm:
         words = list(lex.counts)
@@ -259,7 +263,7 @@ def load_resources(cfg):
                 text = freqtrie.serialize_lexicon(lex)
                 _write_cache(lex_path, lambda tmp: _write(tmp, text))
         refs["lexicon"] = lex_path
-        trie = freqtrie.build_trie(lex)
+        trie = trie or freqtrie.build_trie(lex)
         freq_bins = freqtrie.FreqBinConfig(cfg.freq_thresholds)
     return lm, lm_bins, trie, freq_bins, refs
 
@@ -291,8 +295,7 @@ def load_model(cfg):
     if model.config.lm_features and refs.get("lm"):
         resources["lm"] = charlm.load_charlm(refs["lm"])
     if model.config.freq_features and refs.get("lexicon"):
-        lex = _parse(refs["lexicon"], freqtrie.parse_lexicon)
-        resources["trie"] = freqtrie.build_trie(lex)
+        resources["trie"] = _parse(refs["lexicon"], freqtrie.read_trie)
     return dataclasses.replace(model, **resources)
 
 

@@ -1,5 +1,7 @@
-"""Prefix trie over corpus word counts, unigram bin features, and
-probability-ratio corpus pruning."""
+"""Word counts from a word list, a prefix trie over them, unigram bin
+features, and probability-ratio corpus pruning.  Trie nodes are lean (see
+TrieNode), and read_trie builds the trie from a word list's text with no
+Lexicon in between."""
 
 from dataclasses import dataclass, field
 
@@ -22,13 +24,12 @@ class Lexicon:
         return sum(self.counts.values())
 
 
-def parse_lexicon(stream):
-    """Parse "WORD<TAB>COUNT" lines; a bare "WORD" line means count 1.
-    Words are split into characters.  Repeated words accumulate.  A count
-    that is not a positive integer raises ParseError with its line number."""
+def _entries(stream):
+    """(word, count) of each "WORD<TAB>COUNT" line, in order; a bare "WORD"
+    line means count 1.  A word's symbols are its characters.  A count that
+    is not a positive integer raises ParseError with its line number."""
     # Inline, not core.parse_lines: the word list is the largest input, read
     # twice per set-up, and a call per line cost 15-27% of this loop's time.
-    counts = {}
     lines = stream.splitlines() if isinstance(stream, str) else stream
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -41,6 +42,13 @@ def parse_lexicon(stream):
                 raise ParseError(lineno, f"count {text!r} is not a positive integer")
         else:
             word, count = line, 1
+        yield word, count
+
+
+def parse_lexicon(stream):
+    """The Lexicon of a word list (see _entries); repeated words accumulate."""
+    counts = {}
+    for word, count in _entries(stream):
         key = tuple(word)
         counts[key] = counts.get(key, 0) + count
     return Lexicon(counts)
@@ -53,36 +61,65 @@ def serialize_lexicon(lex):
 
 
 class TrieNode:
+    """A trie node.  Most nodes of a word list's trie have one child or none,
+    so children is () at a leaf, a (symbol, child) pair at a node with one
+    child, and a dict from symbol to child only at a node with more."""
+
     __slots__ = ("children", "prefix_count", "word_count")
 
     def __init__(self):
-        self.children = {}
+        self.children = ()
         self.prefix_count = 0
         self.word_count = 0
 
 
-def build_trie(lex):
-    """Trie whose nodes carry the summed count of every word passing
-    through them; word-final nodes also carry the exact word count."""
+def _child(node, sym):
+    """node's child on sym, or None."""
+    kids = node.children
+    if type(kids) is dict:
+        return kids.get(sym)
+    return kids[1] if kids and kids[0] == sym else None
+
+
+def _build(entries):
+    """The trie of (word, count) entries; a repeated word adds up."""
     root = TrieNode()
-    root.prefix_count = lex.total_tokens
-    for word, count in lex.counts.items():
+    for word, count in entries:
+        root.prefix_count += count
         node = root
         for sym in word:
-            child = node.children.get(sym)
-            if child is None:
-                child = node.children[sym] = TrieNode()
+            # _child inlined: a call per symbol took 13% of a 30,000-word build
+            kids = node.children
+            if type(kids) is dict:
+                child = kids.get(sym) or kids.setdefault(sym, TrieNode())
+            elif kids and kids[0] == sym:
+                child = kids[1]
+            else:
+                child = TrieNode()
+                node.children = {kids[0]: kids[1], sym: child} if kids else (sym, child)
             node = child
             node.prefix_count += count
         node.word_count += count
     return root
 
 
+def build_trie(lex):
+    """Trie whose nodes carry the summed count of every word passing
+    through them; word-final nodes also carry the exact word count."""
+    return _build(lex.counts.items())
+
+
+def read_trie(text):
+    """build_trie(parse_lexicon(text)), built as the lines are read, with
+    no Lexicon in between."""
+    return _build(_entries(text))
+
+
 def walk(root, prefix):
     """Node reached by prefix, or None if the trie has no such path."""
     node = root
     for sym in prefix:
-        node = node.children.get(sym)
+        node = _child(node, sym)
         if node is None:
             return None
     return node
@@ -104,8 +141,9 @@ def trie_words(root):
     def visit(node, prefix):
         if node.word_count:
             out[prefix] = node.word_count
-        for sym, child in sorted(node.children.items()):
-            visit(child, prefix + (sym,))
+        kids = node.children
+        for sym in sorted(kids if type(kids) is dict else kids[:1]):
+            visit(_child(node, sym), prefix + (sym,))
 
     visit(root, ())
     return out

@@ -39,7 +39,9 @@ an Alphabet that gives a name its id the first time the name is built
 and keeps it, so a lookup hashes an int instead of a nested tuple.  Names
 appear only in model files, as JSON arrays, so arbitrary symbols never
 collide; save_model writes them in repr order and load_model interns
-them, so no output depends on the value of an id.  The history part is
+them, so no output depends on the value of an id.  A loaded model's
+alphabet is read-only: a name no weight has gets one shared id, so
+decoding never grows it.  The history part is
 memoised on the model per (merge state, rule), and its entries, like the
 prebuilt corpus parts, are shared: read them, never change them.
 """
@@ -156,18 +158,27 @@ class Alphabet(dict):
     """Feature names and their int ids: the dict maps a name to its id,
     names maps an id back to its name.  alphabet[name] gives a name it
     lacks the next id, so ids are dense, in first-seen order, and a name
-    keeps its id: the alphabet only ever grows."""
+    keeps its id.  Once read_only() is called, the alphabet takes no new
+    name: every name it lacks gets one id, unknown, which no weight holds
+    and names[unknown] names as None, so such a name adds 0.0 to a score."""
 
-    __slots__ = ("names",)
+    __slots__ = ("names", "unknown")
 
     def __init__(self):
         super().__init__()
         self.names = []
+        self.unknown = None
 
     def __missing__(self, name):
+        if self.unknown is not None:
+            return self.unknown
         i = self[name] = len(self.names)
         self.names.append(name)
         return i
+
+    def read_only(self):
+        self.unknown = len(self.names)
+        self.names.append(None)
 
 
 @dataclass(frozen=True)
@@ -180,9 +191,10 @@ class Model:
 
     weights is keyed by feature id; alphabet names the ids, and replace
     carries it along, so a replaced model reads the same weights the same
-    way.  weights is the one part training changes, in place; alphabet
-    grows whenever a step builds a feature name it has not seen, and the
-    history memo fills as steps are scored."""
+    way.  weights is the one part training changes, in place.  While
+    training, alphabet grows whenever a step builds a feature name it has
+    not seen; a loaded model's alphabet is read-only, so decoding adds no
+    names.  The history memo fills as steps are scored."""
 
     weights: dict
     rules: frozenset
@@ -539,13 +551,27 @@ def decode_nbest(x, model, beam_width, n):
     ]
 
 
+def _cores(a, b):
+    """a and b without their common prefix and suffix, which leaves their
+    edit distance as it is."""
+    shorter = min(len(a), len(b))
+    i = 0
+    while i < shorter and a[i] == b[i]:
+        i += 1
+    j = 0
+    while j < shorter - i and a[-1 - j] == b[-1 - j]:
+        j += 1
+    return a[i : len(a) - j], b[i : len(b) - j]
+
+
 def loss(gold_output, cand_output, kind="levenshtein"):
-    """Zero-one or unit-cost symbol edit distance."""
+    """Zero-one or unit-cost symbol edit distance; the edit-distance table
+    covers only the two outputs' _cores."""
     if kind == "zero-one":
         return 0.0 if tuple(gold_output) == tuple(cand_output) else 1.0
     if kind != "levenshtein":
         raise ValueError(f"unknown loss {kind!r}")
-    a, b = tuple(gold_output), tuple(cand_output)
+    a, b = _cores(tuple(gold_output), tuple(cand_output))
     prev = list(range(len(b) + 1))
     for i, sa in enumerate(a, start=1):
         cur = [i] + [0] * len(b)
@@ -562,21 +588,12 @@ def loss(gold_output, cand_output, kind="levenshtein"):
 def _loss_bound(gold_output, cand_output, kind="levenshtein"):
     """An upper bound of loss(gold_output, cand_output, kind) that needs no
     edit-distance table: 1 for zero-one; for levenshtein, the longer of
-    the two outputs once their common prefix and suffix are stripped,
-    which leaves the edit distance as it is."""
+    the two outputs' _cores."""
     if kind == "zero-one":
         return 1.0
     if kind != "levenshtein":
         raise ValueError(f"unknown loss {kind!r}")
-    a, b = gold_output, cand_output
-    shorter = min(len(a), len(b))
-    i = 0
-    while i < shorter and a[i] == b[i]:
-        i += 1
-    j = 0
-    while j < shorter - i and a[-1 - j] == b[-1 - j]:
-        j += 1
-    return float(max(len(a), len(b)) - i - j)
+    return float(max(map(len, _cores(gold_output, cand_output))))
 
 
 def mira_update(weights, gold, candidates, c, loss_kind="levenshtein", avg=None):
@@ -716,8 +733,9 @@ def save_model(model, path, lm_path=None, lexicon_path=None):
 def load_model(path):
     """Read a model file; returns (model, resource_refs) where the refs
     hold any lm/lexicon paths recorded at save time.  The model has no LM
-    or trie until the caller loads them from those paths.  A bad line
-    raises ParseError with its number and path."""
+    or trie until the caller loads them from those paths.  Its alphabet is
+    read-only: it names the weights only.  A bad line raises ParseError
+    with its number and path."""
     head = {"config": FeatureConfig()}
     rules = set()
     weights = {}
@@ -752,6 +770,7 @@ def load_model(path):
             raise ValueError(f"{path}: not a model file")
         with reading(path):
             parse_lines(src, parse, start=2)
+    alphabet.read_only()
     model = Model(weights=weights, rules=frozenset(rules), alphabet=alphabet, **head)
     return model, refs
 

@@ -16,6 +16,7 @@ from chartrans.cli import (
     cmd_prune,
     cmd_train,
     load_config,
+    load_model,
     load_resources,
     main,
     read_nbest,
@@ -24,7 +25,7 @@ from chartrans import charlm, transducer
 from chartrans.core import ParseError, parse_pairs
 from chartrans.aligner import read_alignments
 
-from toytask import context_pairs
+from toytask import context_pairs, lexicon_task
 
 WALK_CORPUS = """\
 w ɔ k\tw a l k e d
@@ -541,3 +542,36 @@ def test_decode_never_sums_candidate_features(tmp_path, monkeypatch):
     monkeypatch.setattr(transducer, "_summed", summed)
     nbest = cmd_decode(cfg)
     assert len(read_nbest(nbest)) == 8
+
+
+def test_a_loaded_model_decodes_without_growing_its_alphabet(tmp_path):
+    # held-out words meet feature names that no weight has; the model
+    # load_model returns decodes them as a fresh copy of it does, score bit
+    # for score bit, and takes none of those names into its alphabet
+    lexicon, pairs, held = lexicon_task(11, lex_size=300, n_train=40, n_test=20)
+    words, train_file = tmp_path / "words.txt", tmp_path / "train.txt"
+    words.write_text(
+        "".join(f"{''.join(w)}\t{c}\n" for w, c in lexicon.counts.items()), encoding="utf-8"
+    )
+    train_file.write_text(
+        "".join(f"{' '.join(p.source)}\t{' '.join(p.target)}\n" for p in pairs),
+        encoding="utf-8",
+    )
+    cfg = RunConfig(pairs=str(train_file), wordlist=str(words),
+                    outdir=str(tmp_path / "out"), epochs=2, nbest=5, beam=10)
+    cmd_align(cfg)
+    cmd_train(cfg)
+    model = load_model(cfg)
+    alphabet = model.alphabet
+    size, names = len(alphabet), list(alphabet.names)
+    unknown = 0
+    for inst in held:
+        got = transducer.decode_nbest(inst.source, model, 10, 5)
+        want = transducer.decode_nbest(inst.source, load_model(cfg), 10, 5)
+        assert transducer.format_nbest(inst.source, got) == transducer.format_nbest(
+            inst.source, want
+        )
+        assert [c.score.hex() for c in got] == [c.score.hex() for c in want]
+        unknown += sum(alphabet.unknown in c.features for c in got)
+    assert unknown
+    assert len(alphabet) == size and alphabet.names == names

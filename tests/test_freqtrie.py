@@ -1,15 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chartrans.core import ParseError
 from chartrans.freqtrie import (
     FreqBinConfig,
     Lexicon,
+    TrieNode,
     build_trie,
     freq_bin_features,
     parse_lexicon,
     prefix_count,
     prune_lexicon,
+    read_trie,
     serialize_lexicon,
     trie_words,
     walk,
@@ -154,3 +159,80 @@ def test_freq_bin_validation():
         FreqBinConfig((5, 5))
     with pytest.raises(ValueError):
         freq_bin_features(-1, FreqBinConfig())
+
+
+# Word-list lines: "WORD<TAB>COUNT", a bare "WORD" or a blank line, each
+# ended by one of the line boundaries str.splitlines knows.  Few symbols, some
+# of them non-ASCII, so words repeat and share prefixes.
+_WORD = st.lists(st.sampled_from("abñ中"), min_size=1, max_size=4).map("".join)
+_LINE = st.one_of(
+    st.just(""),
+    _WORD,
+    st.builds(lambda w, c: f"{w}\t{c}", _WORD, st.integers(1, 10**6)),
+)
+_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\u2028"])
+_WORD_LIST = st.lists(st.tuples(_LINE, _ENDS), max_size=30).map(
+    lambda lines: "".join(line + end for line, end in lines)
+)
+
+
+def _nodes(node):
+    yield node
+    kids = node.children
+    for child in kids.values() if isinstance(kids, dict) else kids[1:]:
+        yield from _nodes(child)
+
+
+def _assert_lean(root):
+    """Only a node with two or more children holds a dict; a node with one
+    holds a (symbol, child) pair, a leaf ()."""
+    for node in _nodes(root):
+        kids = node.children
+        if isinstance(kids, dict):
+            assert len(kids) >= 2
+        else:
+            assert kids == () or len(kids) == 2 and isinstance(kids[1], TrieNode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_WORD_LIST)
+def test_read_trie_is_the_trie_of_the_parsed_lexicon(text):
+    want, got = build_trie(parse_lexicon(text)), read_trie(text)
+    assert trie_words(got) == trie_words(want) == parse_lexicon(text).counts
+    assert got.prefix_count == want.prefix_count
+    words = trie_words(want)
+    for prefix in {w[:k] for w in words for k in range(len(w) + 1)} | {("z",)}:
+        for end_of_word in (False, True):
+            assert prefix_count(got, prefix, end_of_word) == prefix_count(
+                want, prefix, end_of_word
+            )
+    _assert_lean(got)
+    _assert_lean(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_WORD_LIST, bad=st.sampled_from(["ab\t0", "ab\tx", "ñ\t-3", "a\t2 5"]),
+       at=st.integers(0, 30))
+def test_both_readers_fail_on_the_same_line(text, bad, at):
+    lines = text.splitlines(keepends=True)
+    text = "".join(lines[:at]) + bad + "\n" + "".join(lines[at:])
+    failures = []
+    for reader in (parse_lexicon, read_trie):
+        with pytest.raises(ParseError) as info:
+            reader(text)
+        failures.append(info.value.lineno)
+    assert failures == [min(at, len(lines)) + 1] * 2
+
+
+def test_trie_nodes_hold_a_dict_only_for_two_or_more_children():
+    rng = random.Random(9)
+    counts = {
+        tuple(rng.choice("abcdefg") for _ in range(rng.randint(1, 9))): rng.randint(1, 50)
+        for _ in range(500)
+    }
+    root = build_trie(Lexicon(counts))
+    _assert_lean(root)
+    kinds = {type(node.children) for node in _nodes(root)}
+    assert kinds == {tuple, dict}
+    assert any(len(node.children) == 2 and type(node.children) is tuple
+               for node in _nodes(root))

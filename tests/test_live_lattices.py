@@ -181,15 +181,14 @@ def test_em_logs_one_line_per_iteration(caplog):
     assert [line[1] for line in lines] == [ll for ll, _ in history]
     assert {line[2] for line in lines} == {len(ZEROING_TWO_TWO) - 2}
     assert lines[-1][3] == len(delta)
-    # EM never changes its lattices, so every line counts the kept pairs'
-    # edges as _m2m_edges built them
-    _, _, kept = delta._take_fit()
-    built = [
-        aligner._m2m_edges(p.source, p.target, params.moves(), {}, live=True)
-        for p in ZEROING_TWO_TWO
-    ]
-    edges = sum(len(built[idx].edges) for idx in kept) // 3
-    assert [line[4] for line in lines] == [edges] * 16
+    # each line counts the kept pairs' edges whose span pair has positive δ
+    # after its iteration, so the count falls when δ loses an entry
+    lattices, spans, kept = delta._take_fit()
+    edges = [spans[k] for idx in kept for k in lattices[idx].edges[2::3]]
+    live = sum(span in delta for span in edges)
+    assert [line[3] for line in lines] == [24] * 13 + [23] * 3
+    assert [line[4] for line in lines] == [len(edges)] * 13 + [live] * 3
+    assert live < len(edges)
 
 
 def _orders_hold(lattice, gamma_from_goal):
