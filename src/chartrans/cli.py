@@ -8,6 +8,7 @@ import logging
 import os
 import re
 import sys
+import unicodedata
 from dataclasses import dataclass
 
 from . import aligner, charlm, core, freqtrie, transducer
@@ -151,9 +152,15 @@ def _read(path):
         return src.read()
 
 
-def _parse(path, parse):
-    """parse(the text of path); a ParseError it raises names path."""
-    text = _read(path)
+def _read_words(path):
+    """The text of the word list at path, NFC-normalised as the pairs'
+    symbols are (core.make_symbol), so a word spells a target alike."""
+    return unicodedata.normalize("NFC", _read(path))
+
+
+def _parse(path, parse, read=_read):
+    """parse(read(path)); a ParseError it raises names path."""
+    text = read(path)
     with core.reading(path):
         return parse(text)
 
@@ -229,7 +236,7 @@ def load_resources(cfg):
     refs = {}
     if not cfg.wordlist or (cfg.disable_lm and cfg.disable_freq):
         return lm, lm_bins, trie, freq_bins, refs
-    raw = _read(cfg.wordlist)
+    raw = _read_words(cfg.wordlist)
     with core.reading(cfg.wordlist):
         # Only the LM and pruning read a Lexicon; a trie alone needs none.
         if cfg.disable_lm and not cfg.english_wordlist:
@@ -251,11 +258,11 @@ def load_resources(cfg):
     if not cfg.disable_freq:
         lex_path = cfg.wordlist
         if cfg.english_wordlist:
-            en_raw = _read(cfg.english_wordlist)
+            en_raw = _read_words(cfg.english_wordlist)
             tag = _hash_inputs(raw, en_raw, "prune-v1")
             lex_path = f"{cfg.wordlist}.{tag}.plex"
             if os.path.exists(lex_path):
-                lex = _parse(lex_path, freqtrie.parse_lexicon)
+                lex = _parse(lex_path, freqtrie.parse_lexicon, _read_words)
             else:
                 with core.reading(cfg.english_wordlist):
                     english = freqtrie.parse_lexicon(en_raw)
@@ -295,7 +302,7 @@ def load_model(cfg):
     if model.config.lm_features and refs.get("lm"):
         resources["lm"] = charlm.load_charlm(refs["lm"])
     if model.config.freq_features and refs.get("lexicon"):
-        resources["trie"] = _parse(refs["lexicon"], freqtrie.read_trie)
+        resources["trie"] = _parse(refs["lexicon"], freqtrie.read_trie, _read_words)
     return dataclasses.replace(model, **resources)
 
 
@@ -377,8 +384,8 @@ def cmd_evaluate(cfg, nbest_path=None, refs_path=None):
 
 
 def cmd_prune(cfg):
-    target = _parse(cfg.wordlist, freqtrie.parse_lexicon)
-    english = _parse(cfg.english_wordlist, freqtrie.parse_lexicon)
+    target = _parse(cfg.wordlist, freqtrie.parse_lexicon, _read_words)
+    english = _parse(cfg.english_wordlist, freqtrie.parse_lexicon, _read_words)
     pruned = freqtrie.prune_lexicon(target, english)
     os.makedirs(cfg.outdir, exist_ok=True)
     out_path = cfg.path("pruned_lexicon.txt")

@@ -6,28 +6,24 @@ step with sparse indicator features: the rule itself, source context
 n-grams around the application point, target n-grams of the growing
 output, joint rule n-grams, a copy indicator, and (when corpus resources
 are attached) cumulative language-model and frequency bin features
-computed on the output prefix.  A step's features are three parts, each
-reading less than the last, and three builders are the only way a step is
-scored: the rule part (R, C; _rule_features) reads only the position and
-rule, the history part (T, J, COPY; _history_features, memoised on the
-model) only the beam's merge state and the rule, and the corpus part
-(LMB, FQB; _CorpusScorer.step) the output's length and the LM sum, tail
-and trie node the derivation carries.  The corpus part moves the LM sum
-and tail over the rule's target through the LM memo (CharLM.advance),
-walks the trie node over it, and picks its features from bin parts
-prebuilt per model, one dict per (LM bin, frequency bin) pair.  Two
-callers string the parts together: decode_nbest, which lists the source
-contexts (_contexts) once per position, scores the rule part once per
-(position, rule) in a table that lives for one call, under that call's
-weights, and continues those partial sums (_dot is a left fold, so that
-gives the bits of scoring each step from scratch); and _derivation_parts,
-which walks one given derivation, such as a gold one, and builds each
-step's parts as the beam builds them.  Candidates keep their hypothesis's
-trail of feature parts and sum it only when their features are read.
-Training is online large-margin (MIRA) against the k-best list, with
-optional weight averaging; MIRA reads each candidate's trail part by
-part, subtracting it from the gold features, so training sums only the
-gold derivations.
+computed on the output prefix.
+
+A step's features are three parts, each reading less than the last, and
+three builders are the only way a step is scored: the rule part (R, C;
+_rule_features) reads only the position and rule, the history part (T, J,
+COPY; _history_features) only the beam's merge state and the rule, and
+the corpus part (LMB, FQB; _CorpusScorer.step) the output's length and
+the LM sum, tail and trie node the derivation carries.  A part is a tuple
+of feature ids, each an indicator valued 1.0, so weighing it adds its
+ids' weights.  The model memoises the history part per (merge state,
+rule); train memoises the rule part per (source, position, rule) for its
+run only (Model.rule_parts).  decode_nbest strings the parts together in
+the beam, and _derivation_parts along one given derivation, such as a
+gold one, building them alike.  Candidates keep their hypothesis's trail
+of parts and sum it only when their features are read.  Training is
+online large-margin (MIRA) against the k-best list, with optional weight
+averaging; MIRA subtracts each candidate's trail from the gold features
+part by part, so training sums only the gold derivations.
 
 A Model is frozen and builds its rule index and _CorpusScorer once;
 training updates its weights in place.
@@ -41,9 +37,8 @@ appear only in model files, as JSON arrays, so arbitrary symbols never
 collide; save_model writes them in repr order and load_model interns
 them, so no output depends on the value of an id.  A loaded model's
 alphabet is read-only: a name no weight has gets one shared id, so
-decoding never grows it.  The history part is
-memoised on the model per (merge state, rule), and its entries, like the
-prebuilt corpus parts, are shared: read them, never change them.
+decoding never grows it, and a part may list that id more than once
+(each copy adds 0.0).
 """
 
 import json
@@ -210,6 +205,9 @@ class Model:
     # (last target_order output symbols, recent pairs)
     # -> {(rule source, rule target): (history part, merge state after)}.
     history: dict = field(init=False, repr=False, compare=False)
+    # None but inside train, which drops it before returning:
+    # (source, position, rule source, rule target) -> rule part.
+    rule_parts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key in self.weights:
@@ -225,6 +223,7 @@ class Model:
         object.__setattr__(self, "max_source", max(map(len, index), default=0))
         object.__setattr__(self, "scorer", _CorpusScorer(self))
         object.__setattr__(self, "history", {})
+        object.__setattr__(self, "rule_parts", None)
 
     @property
     def uses_lm(self):
@@ -272,12 +271,10 @@ def _rule_features(contexts, rule, model):
     """R and C features of applying rule where _contexts gave contexts: the
     rule itself and the source n-grams around the application point.  They
     read only (position, rule), so the beam search computes them once per
-    call, from one contexts list per position."""
+    call, from one contexts list per position, and train once per run."""
     ids, source, target = model.alphabet, rule.source, rule.target
-    feats = {ids["R", source, target]: 1.0}
-    for off, gram in contexts:
-        feats[ids["C", off, gram, source, target]] = 1.0
-    return feats
+    return (ids["R", source, target],
+            *[ids["C", off, gram, source, target] for off, gram in contexts])
 
 
 def _history_features(head, recent, rule, model):
@@ -287,26 +284,26 @@ def _history_features(head, recent, rule, model):
     recent), which is all the features read.  The merge state after is
     (the new output's last target_order symbols, the new recent pairs)."""
     cfg, ids = model.config, model.alphabet
-    feats = {}
+    feats = []
     tail = head + rule.target
     for m in range(1, cfg.target_order + 1):
         if len(tail) >= m:
-            feats[ids["T", tail[-m:]]] = 1.0
+            feats.append(ids["T", tail[-m:]])
     seq = recent + ((rule.source, rule.target),)
     for j in range(1, cfg.joint_order + 1):
         if len(seq) >= j:
-            feats[ids["J", seq[-j:]]] = 1.0
+            feats.append(ids["J", seq[-j:]])
     if cfg.copy_feature and rule.source == rule.target:
-        feats[ids[("COPY",)]] = 1.0
+        feats.append(ids[("COPY",)])
     j_keep = cfg.joint_order - 1
-    return feats, (tail[-cfg.target_order:], seq[-j_keep:] if j_keep else ())
+    return tuple(feats), (tail[-cfg.target_order:], seq[-j_keep:] if j_keep else ())
 
 
 _END = (EOS,)
 
 
 def _part(tag, fired, ids):
-    return {ids[tag, idx]: 1.0 for idx in sorted(fired)}
+    return tuple([ids[tag, idx] for idx in sorted(fired)])
 
 
 class _CorpusScorer:
@@ -316,9 +313,8 @@ class _CorpusScorer:
     and so are the FQB bins a count fires, so each possible run is built
     once here, from lm_bin_features and freq_bin_features, which stay the
     definition of what fires; a step picks its run by threshold index.
-    The LMB and FQB runs of a step are merged into one dict, cached per
-    (LM index, frequency index) pair.  The parts are keyed by the model's
-    feature ids.  The dicts are shared: read them, never change them.
+    Each LMB run and FQB run is merged into one part, LMB ids first, by
+    (LM index, frequency index); a step with no corpus feature gets ().
     start is the corpus state every derivation begins in, the empty
     output's: (LM sum 0.0, LM history tail or None, trie root or None)."""
 
@@ -326,14 +322,14 @@ class _CorpusScorer:
         ids = model.alphabet
         self.lm = model.lm if model.uses_lm else None
         self.trie = model.trie if model.uses_freq else None
-        self._lm_parts = self._freq_parts = [{}]
+        lm_parts = freq_parts = [()]
         if self.lm is not None:
             bins = model.lm_bins
             # Index k < catch_all: thresholds[k] is the highest threshold
             # at or below the score, found by bisecting the negated
             # (increasing) thresholds; k = catch_all: none is.
             self._neg_thresholds = [-t for t in bins.thresholds]
-            self._lm_parts = [
+            lm_parts = [
                 _part("LMB", lm_bin_features(score, bins), ids)
                 for score in (*bins.thresholds, float("-inf"))
             ]
@@ -342,11 +338,11 @@ class _CorpusScorer:
             # Index k: the k lowest thresholds are at or below a positive
             # count; the last index is the zero count's.
             self._freq_thresholds = bins.thresholds
-            self._freq_parts = [
+            freq_parts = [
                 _part("FQB", freq_bin_features(count, bins), ids)
                 for count in (bins.thresholds[0] / 2, *bins.thresholds, 0)
             ]
-        self._merged = {}
+        self._merged = [[a + b for b in freq_parts] for a in lm_parts]
         tail = history_tail(self.lm, ()) if self.lm is not None else None
         self.start = (0.0, tail, self.trie)
 
@@ -356,7 +352,7 @@ class _CorpusScorer:
         tail and trie node these are: the sum, tail and node move on by
         target alone."""
         if not (n_out or target):
-            return {}, lm_sum, tail, node
+            return (), lm_sum, tail, node
         lm_idx = freq_idx = 0
         if self.lm is not None:
             lm_sum, tail = self.lm.advance(lm_sum, tail, target)
@@ -372,47 +368,47 @@ class _CorpusScorer:
             if node is not None:
                 count = node.word_count if final else node.prefix_count
             freq_idx = bisect_right(self._freq_thresholds, count) if count else -1
-        feats = self._merged.get((lm_idx, freq_idx))
-        if feats is None:
-            feats = self._merged[lm_idx, freq_idx] = {
-                **self._lm_parts[lm_idx], **self._freq_parts[freq_idx]
-            }
-        return feats, lm_sum, tail, node
+        return self._merged[lm_idx][freq_idx], lm_sum, tail, node
 
 
 def _dot(weights, feats, total=0):
-    """total plus the weighted features, added one key at a time in order.
-    A left fold, so _dot(w, b, _dot(w, a)) is _dot(w, a | b) bit for bit
-    when a and b share no key."""
-    for k, v in feats.items():
-        total += weights.get(k, 0.0) * v
+    """total plus the weighted features (a dict, or a part: its ids add
+    their weights, as w * 1.0 is w), one key at a time in order.  A left
+    fold, so _dot(w, b, _dot(w, a)) is _dot(w, a | b) bit for bit."""
+    if type(feats) is dict:
+        for k, v in feats.items():
+            total += weights.get(k, 0.0) * v
+        return total
+    for k in feats:
+        total += weights.get(k, 0.0)
     return total
 
 
 def _summed(parts):
-    """Features of a derivation's feature parts, summed in step order, so
-    key order and float sums do not depend on who built the parts."""
+    """Features of a derivation's feature parts, 1.0 per id, summed in step
+    order, so key order and float sums do not depend on who built them."""
     feats = {}
     for part in parts:
-        for k, v in part.items():
-            feats[k] = feats.get(k, 0.0) + v
+        for k in part:
+            feats[k] = feats.get(k, 0.0) + 1.0
     return feats
 
 
 def _derivation_parts(x, derivation, model):
     """(Feature parts of derivation applied to x, output): per step, the
     rule, history and corpus parts, first step first, each built as
-    decode_nbest builds it (the rule part from the position's source
-    contexts, the history part read from or added to the model's memo, the
-    corpus part from the LM sum, tail and trie node carried on), so they
-    equal a decoded candidate's trail part by part (Candidate._parts).
-    Raises ValueError when the derivation's source spans do not spell x."""
+    decode_nbest builds it (the rule and history parts read from or added
+    to their memos, the corpus part from the LM sum, tail and trie node
+    carried on), so they equal a decoded candidate's trail part by part
+    (Candidate._parts).  Raises ValueError when the derivation's source
+    spans do not spell x."""
     cfg, corpus_step = model.config, model.scorer.step
-    parts, out, pos, merge = [], (), 0, ((), ())
+    memo = {} if model.rule_parts is None else model.rule_parts
+    x, parts, out, pos, merge = tuple(x), [], (), 0, ((), ())
     lm_sum, tail, node = model.scorer.start
     for step, rule in enumerate(derivation):
         end = pos + len(rule.source)
-        if tuple(x[pos:end]) != rule.source:
+        if x[pos:end] != rule.source:
             raise ValueError(f"step {step} rewrites {rule.source}, not x[{pos}:{end}]")
         row, pair = model.history.setdefault(merge, {}), (rule.source, rule.target)
         part = row.get(pair)
@@ -422,7 +418,11 @@ def _derivation_parts(x, derivation, model):
         corpus, lm_sum, tail, node = corpus_step(
             len(out), rule.target, lm_sum, tail, node, end == len(x)
         )
-        parts += (_rule_features(_contexts(x, pos, cfg), rule, model), history, corpus)
+        key = x, pos, rule.source, rule.target
+        static = memo.get(key)
+        if static is None:
+            static = memo[key] = _rule_features(_contexts(x, pos, cfg), rule, model)
+        parts += (static, history, corpus)
         out += rule.target
         pos = end
     if pos != len(x):
@@ -464,13 +464,13 @@ def decode_nbest(x, model, beam_width, n):
 
     Each step is scored from its three parts, each where it is first
     known: the rule part once per (position, rule), from the position's
-    source contexts listed once, in a table that lives for this call only,
-    under this call's weights; the history part once per (state, rule),
-    built once per model in its history memo; the corpus part per
-    hypothesis, from the LM sum, tail and trie node it carries, starting
-    at the scorer's start.  _dot is a left fold over keys in part order,
-    so continuing the table's partial sums gives the step score bit for
-    bit.  A candidate's features are the trail of parts its hypothesis
+    source contexts listed once or from train's memo, weighed in a table
+    that lives for this call only, under this call's weights; the history
+    part once per (state, rule), in the model's history memo; the corpus
+    part per hypothesis, from the LM sum, tail and trie node it carries,
+    starting at the scorer's start.  _dot is a left fold over keys in part
+    order, so continuing the table's partial sums gives the step score bit
+    for bit.  A candidate's features are the trail of parts its hypothesis
     carried, the parts _derivation_parts builds for its derivation, summed
     as derivation_features sums them when first read, so no derivation is
     scored twice and none is summed unless asked for; mira_update reads
@@ -483,6 +483,7 @@ def decode_nbest(x, model, beam_width, n):
     max_src = max(model.max_source, 1)
     weights = model.weights
     corpus_step = model.scorer.step
+    memo = {} if model.rule_parts is None else model.rule_parts
 
     # beams[t]: merge state (last target_order output symbols, recent rule
     # pairs) -> {output: (score, state, trail)}, so equal-output items in
@@ -504,10 +505,13 @@ def decode_nbest(x, model, beam_width, n):
             matches.extend(index.get(x[t : t + length], ()))
         if not matches:
             matches = [Rule((x[t],), (x[t],))]
-        contexts = _contexts(x, t, model.config)
-        table = []
+        contexts, table = None, []
         for rule in matches:
-            static = _rule_features(contexts, rule, model)
+            key = x, t, rule.source, rule.target
+            static = memo.get(key)
+            if static is None:
+                contexts = contexts or _contexts(x, t, model.config)
+                static = memo[key] = _rule_features(contexts, rule, model)
             end = t + len(rule.source)
             table.append((rule, (rule.source, rule.target), static,
                           _dot(weights, static), end, end == len(x)))
@@ -602,14 +606,14 @@ def mira_update(weights, gold, candidates, c, loss_kind="levenshtein", avg=None)
     of loss(candidate); an unclipped step makes the constraint tight.
 
     A candidate's difference vector is built in one walk: the gold
-    features, less the candidate's feature parts one at a time in step
-    order (Candidate._parts), so a decoded candidate's trail is read, never
-    summed.  Its key order is gold keys, then candidate-only keys as they
-    first appear.  That is the gold features less the summed candidate
-    features bit for bit when every part holds 1.0 indicators and the gold
-    values are whole numbers, as decode_nbest's parts and gold_candidate's
-    features are: every partial difference is then an exact integer.  A
-    candidate with explicit features has one part, so it is exact for any
+    features, less 1.0 per id of the candidate's trail parts in step order
+    (Candidate._parts), so a decoded candidate's trail is read, never
+    summed; a candidate with explicit features subtracts them instead.  Its
+    key order is gold keys, then candidate-only keys as they first appear.
+    That is the gold features less the summed candidate features bit for
+    bit: a trail part is a tuple of ids, so when the gold values are whole
+    numbers, as gold_candidate's are, every partial difference is an exact
+    integer; explicit features are subtracted in one pass, exact for any
     values.
     The margin is weighed in one pass over that vector, skipping zero
     differences, which is _dot(weights, diff) bit for bit; the loss is
@@ -621,8 +625,12 @@ def mira_update(weights, gold, candidates, c, loss_kind="levenshtein", avg=None)
             continue
         diff = dict(gold_feats)
         get = diff.get
-        for part in cand._parts():
-            for k, v in part.items():
+        if cand._features is None:
+            for part in cand._parts():
+                for k in part:
+                    diff[k] = get(k, 0.0) - 1.0
+        else:
+            for k, v in cand._features.items():
                 diff[k] = get(k, 0.0) - v
         margin, differs = 0, False
         for k, v in diff.items():
@@ -652,7 +660,9 @@ def train(pairs, alignments, cfg=None, feature_config=None, lm=None,
     pairs may be None (reconstructed from the alignments); when given it
     is checked for coverage.  With dev instances, logs word accuracy
     after every epoch.  Averaging uses lazily-accumulated update
-    timestamps, so it costs O(updates), not O(steps x features).
+    timestamps, so it costs O(updates), not O(steps x features).  Rule
+    parts read no weight, so the run builds each once, in a memo
+    (Model.rule_parts) that it drops before returning.
     """
     cfg = cfg or TrainConfig()
     rules, golds = extract_rules(alignments)
@@ -667,6 +677,7 @@ def train(pairs, alignments, cfg=None, feature_config=None, lm=None,
         config=feature_config or FeatureConfig(),
         lm=lm, lm_bins=lm_bins, trie=trie, freq_bins=freq_bins,
     )
+    object.__setattr__(model, "rule_parts", {})
     u = {}
     step = 0
     for epoch in range(cfg.epochs):
@@ -680,6 +691,7 @@ def train(pairs, alignments, cfg=None, feature_config=None, lm=None,
         if dev is not None:
             acc = _accuracy(model, dev, cfg.beam)
             log.info("epoch %d dev accuracy %.4f", epoch + 1, acc)
+    object.__setattr__(model, "rule_parts", None)
     if cfg.averaging and step > 0:
         model = replace(model, weights={
             k: w - u.get(k, 0.0) / step for k, w in model.weights.items()

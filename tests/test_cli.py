@@ -1,11 +1,12 @@
 import dataclasses
 import logging
 import random
+import unicodedata
 
 import pytest
 
 from chartrans.aligner import AlignParams
-from chartrans.freqtrie import FreqBinConfig
+from chartrans.freqtrie import FreqBinConfig, prefix_count
 from chartrans.transducer import FeatureConfig, TrainConfig
 from chartrans.cli import (
     RunConfig,
@@ -22,7 +23,7 @@ from chartrans.cli import (
     read_nbest,
 )
 from chartrans import charlm, transducer
-from chartrans.core import ParseError, parse_pairs
+from chartrans.core import ParseError, parse_pairs, parse_seq
 from chartrans.aligner import read_alignments
 
 from toytask import context_pairs, lexicon_task
@@ -312,6 +313,50 @@ def test_failed_lm_cache_write_leaves_no_cache(tmp_path, monkeypatch):
     lm = load_resources(cfg)[0]
     [cache] = tmp_path.glob("*.lm")
     assert charlm.load_charlm(cache).tables == lm.tables
+
+
+NFC_WORDS = "café\t50\ncafe\t3\nvoilà\t7\n"
+
+
+def _word_list(directory, text):
+    directory.mkdir()
+    path = directory / "words.txt"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_nfd_word_list_counts_nfc_targets(tmp_path):
+    # the pairs' symbols are NFC, so the word list must be too: in NFD,
+    # "é" is "e" and a combining accent, and no NFC target would match it
+    nfd = unicodedata.normalize("NFD", NFC_WORDS)
+    assert nfd != NFC_WORDS
+    cafe = parse_seq("c a f é")
+    runs = {}
+    for name, text in [("nfc", NFC_WORDS), ("nfd", nfd)]:
+        cfg = RunConfig(wordlist=_word_list(tmp_path / name, text), lm_order=2)
+        lm, _, trie, _, refs = load_resources(cfg)
+        assert prefix_count(trie, cafe, end_of_word=True) == 50
+        assert prefix_count(trie, parse_seq("v o i l à")) == 7
+        assert "é" in lm.alphabet
+        runs[name] = refs["lm"].rsplit("/", 1)[1], lm.tables
+        only_trie = dataclasses.replace(cfg, disable_lm=True)
+        assert prefix_count(load_resources(only_trie)[2], cafe, end_of_word=True) == 50
+    # one cache name: the LM cache of a list is keyed by its NFC text, so an
+    # NFD list reuses no cache built from its unnormalised text
+    assert runs["nfd"] == runs["nfc"]
+
+
+def test_decode_reads_an_nfd_word_list_as_nfc(tmp_path):
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("k a f e\tc a f é\nk a\tc a\n", encoding="utf-8")
+    cfg = RunConfig(
+        pairs=str(pairs), outdir=str(tmp_path / "out"), epochs=1, disable_lm=True,
+        wordlist=_word_list(tmp_path / "words", unicodedata.normalize("NFD", NFC_WORDS)),
+    )
+    cmd_align(cfg)
+    cmd_train(cfg)
+    trie = load_model(cfg).trie
+    assert prefix_count(trie, parse_seq("c a f é"), end_of_word=True) == 50
 
 
 def test_baseline_alignment_links_a_to_w(tmp_path):

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +31,12 @@ from chartrans.transducer import (
     Model,
     Rule,
     TrainConfig,
+    _contexts,
     _derivation_parts,
     _dot,
     _history_features,
     _loss_bound,
+    _rule_features,
     decode_nbest,
     derivation_features,
     extract_rules,
@@ -75,7 +79,10 @@ def by_id(model, named):
 
 
 def by_name(model, feats):
-    """feats (feature id -> value) keyed by feature name, in its order."""
+    """feats (feature id -> value, or a part: a tuple of ids, each valued
+    1.0) keyed by feature name, in its order."""
+    if isinstance(feats, tuple):
+        feats = dict.fromkeys(feats, 1.0)
     return {model.alphabet.names[k]: v for k, v in feats.items()}
 
 
@@ -93,7 +100,7 @@ def step_features(x, pos, rule, model):
 
     derivation = identities(x[:pos]) + (rule,) + identities(x[pos + len(rule.source):])
     parts, _ = _derivation_parts(x, derivation, model)
-    return {k: v for part in parts[3 * pos : 3 * pos + 3] for k, v in part.items()}
+    return tuple(k for part in parts[3 * pos : 3 * pos + 3] for k in part)
 
 
 def test_extract_rules_from_links():
@@ -699,14 +706,15 @@ def corpus_model():
 
 def _folded_score(x, derivation, model):
     """The derivation's score as a left fold over its steps, each step's
-    three parts from _derivation_parts weighted key by key: no table."""
+    three parts from _derivation_parts weighted key by key, each id valued
+    1.0: no table."""
     parts, _ = _derivation_parts(x, derivation, model)
     score = 0.0
     for step in range(0, len(parts), 3):
         step_score = 0
         for part in parts[step : step + 3]:
-            for k, v in part.items():
-                step_score += model.weights.get(k, 0.0) * v
+            for k in part:
+                step_score += model.weights.get(k, 0.0) * 1.0
         score += step_score
     return score
 
@@ -723,7 +731,8 @@ def test_derivation_parts_are_the_beams_parts(corpus_model):
             want = cand._parts()
             assert len(parts) == len(want) == 3 * len(cand.derivation)
             for got, built in zip(parts, want):
-                assert list(got.items()) == list(built.items())
+                assert type(got) is type(built) is tuple
+                assert got == built
             checked += 1
     assert checked > len(held)
 
@@ -1034,3 +1043,120 @@ def test_replace_starts_an_empty_history_memo(corpus_model):
     assert changed.history == {}
     assert changed.alphabet is model.alphabet
     assert model.history
+
+
+def _train_recording(pairs, alignments, **kwargs):
+    """(train(pairs, alignments, **kwargs), the rule-part memos its model
+    held while training, the number of rule parts it built)."""
+    memos, builds = [], [0]
+    decode, rule_features = transducer.decode_nbest, transducer._rule_features
+
+    def recorded(x, model, *args):
+        if all(m is not model.rule_parts for m in memos):
+            memos.append(model.rule_parts)
+        return decode(x, model, *args)
+
+    def counted(*args):
+        builds[0] += 1
+        return rule_features(*args)
+
+    with mock.patch.object(transducer, "decode_nbest", recorded), \
+            mock.patch.object(transducer, "_rule_features", counted):
+        model = train(pairs, alignments, **kwargs)
+    return model, memos, builds[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    lm_features=st.booleans(),
+    freq_features=st.booleans(),
+    epochs=st.integers(1, 3),
+    with_dev=st.booleans(),
+)
+def test_training_builds_each_rule_part_once(
+    tmp_path_factory, seed, lm_features, freq_features, epochs, with_dev
+):
+    # one memo per run, one build per (source, position, rule) it holds, and
+    # every part in it is the one _rule_features builds from scratch
+    lexicon, pairs, held = lexicon_task(seed, lex_size=120, n_train=10, n_test=3)
+    words = list(lexicon.counts)
+    lm = train_charlm(words, 2)
+    kwargs = dict(
+        cfg=TrainConfig(epochs=epochs, nbest=3, beam=5),
+        feature_config=FeatureConfig(lm_features=lm_features, freq_features=freq_features),
+        lm=lm, lm_bins=make_bins(lm, words), trie=build_trie(lexicon),
+        freq_bins=FreqBinConfig((1, 10, 100)), dev=held if with_dev else None,
+    )
+    alignments = precision_align(pairs)
+    model, [memo], builds = _train_recording(pairs, alignments, **kwargs)
+    assert model.rule_parts is None
+    assert builds == len(memo)
+    assert {key[0] for key in memo} == {a.source() for a in alignments} | (
+        {inst.source for inst in held} if with_dev else set()
+    )
+    size = len(model.alphabet.names)
+    for (x, pos, source, target), part in memo.items():
+        fresh = _rule_features(_contexts(x, pos, model.config), Rule(source, target), model)
+        assert type(part) is tuple and part == fresh
+    assert len(model.alphabet.names) == size
+    # the same bytes again, and without the memo, each part built afresh
+    directory = tmp_path_factory.mktemp("models")
+    save_model(model, directory / "memo.txt")
+    save_model(train(pairs, alignments, **kwargs), directory / "again.txt")
+    decode = transducer.decode_nbest
+
+    def forgetful(x, model, *args):
+        object.__setattr__(model, "rule_parts", None)
+        return decode(x, model, *args)
+
+    with mock.patch.object(transducer, "decode_nbest", forgetful):
+        save_model(train(pairs, alignments, **kwargs), directory / "fresh.txt")
+    want = (directory / "memo.txt").read_bytes()
+    assert (directory / "again.txt").read_bytes() == want
+    assert (directory / "fresh.txt").read_bytes() == want
+
+
+def _bits(value):
+    return type(value), struct.pack("<d", value)
+
+
+_WEIGHTS = st.floats(allow_nan=False)  # subnormals, signed zeros and infinities
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    weights=st.dictionaries(st.integers(0, 9), _WEIGHTS, max_size=10),
+    ids=st.lists(st.integers(0, 12), unique=True, max_size=10),
+    start=st.one_of(st.just(0), _WEIGHTS),
+    data=st.data(),
+)
+def test_dot_over_ids_is_the_dict_fold(weights, ids, start, data):
+    # an id tuple adds each weight alone, the old dict part w * 1.0: the bits
+    # agree, and so they do when an id no weight has (a read-only alphabet's
+    # unknown) is listed again
+    absent = [k for k in ids if k not in weights]
+    again = data.draw(st.lists(st.sampled_from(absent), max_size=3)) if absent else []
+    part = tuple(ids + again)
+    want = start
+    for k, v in dict.fromkeys(part, 1.0).items():
+        want += weights.get(k, 0.0) * v
+    assert _bits(_dot(weights, part, start)) == _bits(want)
+    assert _bits(_dot(weights, dict.fromkeys(part, 1.0), start)) == _bits(want)
+
+
+def test_no_returned_or_loaded_model_carries_a_rule_part_memo(corpus_model, tmp_path):
+    model, held = corpus_model
+    pairs = digraph_pairs(random.Random(29), 5)
+    raw = train(
+        pairs, _toy_alignments(pairs),
+        cfg=TrainConfig(epochs=2, nbest=3, beam=5, averaging=False), feature_config=PLAIN,
+    )
+    save_model(model, tmp_path / "model.txt")
+    loaded, _ = load_model(tmp_path / "model.txt")
+    loaded = dataclasses.replace(loaded, lm=model.lm, trie=model.trie)
+    assert model.rule_parts is raw.rule_parts is loaded.rule_parts is None
+    for inst in held:
+        for cand in decode_nbest(inst.source, loaded, 10, 5):
+            _derivation_parts(inst.source, cand.derivation, loaded)
+    assert loaded.rule_parts is None
