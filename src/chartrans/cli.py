@@ -227,11 +227,17 @@ def _write(path, text):
         out.write(text)
 
 
+def _trie_snapshot(lex_path, text):
+    """The path of the trie snapshot of text, the word list at lex_path."""
+    return f"{lex_path}.{_hash_inputs(text, freqtrie.LAYOUT)}.trie"
+
+
 def load_resources(cfg):
     """Build (or reuse cached) character LM and pruned lexicon from the
     word list; caches live beside the word list, keyed by a content hash.
     Only the resources of enabled features are built: the LM and its bins
-    unless disable_lm, the trie and its bins unless disable_freq."""
+    unless disable_lm, the trie (built, then snapshotted) and its bins
+    unless disable_freq."""
     lm = lm_bins = trie = freq_bins = None
     refs = {}
     if not cfg.wordlist or (cfg.disable_lm and cfg.disable_freq):
@@ -256,13 +262,15 @@ def load_resources(cfg):
         lm_bins = charlm.make_bins(lm, words)
 
     if not cfg.disable_freq:
-        lex_path = cfg.wordlist
+        lex_path, text = cfg.wordlist, raw
         if cfg.english_wordlist:
             en_raw = _read_words(cfg.english_wordlist)
             tag = _hash_inputs(raw, en_raw, "prune-v1")
             lex_path = f"{cfg.wordlist}.{tag}.plex"
             if os.path.exists(lex_path):
-                lex = _parse(lex_path, freqtrie.parse_lexicon, _read_words)
+                text = _read_words(lex_path)
+                with core.reading(lex_path):
+                    lex = freqtrie.parse_lexicon(text)
             else:
                 with core.reading(cfg.english_wordlist):
                     english = freqtrie.parse_lexicon(en_raw)
@@ -271,6 +279,11 @@ def load_resources(cfg):
                 _write_cache(lex_path, lambda tmp: _write(tmp, text))
         refs["lexicon"] = lex_path
         trie = trie or freqtrie.build_trie(lex)
+        try:
+            _write_cache(_trie_snapshot(lex_path, text),
+                         lambda tmp: freqtrie.save_trie(trie, tmp))
+        except ValueError:
+            pass  # a word nests the trie deeper than marshal can: decode builds it
         freq_bins = freqtrie.FreqBinConfig(cfg.freq_thresholds)
     return lm, lm_bins, trie, freq_bins, refs
 
@@ -302,8 +315,20 @@ def load_model(cfg):
     if model.config.lm_features and refs.get("lm"):
         resources["lm"] = charlm.load_charlm(refs["lm"])
     if model.config.freq_features and refs.get("lexicon"):
-        resources["trie"] = _parse(refs["lexicon"], freqtrie.read_trie, _read_words)
+        resources["trie"] = _load_trie(refs["lexicon"])
     return dataclasses.replace(model, **resources)
+
+
+def _load_trie(lex_path):
+    """The trie of the word list at lex_path: load_resources's snapshot of
+    its current text, or, if that is missing or unreadable, built anew."""
+    text = _read_words(lex_path)
+    try:
+        return freqtrie.load_trie(_trie_snapshot(lex_path, text))
+    except (OSError, ValueError, EOFError, TypeError):
+        pass  # missing or unreadable: build it
+    with core.reading(lex_path):
+        return freqtrie.read_trie(text)
 
 
 def _sources(cfg, path):

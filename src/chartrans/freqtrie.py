@@ -1,11 +1,22 @@
-"""Word counts from a word list, a prefix trie over them, unigram bin
-features, and probability-ratio corpus pruning.  Trie nodes are lean (see
-TrieNode), and read_trie builds the trie from a word list's text with no
-Lexicon in between."""
+"""Word counts from a word list (read in NFC, as core.make_symbol spells
+symbols), a prefix trie over them, unigram bin features, and
+probability-ratio corpus pruning.  The trie is nested tuples: a node is
+(prefix count, word count), then a symbol and child if it has one child,
+or a dict from symbol to child if more.  The collector stops tracking a
+tuple of untracked values, so a full collection walks only the dicts; and
+marshal writes or reads a whole subtree at once (save_trie, load_trie:
+cli's snapshot, named with LAYOUT)."""
 
+import marshal
+import unicodedata
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .core import ParseError
+
+# Part of a snapshot's name: change it with the node or record layout.
+LAYOUT = f"nested-tuples-1, marshal {marshal.version}"
 
 
 @dataclass
@@ -26,11 +37,15 @@ class Lexicon:
 
 def _entries(stream):
     """(word, count) of each "WORD<TAB>COUNT" line, in order; a bare "WORD"
-    line means count 1.  A word's symbols are its characters.  A count that
-    is not a positive integer raises ParseError with its line number."""
+    line means count 1.  A word's symbols are the characters of its NFC
+    form.  A count that is not a positive integer raises ParseError with its
+    line number."""
     # Inline, not core.parse_lines: the word list is the largest input, read
     # twice per set-up, and a call per line cost 15-27% of this loop's time.
-    lines = stream.splitlines() if isinstance(stream, str) else stream
+    if isinstance(stream, str):
+        lines = unicodedata.normalize("NFC", stream).splitlines()
+    else:
+        lines = (unicodedata.normalize("NFC", line) for line in stream)
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -60,66 +75,67 @@ def serialize_lexicon(lex):
     )
 
 
-class TrieNode:
-    """A trie node.  Most nodes of a word list's trie have one child or none,
-    so children is () at a leaf, a (symbol, child) pair at a node with one
-    child, and a dict from symbol to child only at a node with more."""
-
-    __slots__ = ("children", "prefix_count", "word_count")
-
-    def __init__(self):
-        self.children = ()
-        self.prefix_count = 0
-        self.word_count = 0
+def _frozen(counts):
+    """The trie of a word-to-count map, built bottom-up over the sorted
+    words (see _subtrie)."""
+    words = sorted(counts)
+    return _subtrie(words, counts, 0, len(words), 0) if words else (0, 0)
 
 
-def _child(node, sym):
-    """node's child on sym, or None."""
-    kids = node.children
-    if type(kids) is dict:
-        return kids.get(sym)
-    return kids[1] if kids and kids[0] == sym else None
-
-
-def _build(entries):
-    """The trie of (word, count) entries; a repeated word adds up."""
-    root = TrieNode()
-    for word, count in entries:
-        root.prefix_count += count
-        node = root
-        for sym in word:
-            # _child inlined: a call per symbol took 13% of a 30,000-word build
-            kids = node.children
-            if type(kids) is dict:
-                child = kids.get(sym) or kids.setdefault(sym, TrieNode())
-            elif kids and kids[0] == sym:
-                child = kids[1]
-            else:
-                child = TrieNode()
-                node.children = {kids[0]: kids[1], sym: child} if kids else (sym, child)
-            node = child
-            node.prefix_count += count
-        node.word_count += count
-    return root
+def _subtrie(words, counts, lo, hi, d):
+    """The node of the length-d prefix that only words[lo:hi] of the sorted
+    words begin with.  A run of one-child nodes is walked down, not
+    recursed, so long words nest no calls."""
+    above = []  # (word count, symbol) of each one-child node passed
+    while True:
+        own = 0
+        if len(words[lo]) == d:
+            own = counts[words[lo]]
+            lo += 1
+        if lo == hi:
+            found = (own, own)
+            break
+        sym = words[lo][d]
+        if sym != words[hi - 1][d]:
+            kids, total, key = {}, own, itemgetter(d)
+            while lo < hi:
+                sym, end = words[lo][d], lo + 1
+                if end < hi and words[end][d] == sym:
+                    end = bisect_right(words, sym, end, hi, key=key)
+                kids[sym] = kid = _subtrie(words, counts, lo, end, d + 1)
+                total += kid[0]
+                lo = end
+            found = (total, own, kids)
+            break
+        above.append((own, sym))
+        d += 1
+    for own, sym in reversed(above):
+        found = (own + found[0], own, sym, found)
+    return found
 
 
 def build_trie(lex):
     """Trie whose nodes carry the summed count of every word passing
     through them; word-final nodes also carry the exact word count."""
-    return _build(lex.counts.items())
+    return _frozen(lex.counts)
 
 
 def read_trie(text):
-    """build_trie(parse_lexicon(text)), built as the lines are read, with
-    no Lexicon in between."""
-    return _build(_entries(text))
+    """build_trie(parse_lexicon(text)), with no Lexicon in between."""
+    counts = {}
+    for word, count in _entries(text):
+        counts[word] = counts.get(word, 0) + count
+    return _frozen(counts)
 
 
 def walk(root, prefix):
     """Node reached by prefix, or None if the trie has no such path."""
     node = root
     for sym in prefix:
-        node = _child(node, sym)
+        if len(node) == 3:
+            node = node[2].get(sym)
+        else:
+            node = node[3] if len(node) == 4 and node[2] == sym else None
         if node is None:
             return None
     return node
@@ -131,22 +147,50 @@ def prefix_count(root, prefix, end_of_word=False):
     node = walk(root, prefix)
     if node is None:
         return 0
-    return node.word_count if end_of_word else node.prefix_count
+    return node[1] if end_of_word else node[0]
+
+
+def _children(node):
+    """The (symbol, child) pairs of node."""
+    return node[2].items() if len(node) == 3 else [node[2:]] if len(node) == 4 else ()
 
 
 def trie_words(root):
     """Reconstruct the word-count map by walking every path."""
-    out = {}
-
-    def visit(node, prefix):
-        if node.word_count:
-            out[prefix] = node.word_count
-        kids = node.children
-        for sym in sorted(kids if type(kids) is dict else kids[:1]):
-            visit(_child(node, sym), prefix + (sym,))
-
-    visit(root, ())
+    out, todo = {}, [((), root)]
+    while todo:
+        prefix, node = todo.pop()
+        if node[1]:
+            out[prefix] = node[1]
+        todo.extend((prefix + (sym,), child) for sym, child in _children(node))
     return out
+
+
+def save_trie(trie, path):
+    """Write trie to path as length-prefixed marshal records: the root's
+    counts, then each (symbol, child) of the root.  Small records, not one
+    large buffer, leave the allocator no large freed block to keep.
+    ValueError if a word nests the trie deeper than marshal can write."""
+    with open(path, "wb") as out:
+        for record in (trie[:2], *_children(trie)):
+            data = marshal.dumps(record)
+            out.write(len(data).to_bytes(4, "little"))
+            out.write(data)
+
+
+def load_trie(path):
+    """The trie save_trie wrote to path; ValueError, EOFError or TypeError
+    if path holds no whole trie."""
+    records = []
+    with open(path, "rb") as src:
+        while head := src.read(4):
+            records.append(marshal.loads(src.read(int.from_bytes(head, "little"))))
+    (prefix, word), *kids = records
+    if prefix != word + sum(kid[0] for _, kid in kids):
+        raise ValueError(f"{path} lacks some of the trie's root children")
+    if len(kids) > 1:
+        return (prefix, word, dict(kids))
+    return (prefix, word, *(kids[0] if kids else ()))
 
 
 def prune_lexicon(target, english):

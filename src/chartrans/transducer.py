@@ -366,7 +366,7 @@ class _CorpusScorer:
                 node = walk(node, target)
             count = 0
             if node is not None:
-                count = node.word_count if final else node.prefix_count
+                count = node[1] if final else node[0]
             freq_idx = bisect_right(self._freq_thresholds, count) if count else -1
         return self._merged[lm_idx][freq_idx], lm_sum, tail, node
 

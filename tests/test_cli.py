@@ -1,12 +1,14 @@
 import dataclasses
 import logging
+import marshal
 import random
 import unicodedata
+from pathlib import Path
 
 import pytest
 
 from chartrans.aligner import AlignParams
-from chartrans.freqtrie import FreqBinConfig, prefix_count
+from chartrans.freqtrie import FreqBinConfig, load_trie, prefix_count, read_trie
 from chartrans.transducer import FeatureConfig, TrainConfig
 from chartrans.cli import (
     RunConfig,
@@ -22,7 +24,7 @@ from chartrans.cli import (
     main,
     read_nbest,
 )
-from chartrans import charlm, transducer
+from chartrans import charlm, cli, freqtrie, transducer
 from chartrans.core import ParseError, parse_pairs, parse_seq
 from chartrans.aligner import read_alignments
 
@@ -313,6 +315,129 @@ def test_failed_lm_cache_write_leaves_no_cache(tmp_path, monkeypatch):
     lm = load_resources(cfg)[0]
     [cache] = tmp_path.glob("*.lm")
     assert charlm.load_charlm(cache).tables == lm.tables
+
+
+def _trained(tmp_path, **settings):
+    """A trained context task's configuration, after align and train."""
+    cfg = write_context_task(tmp_path, n_train=10, n_test=3)
+    cfg = dataclasses.replace(cfg, epochs=1, **settings)
+    cmd_align(cfg)
+    cmd_train(cfg)
+    return cfg
+
+
+def _list_trie(path):
+    """The trie of the word list at path, read as cli reads it."""
+    return read_trie(unicodedata.normalize("NFC", Path(path).read_text(encoding="utf-8")))
+
+
+def test_decode_with_and_without_the_trie_snapshot_is_byte_identical(tmp_path):
+    cfg = _trained(tmp_path)
+    [snapshot] = tmp_path.glob("words.txt.*.trie")
+    assert load_trie(snapshot) == _list_trie(cfg.wordlist)
+    cmd_decode(cfg, output_path=str(tmp_path / "n1.txt"))
+    snapshot.unlink()
+    cmd_decode(cfg, output_path=str(tmp_path / "n2.txt"))
+    assert (tmp_path / "n1.txt").read_bytes() == (tmp_path / "n2.txt").read_bytes()
+
+
+def _no_build(text):
+    raise AssertionError("load_model built the trie")
+
+
+def test_load_model_reads_the_snapshot_without_building_a_trie(tmp_path, monkeypatch):
+    cfg = _trained(tmp_path)
+    want = _list_trie(cfg.wordlist)
+    monkeypatch.setattr(freqtrie, "read_trie", _no_build)
+    assert load_model(cfg).trie == want
+
+
+def test_a_word_list_edited_after_train_is_counted_from_its_new_text(tmp_path):
+    cfg = _trained(tmp_path)
+    words = tmp_path / "words.txt"
+    word, _ = words.read_text(encoding="utf-8").split("\n", 1)
+    words.write_text(f"{word}\t41\nzz\t2\n", encoding="utf-8")
+    trie = load_model(cfg).trie
+    assert prefix_count(trie, tuple(word), end_of_word=True) == 41
+    assert prefix_count(trie, ()) == 43
+    assert trie == _list_trie(words)
+
+
+def _record(value):
+    data = marshal.dumps(value)
+    return len(data).to_bytes(4, "little") + data
+
+
+@pytest.mark.parametrize("damage", [
+    "cut mid-record", "cut after a record", "garbage", "not a trie record", "empty",
+])
+def test_a_damaged_trie_snapshot_falls_back_to_the_build(tmp_path, damage):
+    cfg = _trained(tmp_path)
+    [snapshot] = tmp_path.glob("words.txt.*.trie")
+    data = snapshot.read_bytes()
+    ends, end = [], 0
+    while end < len(data):
+        end += 4 + int.from_bytes(data[end:end + 4], "little")
+        ends.append(end)
+    assert len(ends) > 2 and end == len(data)
+    snapshot.write_bytes({
+        "cut mid-record": data[:-1],
+        "cut after a record": data[: ends[-2]],
+        "garbage": b"not a trie",
+        "not a trie record": _record(5) + _record(("a", (1, 1))),
+        "empty": b"",
+    }[damage])
+    assert load_model(cfg).trie == _list_trie(cfg.wordlist)
+
+
+def test_failed_trie_snapshot_write_leaves_no_snapshot(tmp_path, monkeypatch):
+    cfg = write_context_task(tmp_path, n_train=10, n_test=3)
+    save_trie = freqtrie.save_trie
+
+    def save_then_fail(trie, path):
+        save_trie(trie, path)
+        with open(path, "r+b") as out:
+            out.truncate(out.seek(0, 2) // 2)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(freqtrie, "save_trie", save_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        load_resources(cfg)
+    assert not list(tmp_path.glob("*.trie*"))
+    monkeypatch.setattr(freqtrie, "save_trie", save_trie)
+    trie = load_resources(cfg)[2]
+    [snapshot] = tmp_path.glob("*.trie")
+    assert load_trie(snapshot) == trie
+
+
+def test_the_pruned_lexicon_has_its_own_trie_snapshot(tmp_path, monkeypatch):
+    english = tmp_path / "en.txt"
+    english.write_text("the\t100\n", encoding="utf-8")
+    cfg = _trained(tmp_path, english_wordlist=str(english))
+    [plex] = tmp_path.glob("words.txt.*.plex")
+    [snapshot] = tmp_path.glob("words.txt.*.trie")
+    assert snapshot.name.startswith(plex.name + ".")
+    want = _list_trie(plex)
+    monkeypatch.setattr(freqtrie, "read_trie", _no_build)
+    assert load_model(cfg).trie == want
+    snapshot.unlink()
+    monkeypatch.undo()
+    assert load_model(cfg).trie == want
+
+
+def test_a_word_too_long_to_snapshot_trains_and_decodes(tmp_path):
+    # marshal refuses a trie nested deeper than its limit, so no snapshot
+    # is written, and decode builds the trie from the word list
+    cfg = write_context_task(tmp_path, n_train=10, n_test=3)
+    cfg.epochs = 1
+    with open(cfg.wordlist, "a", encoding="utf-8") as out:
+        out.write("q" * 3000 + "\t5\n")
+    cmd_align(cfg)
+    cmd_train(cfg)
+    assert not list(tmp_path.glob("*.trie"))
+    trie = load_model(cfg).trie
+    assert prefix_count(trie, ("q",) * 3000, end_of_word=True) == 5
+    assert len(read_nbest(cmd_decode(cfg))) == 3
 
 
 NFC_WORDS = "café\t50\ncafe\t3\nvoilà\t7\n"

@@ -1,24 +1,30 @@
+import gc
+import marshal
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chartrans.core import ParseError
+from chartrans.core import ParseError, parse_seq
 from chartrans.freqtrie import (
     FreqBinConfig,
     Lexicon,
-    TrieNode,
     build_trie,
     freq_bin_features,
+    load_trie,
     parse_lexicon,
     prefix_count,
     prune_lexicon,
     read_trie,
+    save_trie,
     serialize_lexicon,
     trie_words,
     walk,
 )
+
+from toytask import lexicon_task
 
 
 def lex(**words):
@@ -30,12 +36,12 @@ def test_build_trie_sums():
     assert prefix_count(root, ("a",)) == 5
     assert prefix_count(root, ("a", "b")) == 3
     assert prefix_count(root, ("a", "b"), end_of_word=True) == 3
-    assert root.prefix_count == 5
+    assert prefix_count(root, ()) == 5
 
 
 def test_build_trie_empty():
     root = build_trie(Lexicon({}))
-    assert root.prefix_count == 0
+    assert prefix_count(root, ()) == 0
     assert trie_words(root) == {}
 
 
@@ -77,7 +83,7 @@ def test_walk_returns_nodes():
     assert walk(root, ("a",)) is not None
     assert walk(root, ("b",)) is None
     node = walk(root, ("a",))
-    assert walk(node, ("b",)).word_count == 1
+    assert prefix_count(walk(node, ("b",)), (), end_of_word=True) == 1
 
 
 def test_prune_removes_english_heavy_words():
@@ -178,20 +184,22 @@ _WORD_LIST = st.lists(st.tuples(_LINE, _ENDS), max_size=30).map(
 
 def _nodes(node):
     yield node
-    kids = node.children
-    for child in kids.values() if isinstance(kids, dict) else kids[1:]:
+    kids = node[2:]
+    for child in kids[0].values() if len(kids) == 1 else kids[1:]:
         yield from _nodes(child)
 
 
 def _assert_lean(root):
-    """Only a node with two or more children holds a dict; a node with one
-    holds a (symbol, child) pair, a leaf ()."""
+    """Every node is a tuple that starts with its two counts.  Only a node
+    with two or more children holds a dict; a node with one holds its
+    symbol and child, a leaf nothing more."""
     for node in _nodes(root):
-        kids = node.children
-        if isinstance(kids, dict):
-            assert len(kids) >= 2
-        else:
-            assert kids == () or len(kids) == 2 and isinstance(kids[1], TrieNode)
+        assert type(node) is tuple and len(node) in (2, 3, 4)
+        assert all(type(count) is int for count in node[:2])
+        if len(node) == 3:
+            assert type(node[2]) is dict and len(node[2]) >= 2
+        if len(node) == 4:
+            assert type(node[2]) is str and type(node[3]) is tuple
 
 
 @settings(max_examples=200, deadline=None)
@@ -199,7 +207,8 @@ def _assert_lean(root):
 def test_read_trie_is_the_trie_of_the_parsed_lexicon(text):
     want, got = build_trie(parse_lexicon(text)), read_trie(text)
     assert trie_words(got) == trie_words(want) == parse_lexicon(text).counts
-    assert got.prefix_count == want.prefix_count
+    assert prefix_count(got, ()) == prefix_count(want, ())
+    assert got == want
     words = trie_words(want)
     for prefix in {w[:k] for w in words for k in range(len(w) + 1)} | {("z",)}:
         for end_of_word in (False, True):
@@ -232,7 +241,61 @@ def test_trie_nodes_hold_a_dict_only_for_two_or_more_children():
     }
     root = build_trie(Lexicon(counts))
     _assert_lean(root)
-    kinds = {type(node.children) for node in _nodes(root)}
-    assert kinds == {tuple, dict}
-    assert any(len(node.children) == 2 and type(node.children) is tuple
-               for node in _nodes(root))
+    kinds = {len(node) for node in _nodes(root)}
+    assert kinds == {2, 3, 4}
+    assert any(len(node) == 4 for node in _nodes(root))
+
+
+def test_both_readers_read_an_nfd_word_list_as_nfc():
+    nfd = unicodedata.normalize("NFD", "café\t50\n")
+    cafe = parse_seq("c a f é")
+    assert prefix_count(read_trie(nfd), cafe, end_of_word=True) == 50
+    assert parse_lexicon(nfd).counts == {cafe: 50}
+    assert parse_lexicon(nfd.splitlines()).counts == {cafe: 50}
+
+
+_ENTRY = st.tuples(st.lists(st.sampled_from("abñ"), min_size=1, max_size=4).map("".join),
+                   st.integers(1, 50))
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(_ENTRY, max_size=12))
+def test_trie_survives_marshal_and_counts_as_brute_force(entries, tmp_path_factory):
+    # repeated words add up; words of one symbol and the empty list included
+    counts = {}
+    for word, count in entries:
+        counts[tuple(word)] = counts.get(tuple(word), 0) + count
+    text = "".join(f"{word}\t{count}\n" for word, count in entries)
+    prefixes = {w[:k] for w in counts for k in range(len(w) + 1)} | {("z",), ("a", "z")}
+    path = tmp_path_factory.mktemp("snapshot") / "words.trie"
+    for trie in (read_trie(text), build_trie(Lexicon(counts))):
+        assert marshal.loads(marshal.dumps(trie)) == trie
+        save_trie(trie, path)
+        again = load_trie(path)
+        assert again == trie
+        for prefix in prefixes:
+            brute = sum(c for w, c in counts.items() if w[: len(prefix)] == prefix)
+            assert prefix_count(again, prefix) == brute
+            assert prefix_count(again, prefix, end_of_word=True) == counts.get(prefix, 0)
+        assert trie_words(again) == counts
+        _assert_lean(again)
+
+
+@pytest.mark.parametrize("text", ["ab\t3\nabc\t4\n", "ab\t3\nabc\t4\nb\t1\n"],
+                         ids=["one-child root", "two-child root"])
+def test_a_multi_character_symbol_never_matches(text):
+    trie = read_trie(text)
+    assert prefix_count(trie, ("a", "b")) == 7
+    assert prefix_count(trie, ("ab",)) == 0
+    assert walk(trie, ("ab",)) is None
+
+
+def test_a_large_trie_leaves_few_objects_to_the_collector():
+    # a full collection walks every tracked object; the old trie of node
+    # objects left 82,295 of them for these 30,000 words
+    lexicon, _, _ = lexicon_task(1, 30000, 0, 0)
+    trie = build_trie(lexicon)
+    gc.collect()
+    objects = [x for node in _nodes(trie) for x in (node, *node[2:3]) if type(x) is not str]
+    assert len(objects) > 60_000
+    assert sum(map(gc.is_tracked, objects)) <= 15_000

@@ -802,19 +802,23 @@ def test_prebuilt_bin_parts_are_the_fired_bins():
     # be checked against the bin functions that define what fires
     lm_bins = BinConfig((-0.5, -1.0, -1.5), mu=-1.0, sigma=0.5)
     freq_bins = FreqBinConfig((2, 10, 100))
-    lm, root = _FixedLM(), build_trie(Lexicon({("a",): 1}))
-    leaf = walk(root, ("a",))
-    model = Model(
-        weights={}, rules=frozenset(), config=FeatureConfig(),
-        lm=lm, lm_bins=lm_bins, trie=root, freq_bins=freq_bins,
-    )
-    scorer = model.scorer
+    lm = _FixedLM()
+
+    def model_of(root):
+        return Model(
+            weights={}, rules=frozenset(), config=FeatureConfig(),
+            lm=lm, lm_bins=lm_bins, trie=root, freq_bins=freq_bins,
+        )
+
     scores = [s for t in lm_bins.thresholds for s in _around(t)] + [-1e9, 3.0]
     counts = [c for t in freq_bins.thresholds for c in _around(t) + [t - 1, t + 1]]
-    for score in scores:
-        for count in [0, 1, 10**9] + counts:
-            lm.sum, leaf.prefix_count = score, count
-            feats, new_sum, _, node = scorer.step(0, ("a",), 0.0, (), root, False)
+    for count in [0, 1, 10**9] + counts:
+        # one trie per count; count 0 is a trie without "a", whose leaf is None
+        root = build_trie(Lexicon({("a",): count} if count else {}))
+        leaf, model = walk(root, ("a",)), model_of(root)
+        for score in scores:
+            lm.sum = score
+            feats, new_sum, _, node = model.scorer.step(0, ("a",), 0.0, (), root, False)
             feats = by_name(model, feats)
             want = {
                 **{("LMB", j): 1.0 for j in sorted(lm_bin_features(score, lm_bins))},
@@ -823,7 +827,9 @@ def test_prebuilt_bin_parts_are_the_fired_bins():
             assert list(feats.items()) == list(want.items())
             assert new_sum == score and node is leaf
     # a target the trie lacks counts 0: the zero feature
-    feats, _, _, node = scorer.step(0, ("b",), 0.0, (), root, False)
+    root = build_trie(Lexicon({("a",): 1}))
+    model = model_of(root)
+    feats, _, _, node = model.scorer.step(0, ("b",), 0.0, (), root, False)
     assert node is None
     assert [k for k in by_name(model, feats) if k[0] == "FQB"] == [("FQB", freq_bins.zero_feature)]
 
