@@ -16,9 +16,14 @@ inside/Viterbi algorithm over a hypergraph, each lattice shape supplying
 only its edges.  `_m2m_edges` and `_merge_edges` build a pair's lattice as
 a list of (from node, to node, span-key id) edges; one forward/backward,
 one E-step and one n-best Viterbi run over either, with δ indexed by key
-id.  EM and the public forward/backward views sum probabilities, but a
-pair whose likelihood underflows (0.0 or subnormal), or has no path, is
-summed over log δ; charts store logs, and Viterbi runs over log δ.
+id.  A many-to-many grid's topology, live cut and edge orders depend on
+its (len(x), len(y)) shape alone: EM builds each shape once per run
+(`_m2m_shape`) and labels it per pair with the pair's span keys.  A
+merging lattice depends on where the pair's nulls are, and is built
+whole per pair.  EM and the public forward/backward views sum
+probabilities, but a pair whose likelihood underflows (0.0 or subnormal),
+or has no path, is summed over log δ; charts store logs, and Viterbi
+runs over log δ.
 
 EM's lattices are cut once, when built, to the edges on some start→goal
 path, and never change after; every node keeps its grid id.  The edges
@@ -67,18 +72,10 @@ class AlignParams:
         check_fields(self, ("tol",), lambda v: v > 0, "must be positive")
 
     def moves(self):
-        """Admissible (source length, target length) steps."""
-        out = []
-        for i in range(self.max_x + 1):
-            for j in range(self.max_y + 1):
-                if i == 0 and j == 0:
-                    continue
-                if i == 0 and not self.allow_insertion:
-                    continue
-                if j == 0 and not self.allow_deletion:
-                    continue
-                out.append((i, j))
-        return out
+        """Admissible (source length, target length) steps, by ascending
+        source then target length; an empty side needs its switch."""
+        return [(i, j) for i in range(self.max_x + 1) for j in range(self.max_y + 1)
+                if (i or j) and (i or self.allow_insertion) and (j or self.allow_deletion)]
 
 
 ONE_TO_ONE = AlignParams(
@@ -177,7 +174,8 @@ class Alignment:
 class Lattice:
     """One pair's lattice: nodes numbered in topological order (0 the
     start, the last the goal) and its edges as flat array('i') triples, in
-    up to three orders, each built once per lattice.  `edges` holds (from
+    up to three orders, each built once per lattice (per grid shape, and
+    relabelled per pair, for the many-to-many grid).  `edges` holds (from
     node, to node, key id) grouped by ascending to node, for the forward
     pass and Viterbi.  `out` is the reversed lattice the backward pass
     runs on: (to node, from node, key id) grouped by descending from node.
@@ -244,26 +242,50 @@ def _lattice(nodes, edges, gamma_from_goal=False, live=False):
     return Lattice(nodes, edges, gamma, _regroup(edges, 0, (1, 0, 2)))
 
 
-def _m2m_edges(x, y, moves, keys, live=False):
-    """Many-to-many grid: node t * (V + 1) + v is the prefix pair
-    (x[:t], y[:v]); each admissible move (i, j) into it is an edge labelled
-    with the spans it consumes, numbered in keys (span pair → id).  Edges
-    into a node follow the order of moves.  Every span pair of the grid
-    gets a key, reachable or not, so EM starts uniform over every substring
-    pair co-occurring in some training pair under the limits; live keeps
-    only the edges on some start→goal path (see _lattice)."""
-    width = len(y) + 1
-    xs = [[x[t - i : t] for i in range(t + 1)] for t in range(len(x) + 1)]
-    ys = [[y[v - j : v] for j in range(v + 1)] for v in range(width)]
-    edges = []
-    for t, x_ends in enumerate(xs):
-        for v, y_ends in enumerate(ys):
+def _m2m_shape(rows, cols, moves, live):
+    """The many-to-many grid of a (rows, cols)-symbol pair: node t * (cols
+    + 1) + v is the prefix pair (x[:t], y[:v]), and each admissible move
+    (i, j) into it is an edge, in the order of moves.  Returns the grid's
+    (t, i, v, j) moves in edge order and its Lattice with each edge
+    labelled by its index there; both depend on the lengths alone."""
+    width = cols + 1
+    grid, edges = [], []
+    for t in range(rows + 1):
+        for v in range(width):
             node = t * width + v
             for i, j in moves:
                 if i <= t and j <= v:
-                    key = keys.setdefault((x_ends[i], y_ends[j]), len(keys))
-                    edges += (node - i * width - j, node, key)
-    return _lattice(len(xs) * width, array("i", edges), live=live)
+                    edges += (node - i * width - j, node, len(grid))
+                    grid.append((t, i, v, j))
+    return grid, _lattice((rows + 1) * width, array("i", edges), live=live)
+
+
+def _relabelled(edges, ids):
+    """edges with each triple's label e replaced by ids[e]."""
+    out = array("i", edges)
+    out[2::3] = array("i", map(ids.__getitem__, edges[2::3]))
+    return out
+
+
+def _m2m_edges(x, y, moves, keys, live=False, shapes=None):
+    """The many-to-many lattice of x and y (see _m2m_shape), each edge
+    labelled with the spans it consumes, numbered in keys (span pair → id).
+    The grid's shape is built once per (lengths, moves, live) in shapes
+    (a fresh dict if none) and only labelled per pair.  Every span pair of
+    the grid gets a key, reachable or not, in edge order, so EM starts
+    uniform over every substring pair co-occurring in some training pair
+    under the limits; live keeps only the edges on some start→goal path
+    (see _lattice)."""
+    shapes = {} if shapes is None else shapes
+    shape = (len(x), len(y), tuple(moves), live)
+    if shape not in shapes:
+        shapes[shape] = _m2m_shape(len(x), len(y), moves, live)
+    grid, lattice = shapes[shape]
+    xs = [[x[t - i : t] for i in range(t + 1)] for t in range(len(x) + 1)]
+    ys = [[y[v - j : v] for j in range(v + 1)] for v in range(len(y) + 1)]
+    ids = [keys.setdefault((xs[t][i], ys[v][j]), len(keys)) for t, i, v, j in grid]
+    edges = _relabelled(lattice.edges, ids)
+    return Lattice(lattice.nodes, edges, edges, _relabelled(lattice.out, ids))
 
 
 def _strip(span):
@@ -488,12 +510,15 @@ def backward(x, y, delta, params):
 
 def em_train(pairs, params, history=None):
     """EM over the joint likelihood of all admissible monotone alignments.
-    The DeltaTable returned keeps the fit that _align_each decodes on: the
+    Each grid shape is built once for the pairs, in one shape dict
+    dropped on return, and labelled per pair (see _m2m_edges).  The
+    DeltaTable returned keeps the fit that _align_each decodes on: the
     pairs' lattices as built (cut to live edges, see _lattice), their
     spans and the kept pairs."""
-    keys = {}
+    keys, shapes = {}, {}
     moves = params.moves()
-    lattices = [_m2m_edges(p.source, p.target, moves, keys, live=True) for p in pairs]
+    lattices = [_m2m_edges(p.source, p.target, moves, keys, live=True, shapes=shapes)
+                for p in pairs]
     spans = list(keys)
     delta, kept = _em(lattices, spans, params, history)
     delta._fit = (lattices, spans, kept)

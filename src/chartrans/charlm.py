@@ -84,11 +84,10 @@ class CharLM:
 
     def _prob(self, h, w):
         m = len(h)
+        lower = self._prob(h[1:], w) if m > 0 else self._base
         counts = self.tables[m].get(h)
         if counts is None:
-            # Unseen history: fall through to the lower order directly.
-            return self._prob(h[1:], w) if m > 0 else self._base
-        lower = self._prob(h[1:], w) if m > 0 else self._base
+            return lower  # unseen history: the lower order alone
         distinct = len(counts)
         return (counts.get(w, 0) + distinct * lower) / (
             self._sums[m][h] + distinct

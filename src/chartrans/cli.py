@@ -2,6 +2,7 @@
 ablate over a flat key = value configuration."""
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import logging
@@ -9,6 +10,7 @@ import os
 import re
 import sys
 import unicodedata
+from collections import Counter
 from dataclasses import dataclass
 
 from . import aligner, charlm, core, freqtrie, transducer
@@ -232,12 +234,25 @@ def _trie_snapshot(lex_path, text):
     return f"{lex_path}.{_hash_inputs(text, freqtrie.LAYOUT)}.trie"
 
 
+def _remove_older_snapshots(lex_path, snapshot):
+    """Remove the trie snapshots of the word list at lex_path's earlier
+    texts: every file beside it named exactly <list>.<10 hex digits>.trie
+    but snapshot.  A pruned list's snapshots, and the LM and pruning
+    caches, which other configurations may still read, stay."""
+    folder, name = os.path.split(lex_path)
+    older = re.compile(re.escape(name) + r"\.[0-9a-f]{10}\.trie")
+    for entry in os.listdir(folder or "."):
+        if older.fullmatch(entry) and entry != os.path.basename(snapshot):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(folder, entry))
+
+
 def load_resources(cfg):
     """Build (or reuse cached) character LM and pruned lexicon from the
     word list; caches live beside the word list, keyed by a content hash.
     Only the resources of enabled features are built: the LM and its bins
-    unless disable_lm, the trie (built, then snapshotted) and its bins
-    unless disable_freq."""
+    unless disable_lm, the trie (built, then snapshotted in place of the
+    list's older snapshots) and its bins unless disable_freq."""
     lm = lm_bins = trie = freq_bins = None
     refs = {}
     if not cfg.wordlist or (cfg.disable_lm and cfg.disable_freq):
@@ -279,19 +294,47 @@ def load_resources(cfg):
                 _write_cache(lex_path, lambda tmp: _write(tmp, text))
         refs["lexicon"] = lex_path
         trie = trie or freqtrie.build_trie(lex)
+        snapshot = _trie_snapshot(lex_path, text)
         try:
-            _write_cache(_trie_snapshot(lex_path, text),
-                         lambda tmp: freqtrie.save_trie(trie, tmp))
+            _write_cache(snapshot, lambda tmp: freqtrie.save_trie(trie, tmp))
         except ValueError:
             pass  # a word nests the trie deeper than marshal can: decode builds it
+        else:
+            _remove_older_snapshots(lex_path, snapshot)
         freq_bins = freqtrie.FreqBinConfig(cfg.freq_thresholds)
     return lm, lm_bins, trie, freq_bins, refs
+
+
+def _check_target_symbols(cfg, alignments):
+    """When the LM or frequency features read the word list, which both
+    match a target one character at a time: refuse a target symbol longer
+    than one character, and warn about those the word list never spells."""
+    if not cfg.wordlist or (cfg.disable_lm and cfg.disable_freq):
+        return
+    uses = Counter(s for a in alignments for link in a.links for s in link.target)
+    long = sorted(s for s in uses if len(s) > 1)
+    if long:
+        raise ValueError(
+            f"target symbol {long[0]!r} is longer than one character ({len(long)} "
+            "such symbols), but the LM and frequency features match one character "
+            "per symbol; set disable_lm and disable_freq to train without them")
+    raw = _read_words(cfg.wordlist)
+    # a count column is digits: read the words alone only when one may match
+    chars = set(re.sub(r"\t.*", "", raw) if any(map(str.isdecimal, uses)) else raw)
+    missing = sorted((s for s in uses if s not in chars), key=lambda s: (-uses[s], s))
+    if missing:
+        log.warning(
+            "%d of %d target symbols (%d of %d uses in the alignments) never occur "
+            "in the word list %s, so the LM and frequency features never match "
+            "them: %s", len(missing), len(uses), sum(uses[s] for s in missing),
+            sum(uses.values()), cfg.wordlist, " ".join(map(repr, missing[:5])))
 
 
 def cmd_train(cfg):
     alignments = _parse(cfg.alignment_file, aligner.read_alignments)
     if not alignments:
         raise ValueError(f"no alignments in {cfg.alignment_file}")
+    _check_target_symbols(cfg, alignments)
     lm, lm_bins, trie, freq_bins, refs = load_resources(cfg)
     dev = read_eval_instances(cfg, cfg.dev) if cfg.dev else None
     model = transducer.train(
@@ -478,18 +521,13 @@ def main(argv=None):
     )
     try:
         cfg = load_config(args.config, args.overrides)
-        if args.command == "align":
-            cmd_align(cfg)
-        elif args.command == "train":
-            cmd_train(cfg)
-        elif args.command == "decode":
+        if args.command == "decode":
             cmd_decode(cfg, args.input, args.output)
         elif args.command == "evaluate":
             cmd_evaluate(cfg, args.nbest, args.refs)
-        elif args.command == "prune":
-            cmd_prune(cfg)
-        elif args.command == "ablate":
-            cmd_ablate(cfg)
+        else:
+            {"align": cmd_align, "train": cmd_train, "prune": cmd_prune,
+             "ablate": cmd_ablate}[args.command](cfg)
     except (OSError, ValueError) as exc:
         where = f"{exc.path}: " if isinstance(exc, core.ParseError) and exc.path else ""
         print(f"error: {where}{exc}", file=sys.stderr)

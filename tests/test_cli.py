@@ -440,6 +440,76 @@ def test_a_word_too_long_to_snapshot_trains_and_decodes(tmp_path):
     assert len(read_nbest(cmd_decode(cfg))) == 3
 
 
+def test_a_new_trie_snapshot_replaces_the_lists_older_ones(tmp_path):
+    cfg = _trained(tmp_path)
+    with open(cfg.wordlist, "a", encoding="utf-8") as out:
+        out.write("zz\t2\n")
+    cmd_train(cfg)
+    [snapshot] = tmp_path.glob("words.txt.*.trie")
+    assert load_trie(snapshot) == _list_trie(cfg.wordlist)
+    # only this list's own snapshot names go: not a pruned list's, nor a
+    # near miss in any part of the name, nor another list's, nor any cache
+    others = [
+        "words.txt.0123456789.plex.0123456789.trie", "words.txt.0123456789.trie.bak",
+        "words.txt.ABCDEF0123.trie", "words.txt.012345678.trie",
+        "words.txt.0123456789a.trie", "other.txt.0123456789.trie",
+    ]
+    for name in others:
+        (tmp_path / name).write_bytes(b"")
+    with open(cfg.wordlist, "a", encoding="utf-8") as out:
+        out.write("zy\t3\n")
+    cmd_train(cfg)
+    [newer] = [p for p in tmp_path.glob("*.trie*") if p.name not in others]
+    assert newer != snapshot
+    assert load_trie(newer) == _list_trie(cfg.wordlist)
+    assert all((tmp_path / name).exists() for name in others)
+    assert len(list(tmp_path.glob("words.txt.*.lm"))) == 3
+
+
+def _aligned(tmp_path, pairs, words, **settings):
+    """The configuration of pairs and a word list, after align."""
+    (tmp_path / "pairs.txt").write_text(pairs, encoding="utf-8")
+    (tmp_path / "words.txt").write_text(words, encoding="utf-8")
+    cfg = RunConfig(
+        pairs=str(tmp_path / "pairs.txt"), wordlist=str(tmp_path / "words.txt"),
+        outdir=str(tmp_path / "out"), epochs=1, **settings,
+    )
+    cmd_align(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("disable", ["", "disable_lm", "disable_freq"])
+def test_train_refuses_a_multi_character_target_symbol(tmp_path, capsys, disable):
+    cfg = _aligned(tmp_path, "S I P\tsh i p\nS O P\tsh o p\nP I\tp i\n",
+                   "ship\t5\nshop\t3\npi\t1\n")
+    argv = _run_argv(cfg) + (["--set", f"{disable}=true"] if disable else [])
+    assert main(["train", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: target symbol 'sh' is longer than one character (1 ")
+    assert not (tmp_path / "out" / "model.txt").exists()
+    # only the corpus features read one character per symbol
+    cmd_train(dataclasses.replace(cfg, disable_lm=True, disable_freq=True))
+    assert (tmp_path / "out" / "model.txt").exists()
+
+
+def test_train_warns_about_target_symbols_the_word_list_never_spells(tmp_path, caplog):
+    # "7" occurs in the list only as a count, which spells no word
+    cfg = _aligned(tmp_path, "K A\tc a\nK A T\tc a t\nK W A\tq q a\nS\t7\n",
+                   "ca\t7\ncat\t3\n")
+    with caplog.at_level(logging.WARNING):
+        cmd_train(cfg)
+    [warning] = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warning == (
+        f"2 of 5 target symbols (3 of 9 uses in the alignments) never occur in the "
+        f"word list {cfg.wordlist}, so the LM and frequency features never match "
+        "them: 'q' '7'"
+    )
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        cmd_train(dataclasses.replace(cfg, disable_lm=True, disable_freq=True))
+    assert not caplog.records
+
+
 NFC_WORDS = "café\t50\ncafe\t3\nvoilà\t7\n"
 
 

@@ -8,6 +8,7 @@ import logging
 import os
 import subprocess
 import sys
+from array import array
 from operator import itemgetter
 
 import pytest
@@ -362,6 +363,79 @@ def test_align_builds_each_pairs_m2m_lattice_once(monkeypatch):
         built.clear()
         assert len(align(pairs)) == len(pairs)
         assert built == [(p.source, p.target) for p in pairs]
+
+
+def _fresh_grid(x, y, moves, keys, live):
+    """The many-to-many lattice of x and y built whole for this pair, as
+    _m2m_edges built every pair before grid shapes were shared: the
+    reference the shared shapes are held to."""
+    width = len(y) + 1
+    edges = []
+    for t in range(len(x) + 1):
+        for v in range(width):
+            for i, j in moves:
+                if i <= t and j <= v:
+                    key = keys.setdefault((x[t - i : t], y[v - j : v]), len(keys))
+                    edges += (t * width + v - i * width - j, t * width + v, key)
+    return aligner._lattice((len(x) + 1) * width, array("i", edges), live=live)
+
+
+def _arrays(lattice):
+    return (lattice.nodes, lattice.edges, lattice.gamma, lattice.out)
+
+
+MOVE_SETS = [
+    AlignParams(max_x, max_y, deletion, insertion)
+    for max_x in (1, 2, 3) for max_y in (1, 2, 3)
+    for deletion in (False, True) for insertion in (False, True)
+]
+sides = st.lists(st.sampled_from("ab"), max_size=6).map(tuple)
+pair_batches = st.lists(st.tuples(sides, sides), min_size=1, max_size=6)
+grid_runs = st.lists(
+    st.tuples(st.sampled_from(MOVE_SETS), st.booleans()), min_size=1, max_size=4
+)
+EMPTY_SIDES = [((), ()), (("a",), ()), ((), ("b", "a")), (("a", "b"), ("b",))]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pair_batches, grid_runs)
+@example(EMPTY_SIDES, [(params, live) for params in MOVE_SETS for live in (False, True)])
+def test_shared_grid_shapes_build_the_lattices_of_fresh_grids(batch, runs):
+    # one shape dict serves every move set and live flag; the keys, in
+    # order, and every lattice array match both whole per-pair grids and
+    # _m2m_edges's own fresh-dict builds
+    shapes = {}
+    for params, live in runs:
+        moves = params.moves()
+        keys, fresh_keys, grid_keys = {}, {}, {}
+        for x, y in batch + batch[::-1]:
+            lattice = aligner._m2m_edges(x, y, moves, keys, live=live, shapes=shapes)
+            fresh = aligner._m2m_edges(x, y, moves, fresh_keys, live=live)
+            whole = _fresh_grid(x, y, moves, grid_keys, live)
+            assert _arrays(lattice) == _arrays(fresh) == _arrays(whole)
+        assert list(keys.items()) == list(fresh_keys.items()) == list(grid_keys.items())
+
+
+def test_em_train_builds_each_grid_shape_once(monkeypatch):
+    _, pairs, _ = lexicon_task(7, 400, 60, 1)
+    built = []
+    m2m_shape = aligner._m2m_shape
+
+    def counted(rows, cols, moves, live):
+        built.append((rows, cols))
+        return m2m_shape(rows, cols, moves, live)
+
+    monkeypatch.setattr(aligner, "_m2m_shape", counted)
+    shapes = {(len(p.source), len(p.target)) for p in pairs}
+    assert len(shapes) < len(pairs)
+    for params in (TWO_TWO, ONE_TO_ONE):
+        built.clear()
+        em_train(pairs, params)
+        assert sorted(built) == sorted(shapes)
+    # each call starts with no shapes
+    built.clear()
+    em_train(pairs, TWO_TWO)
+    assert sorted(built) == sorted(shapes)
 
 
 @pytest.mark.parametrize("disable_precision", ["false", "true"])
