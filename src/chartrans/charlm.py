@@ -23,15 +23,15 @@ entry per distinct (tail, symbol) asked for.  A decoder carries the tail
 with each hypothesis and moves it, with the running sum, through
 CharLM.advance, which reads the memo rows without a call per transition.
 
-Set-up reads each word as its full-order n-grams (_grams): one per
-transition, a tail followed by its symbol.  train_charlm counts the
-distinct grams of the word list once and adds each count to every level.
-make_bins asks logprob once per distinct gram, which also fills the memo
-the decoder reads later, and scores a word as the left fold of its grams'
-log-probabilities from 0.0, divided by its number of transitions.  Those
-are score_prefix's additions in score_prefix's order, so every score, and
-so every threshold, keeps its bits.  The fold adds with +=, not with
-sum(), which compensates float sums from Python 3.12 on.
+train_charlm reads each word as its full-order n-grams (_grams): one per
+transition, a tail followed by its symbol.  It counts the distinct grams of
+the word list once and adds each count to every level.  make_bins scores a
+word with the decoder's fold, CharLM.advance from the start tail through the
+word and its end, which also fills the memo the decoder reads later, and
+divides the sum by the word's number of transitions.  Those are
+score_prefix's additions in score_prefix's order, so every score, and so
+every threshold, keeps its bits.  The fold adds with +=, not with sum(),
+which compensates float sums from Python 3.12 on.
 
 The bins fired by a score are always a contiguous run: every threshold
 from the highest one at or below the score down, or the catch-all alone.
@@ -214,16 +214,8 @@ def make_bins(lm, words):
     words = list(dict.fromkeys(tuple(w) for w in words))
     if not words:
         raise ValueError("empty word list")
-    logprobs = {}
-    scores = []
-    for w in words:
-        logsum = 0.0
-        for gram in _grams(w, lm.order):
-            lp = logprobs.get(gram)
-            if lp is None:
-                lp = logprobs[gram] = lm.logprob(gram[:-1], gram[-1])
-            logsum += lp
-        scores.append(logsum / (len(w) + 1))
+    start = history_tail(lm, ())
+    scores = [lm.advance(0.0, start, w + (EOS,))[0] / (len(w) + 1) for w in words]
     mu = mean(scores)
     sigma = pstdev(scores)
     thresholds = tuple(

@@ -138,13 +138,21 @@ def _setting(text):
 
 
 def load_config(path=None, overrides=()):
-    """The RunConfig of a key = value file and then the overrides; every
-    value is checked here, by the library object that reads it."""
+    """The RunConfig of a key = value file, which may give each key once,
+    and then the overrides; every value is checked here, by the library
+    object that reads it."""
     values = {}
+
+    def setting(text):
+        key, value = _setting(text)
+        if key in values:
+            raise ValueError(f"configuration key {key!r} is given twice")
+        values[key] = value
+
     if path:
         with open(path, encoding="utf-8") as src, core.reading(path):
             lines = (_COMMENT.split(line, maxsplit=1)[0] for line in src)
-            values.update(core.parse_lines(lines, _setting))
+            core.parse_lines(lines, setting)
     values.update(map(_setting, overrides))
     return RunConfig(**values)
 
@@ -229,41 +237,19 @@ def _write(path, text):
         out.write(text)
 
 
-def _trie_snapshot(lex_path, text):
-    """The path of the trie snapshot of text, the word list at lex_path."""
-    return f"{lex_path}.{_hash_inputs(text, freqtrie.LAYOUT)}.trie"
-
-
-def _remove_older_snapshots(lex_path, snapshot):
-    """Remove the trie snapshots of the word list at lex_path's earlier
-    texts: every file beside it named exactly <list>.<10 hex digits>.trie
-    but snapshot.  A pruned list's snapshots, and the LM and pruning
-    caches, which other configurations may still read, stay."""
-    folder, name = os.path.split(lex_path)
-    older = re.compile(re.escape(name) + r"\.[0-9a-f]{10}\.trie")
-    for entry in os.listdir(folder or "."):
-        if older.fullmatch(entry) and entry != os.path.basename(snapshot):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(os.path.join(folder, entry))
-
-
 def load_resources(cfg):
     """Build (or reuse cached) character LM and pruned lexicon from the
     word list; caches live beside the word list, keyed by a content hash.
     Only the resources of enabled features are built: the LM and its bins
-    unless disable_lm, the trie (built, then snapshotted in place of the
-    list's older snapshots) and its bins unless disable_freq."""
+    unless disable_lm, the trie (built, then snapshotted to <list>.trie with
+    the tag of the list's text) and its bins unless disable_freq."""
     lm = lm_bins = trie = freq_bins = None
     refs = {}
     if not cfg.wordlist or (cfg.disable_lm and cfg.disable_freq):
         return lm, lm_bins, trie, freq_bins, refs
     raw = _read_words(cfg.wordlist)
     with core.reading(cfg.wordlist):
-        # Only the LM and pruning read a Lexicon; a trie alone needs none.
-        if cfg.disable_lm and not cfg.english_wordlist:
-            trie = freqtrie.read_trie(raw)
-        else:
-            lex = freqtrie.parse_lexicon(raw)
+        lex = freqtrie.parse_lexicon(raw)
 
     if not cfg.disable_lm:
         words = list(lex.counts)
@@ -293,14 +279,12 @@ def load_resources(cfg):
                 text = freqtrie.serialize_lexicon(lex)
                 _write_cache(lex_path, lambda tmp: _write(tmp, text))
         refs["lexicon"] = lex_path
-        trie = trie or freqtrie.build_trie(lex)
-        snapshot = _trie_snapshot(lex_path, text)
-        try:
-            _write_cache(snapshot, lambda tmp: freqtrie.save_trie(trie, tmp))
-        except ValueError:
-            pass  # a word nests the trie deeper than marshal can: decode builds it
-        else:
-            _remove_older_snapshots(lex_path, snapshot)
+        trie = freqtrie.build_trie(lex)
+        tag = _hash_inputs(text, freqtrie.LAYOUT)
+        # ValueError: a word nests the trie deeper than marshal can write,
+        # and decode, refusing an older snapshot's tag, builds the trie
+        with contextlib.suppress(ValueError):
+            _write_cache(f"{lex_path}.trie", lambda tmp: freqtrie.save_trie(trie, tmp, tag))
         freq_bins = freqtrie.FreqBinConfig(cfg.freq_thresholds)
     return lm, lm_bins, trie, freq_bins, refs
 
@@ -352,26 +336,31 @@ def cmd_train(cfg):
 
 
 def load_model(cfg):
-    """The model file's model with the LM and trie its refs name."""
+    """The model file's model with the LM and trie its refs name.  A
+    ValueError names the model file when an enabled feature's bins are in
+    its header with no file to read the feature from."""
     model, refs = transducer.load_model(cfg.model_file)
     resources = {}
-    if model.config.lm_features and refs.get("lm"):
-        resources["lm"] = charlm.load_charlm(refs["lm"])
-    if model.config.freq_features and refs.get("lexicon"):
-        resources["trie"] = _load_trie(refs["lexicon"])
+    for feature, ref, name, load in (("lm_features", "lm", "lm", charlm.load_charlm),
+                                     ("freq_features", "lexicon", "trie", _load_trie)):
+        if getattr(model.config, feature) and ref in refs:
+            if not refs[ref]:
+                raise ValueError(f"{cfg.model_file}: {feature} is on and its bins are "
+                                 f"recorded, but no {ref} file is named to read it from")
+            resources[name] = load(refs[ref])
     return dataclasses.replace(model, **resources)
 
 
 def _load_trie(lex_path):
-    """The trie of the word list at lex_path: load_resources's snapshot of
-    its current text, or, if that is missing or unreadable, built anew."""
+    """The trie of the word list at lex_path: load_resources's snapshot,
+    when its tag is that of the list's current text, or else built anew."""
     text = _read_words(lex_path)
     try:
-        return freqtrie.load_trie(_trie_snapshot(lex_path, text))
+        return freqtrie.load_trie(f"{lex_path}.trie", _hash_inputs(text, freqtrie.LAYOUT))
     except (OSError, ValueError, EOFError, TypeError):
-        pass  # missing or unreadable: build it
+        pass  # missing, unreadable or of another text: build it
     with core.reading(lex_path):
-        return freqtrie.read_trie(text)
+        return freqtrie.build_trie(freqtrie.parse_lexicon(text))
 
 
 def _sources(cfg, path):

@@ -1,11 +1,20 @@
-"""Word counts from a word list (read in NFC, as core.make_symbol spells
-symbols), a prefix trie over them, unigram bin features, and
-probability-ratio corpus pruning.  The trie is nested tuples: a node is
-(prefix count, word count), then a symbol and child if it has one child,
-or a dict from symbol to child if more.  The collector stops tracking a
-tuple of untracked values, so a full collection walks only the dicts; and
-marshal writes or reads a whole subtree at once (save_trie, load_trie:
-cli's snapshot, named with LAYOUT)."""
+"""Word counts from a word list, a prefix trie over them, unigram bin
+features, and probability-ratio corpus pruning.
+
+parse_lexicon is the one reader of a word list.  It reads the list in NFC,
+as core.make_symbol spells symbols, and keys each word by its NFC string,
+one symbol per character, which is how the LM and the trie match a target.
+A Lexicon a caller builds may key its words by symbol tuples instead;
+build_trie, prune_lexicon and serialize_lexicon read either, and
+prune_lexicon matches a string-keyed word with a tuple-keyed one.
+
+The trie is nested tuples: a node is (prefix count, word count), then a
+symbol and child if it has one child, or a dict from symbol to child if
+more.  The collector stops tracking a tuple of untracked values, so a full
+collection walks only the dicts; and marshal writes or reads a whole
+subtree at once.  save_trie writes a snapshot after a tag naming what it was
+built from (cli's tag hashes the list's text and LAYOUT), and load_trie
+refuses a snapshot of any other tag."""
 
 import marshal
 import unicodedata
@@ -15,13 +24,15 @@ from operator import itemgetter
 
 from .core import ParseError
 
-# Part of a snapshot's name: change it with the node or record layout.
+# Part of a snapshot's tag: change it with the node or record layout.
 LAYOUT = f"nested-tuples-1, marshal {marshal.version}"
 
 
 @dataclass
 class Lexicon:
-    """Word-to-count map; words are symbol tuples, counts positive."""
+    """Word-to-count map, counts positive.  parse_lexicon keys a word by its
+    string, one symbol per character; a caller may key it by a tuple of
+    symbols."""
 
     counts: dict = field(default_factory=dict)
 
@@ -37,35 +48,34 @@ class Lexicon:
 
 def _entries(stream):
     """(word, count) of each "WORD<TAB>COUNT" line, in order; a bare "WORD"
-    line means count 1.  A word's symbols are the characters of its NFC
-    form.  A count that is not a positive integer raises ParseError with its
-    line number."""
-    # Inline, not core.parse_lines: the word list is the largest input, read
-    # twice per set-up, and a call per line cost 15-27% of this loop's time.
+    line means count 1.  The line is split at its first tab before each
+    part is stripped of whitespace.  A count that is not a positive integer,
+    or that has no word, raises ParseError with its line number."""
+    # Inline, not core.parse_lines: the word list is the largest input, and
+    # a call per line cost 15-27% of this loop's time.
     if isinstance(stream, str):
         lines = unicodedata.normalize("NFC", stream).splitlines()
     else:
         lines = (unicodedata.normalize("NFC", line) for line in stream)
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
+        word, tab, text = line.partition("\t")
+        word, text = word.strip(), text.strip()
+        if not word:
+            if text:
+                raise ParseError(lineno, f"count {text!r} has no word")
             continue
-        if "\t" in line:
-            word, text = line.split("\t", 1)
-            count = int(text) if text.isdecimal() else 0
-            if count < 1:
-                raise ParseError(lineno, f"count {text!r} is not a positive integer")
-        else:
-            word, count = line, 1
+        count = (int(text) if text.isdecimal() else 0) if tab else 1
+        if count < 1:
+            raise ParseError(lineno, f"count {text!r} is not a positive integer")
         yield word, count
 
 
 def parse_lexicon(stream):
-    """The Lexicon of a word list (see _entries); repeated words accumulate."""
+    """The Lexicon of a word list (see _entries), each word keyed by its NFC
+    string; repeated words accumulate."""
     counts = {}
     for word, count in _entries(stream):
-        key = tuple(word)
-        counts[key] = counts.get(key, 0) + count
+        counts[word] = counts.get(word, 0) + count
     return Lexicon(counts)
 
 
@@ -73,13 +83,6 @@ def serialize_lexicon(lex):
     return "".join(
         f"{''.join(w)}\t{c}\n" for w, c in sorted(lex.counts.items())
     )
-
-
-def _frozen(counts):
-    """The trie of a word-to-count map, built bottom-up over the sorted
-    words (see _subtrie)."""
-    words = sorted(counts)
-    return _subtrie(words, counts, 0, len(words), 0) if words else (0, 0)
 
 
 def _subtrie(words, counts, lo, hi, d):
@@ -116,16 +119,10 @@ def _subtrie(words, counts, lo, hi, d):
 
 def build_trie(lex):
     """Trie whose nodes carry the summed count of every word passing
-    through them; word-final nodes also carry the exact word count."""
-    return _frozen(lex.counts)
-
-
-def read_trie(text):
-    """build_trie(parse_lexicon(text)), with no Lexicon in between."""
-    counts = {}
-    for word, count in _entries(text):
-        counts[word] = counts.get(word, 0) + count
-    return _frozen(counts)
+    through them; word-final nodes also carry the exact word count.  It is
+    built bottom-up over the sorted words (see _subtrie)."""
+    words = sorted(lex.counts)
+    return _subtrie(words, lex.counts, 0, len(words), 0) if words else (0, 0)
 
 
 def walk(root, prefix):
@@ -156,7 +153,8 @@ def _children(node):
 
 
 def trie_words(root):
-    """Reconstruct the word-count map by walking every path."""
+    """Reconstruct the word-count map, words as symbol tuples, by walking
+    every path."""
     out, todo = {}, [((), root)]
     while todo:
         prefix, node = todo.pop()
@@ -166,26 +164,29 @@ def trie_words(root):
     return out
 
 
-def save_trie(trie, path):
-    """Write trie to path as length-prefixed marshal records: the root's
-    counts, then each (symbol, child) of the root.  Small records, not one
-    large buffer, leave the allocator no large freed block to keep.
+def save_trie(trie, path, tag):
+    """Write trie to path as length-prefixed marshal records: tag, the
+    root's counts, then each (symbol, child) of the root.  Small records,
+    not one large buffer, leave the allocator no large freed block to keep.
     ValueError if a word nests the trie deeper than marshal can write."""
     with open(path, "wb") as out:
-        for record in (trie[:2], *_children(trie)):
+        for record in (tag, trie[:2], *_children(trie)):
             data = marshal.dumps(record)
             out.write(len(data).to_bytes(4, "little"))
             out.write(data)
 
 
-def load_trie(path):
-    """The trie save_trie wrote to path; ValueError, EOFError or TypeError
-    if path holds no whole trie."""
+def load_trie(path, tag):
+    """The trie save_trie wrote to path with tag; ValueError if it was
+    written with another tag, and ValueError, EOFError or TypeError if path
+    holds no whole trie."""
     records = []
     with open(path, "rb") as src:
         while head := src.read(4):
             records.append(marshal.loads(src.read(int.from_bytes(head, "little"))))
-    (prefix, word), *kids = records
+    found, (prefix, word), *kids = records
+    if found != tag:
+        raise ValueError(f"{path} is tagged {found!r}, not {tag!r}")
     if prefix != word + sum(kid[0] for _, kid in kids):
         raise ValueError(f"{path} lacks some of the trie's root children")
     if len(kids) > 1:
@@ -196,15 +197,17 @@ def load_trie(path):
 def prune_lexicon(target, english):
     """Drop every word whose relative frequency in the English lexicon
     strictly exceeds its relative frequency in the target lexicon.  Words
-    the English lexicon has never seen are always kept."""
+    the English lexicon has never seen are always kept.  Words match by
+    their symbols, so either lexicon may key them by string or by tuple."""
     total_en = english.total_tokens
     total_tgt = target.total_tokens
     if total_en == 0 or total_tgt == 0:
         return Lexicon(dict(target.counts))
+    en = {tuple(w): c for w, c in english.counts.items()}
     kept = {
         w: c
         for w, c in target.counts.items()
-        if english.counts.get(w, 0) / total_en <= c / total_tgt
+        if en.get(tuple(w), 0) / total_en <= c / total_tgt
     }
     return Lexicon(kept)
 

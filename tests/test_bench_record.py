@@ -1,6 +1,7 @@
 """tools/bench_record.py: per-workload medians over the seeds run, with
 each seed's values and hashes, from the untraced result files, and their
-ratios to the newest earlier record, and the line count of src/chartrans."""
+ratios to the newest earlier record, and the line and code-line counts of
+src/chartrans."""
 
 import importlib.util
 import json
@@ -103,10 +104,64 @@ def test_record_holds_the_source_line_count_beside_the_earlier_one(tmp_path, cap
     (tmp_path / "BENCH_6.json").write_text(
         json.dumps({"pr": 6, "src_lines": 3000, "workloads": {}}), encoding="utf-8")
     args = ["--pr", "7", "--results", str(tmp_path), "--out-dir", str(tmp_path)]
-    assert _tool().main(args) == 0
+    tool = _tool()
+    assert tool.main(args) == 0
     record = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
     assert record["src_lines"] == lines > 0
+    code = record["src_code_lines"]
+    assert code == tool.src_code_lines() and 0 < code < lines
+    # an earlier record without src_code_lines prints none
     assert capsys.readouterr().out.splitlines()[1:] == [
         "medians against BENCH_6.json (new / earlier = ratio):",
         f"src_lines: {lines} (BENCH_6.json: 3000)",
     ]
+    (tmp_path / "BENCH_6.json").write_text(json.dumps(
+        {"pr": 6, "src_lines": 3000, "src_code_lines": 2000, "workloads": {}}),
+        encoding="utf-8")
+    assert tool.main(args) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == [
+        f"src_lines: {lines} (BENCH_6.json: 3000)",
+        f"src_code_lines: {code} (BENCH_6.json: 2000)",
+    ]
+
+
+# Each line ends with a comment saying whether it is a code line.
+_SAMPLE = '''\
+"""Module docstring,      # no
+over two lines."""        # no
+                          # no
+import os  # a comment    # yes
+# a comment line          # no
+X = """a string           # yes
+that is no docstring"""   # yes
+
+
+class A:                  # yes
+    "Class docstring."    # no
+
+    def f(self,           # yes
+          y):             # yes
+        \'\'\'Function     # no
+        docstring.\'\'\'   # no
+        return "# not a comment"  # yes
+
+    async def g(self):    # yes
+        """Docstring."""  # no
+        "a second string" # yes
+
+
+def h():                  # yes
+    return (1 +           # yes
+            2)            # yes
+'''
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "sample.py").write_text(_SAMPLE, encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("x = 1\n", encoding="utf-8")
+    want = sum(line.endswith("# yes") for line in _SAMPLE.splitlines())
+    assert want == 12
+    assert _tool().src_code_lines(tmp_path) == want
+    (tmp_path / "empty.py").write_text("", encoding="utf-8")
+    (tmp_path / "two.py").write_text("a = 1\n\nb = 2\n", encoding="utf-8")
+    assert _tool().src_code_lines(tmp_path) == want + 2

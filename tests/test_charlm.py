@@ -199,6 +199,12 @@ class FlatLM:
         (last,) = history
         return self.values[last] if nxt == EOS else self.values[nxt]
 
+    def advance(self, logsum, tail, suffix):
+        for sym in suffix:
+            logsum += self.logprob(tail, sym)
+            tail = (sym,)
+        return logsum, tail
+
 
 def test_flat_stub_scores_a_word_of_distinct_symbols():
     # a scores -1, b scores -2, and the end after b scores -2 again

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from chartrans.aligner import AlignParams
-from chartrans.freqtrie import FreqBinConfig, load_trie, prefix_count, read_trie
+from chartrans.freqtrie import FreqBinConfig, build_trie, load_trie, parse_lexicon, prefix_count
 from chartrans.transducer import FeatureConfig, TrainConfig
 from chartrans.cli import (
     RunConfig,
@@ -98,6 +98,17 @@ def test_load_config_keeps_hash_inside_a_value(tmp_path):
     cfg = load_config(str(path))
     assert cfg.wordlist == "data/run#1/words.txt"
     assert cfg.pairs == "data.txt"
+
+
+def test_load_config_refuses_a_key_given_twice_in_the_file(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("epochs = 2\nbeam = 4\n\nepochs = 3\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="'epochs' is given twice") as info:
+        load_config(str(path))
+    assert (info.value.lineno, info.value.path) == (4, str(path))
+    # --set still overrides a key the file gives once
+    path.write_text("epochs = 2\n", encoding="utf-8")
+    assert load_config(str(path), overrides=["epochs=3", "epochs=4"]).epochs == 4
 
 
 def test_load_config_rejects_unknown_key(tmp_path):
@@ -326,15 +337,27 @@ def _trained(tmp_path, **settings):
     return cfg
 
 
+def _list_text(path):
+    """The text of the word list at path, read as cli reads it."""
+    return unicodedata.normalize("NFC", Path(path).read_text(encoding="utf-8"))
+
+
 def _list_trie(path):
-    """The trie of the word list at path, read as cli reads it."""
-    return read_trie(unicodedata.normalize("NFC", Path(path).read_text(encoding="utf-8")))
+    """The trie of the word list at path."""
+    return build_trie(parse_lexicon(_list_text(path)))
+
+
+def _snapshot_trie(path, list_path):
+    """The trie snapshot at path, if it is tagged with the current text of
+    the word list at list_path."""
+    return load_trie(path, cli._hash_inputs(_list_text(list_path), freqtrie.LAYOUT))
 
 
 def test_decode_with_and_without_the_trie_snapshot_is_byte_identical(tmp_path):
     cfg = _trained(tmp_path)
-    [snapshot] = tmp_path.glob("words.txt.*.trie")
-    assert load_trie(snapshot) == _list_trie(cfg.wordlist)
+    [snapshot] = tmp_path.glob("*.trie")
+    assert snapshot.name == "words.txt.trie"
+    assert _snapshot_trie(snapshot, cfg.wordlist) == _list_trie(cfg.wordlist)
     cmd_decode(cfg, output_path=str(tmp_path / "n1.txt"))
     snapshot.unlink()
     cmd_decode(cfg, output_path=str(tmp_path / "n2.txt"))
@@ -345,11 +368,48 @@ def _no_build(text):
     raise AssertionError("load_model built the trie")
 
 
+def _forbid_building(monkeypatch):
+    for name in ("parse_lexicon", "build_trie"):
+        monkeypatch.setattr(freqtrie, name, _no_build)
+
+
 def test_load_model_reads_the_snapshot_without_building_a_trie(tmp_path, monkeypatch):
     cfg = _trained(tmp_path)
     want = _list_trie(cfg.wordlist)
-    monkeypatch.setattr(freqtrie, "read_trie", _no_build)
+    _forbid_building(monkeypatch)
     assert load_model(cfg).trie == want
+
+
+def _counting(monkeypatch, names):
+    """Count the calls of each freqtrie function in names."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(freqtrie, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(freqtrie, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("disable_lm", [False, True], ids=["LM on", "LM off"])
+def test_set_up_reads_the_word_list_through_the_traced_reader(
+    tmp_path, monkeypatch, disable_lm
+):
+    # a benchmark times set-up's word-list reading by wrapping these module
+    # attributes, so set-up must call them, once each, with the LM on or off
+    cfg = dataclasses.replace(
+        write_context_task(tmp_path, n_train=10, n_test=3), epochs=1, disable_lm=disable_lm
+    )
+    cmd_align(cfg)
+    calls = _counting(monkeypatch, ("parse_lexicon", "build_trie"))
+    trie = load_resources(cfg)[2]
+    assert calls == {"parse_lexicon": 1, "build_trie": 1}
+    assert trie == _list_trie(cfg.wordlist)
+    monkeypatch.undo()
+    cmd_train(cfg)
+    calls = _counting(monkeypatch, ("parse_lexicon", "build_trie"))
+    assert load_model(cfg).trie == trie
+    assert calls == {"parse_lexicon": 0, "build_trie": 0}
 
 
 def test_a_word_list_edited_after_train_is_counted_from_its_new_text(tmp_path):
@@ -363,6 +423,25 @@ def test_a_word_list_edited_after_train_is_counted_from_its_new_text(tmp_path):
     assert trie == _list_trie(words)
 
 
+@pytest.mark.parametrize("feature, kept", [
+    ("lm_features", {"lexicon_path": "lexicon"}),
+    ("freq_features", {"lm_path": "lm"}),
+    ("lm_features", {}),
+], ids=["lm path dropped", "lexicon path dropped", "both dropped"])
+def test_decode_refuses_a_model_that_names_no_file_for_an_enabled_feature(
+    tmp_path, capsys, feature, kept
+):
+    # save_model writes "path": null for a resource it is given no path for
+    cfg = _trained(tmp_path)
+    model, refs = transducer.load_model(cfg.model_file)
+    transducer.save_model(model, cfg.model_file,
+                          **{arg: refs[ref] for arg, ref in kept.items()})
+    assert main(["decode", *_run_argv(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg.model_file}: {feature} is on")
+    assert not (tmp_path / "out" / "nbest.txt").exists()
+
+
 def _record(value):
     data = marshal.dumps(value)
     return len(data).to_bytes(4, "little") + data
@@ -370,22 +449,26 @@ def _record(value):
 
 @pytest.mark.parametrize("damage", [
     "cut mid-record", "cut after a record", "garbage", "not a trie record", "empty",
+    "the tag alone", "another tag",
 ])
 def test_a_damaged_trie_snapshot_falls_back_to_the_build(tmp_path, damage):
     cfg = _trained(tmp_path)
-    [snapshot] = tmp_path.glob("words.txt.*.trie")
+    snapshot = tmp_path / "words.txt.trie"
     data = snapshot.read_bytes()
     ends, end = [], 0
     while end < len(data):
         end += 4 + int.from_bytes(data[end:end + 4], "little")
         ends.append(end)
-    assert len(ends) > 2 and end == len(data)
+    assert len(ends) > 3 and end == len(data)
+    tag = data[: ends[0]]
     snapshot.write_bytes({
         "cut mid-record": data[:-1],
         "cut after a record": data[: ends[-2]],
         "garbage": b"not a trie",
-        "not a trie record": _record(5) + _record(("a", (1, 1))),
+        "not a trie record": tag + _record(5) + _record(("a", (1, 1))),
         "empty": b"",
+        "the tag alone": tag,
+        "another tag": _record("0123456789") + data[ends[0]:],
     }[damage])
     assert load_model(cfg).trie == _list_trie(cfg.wordlist)
 
@@ -394,8 +477,8 @@ def test_failed_trie_snapshot_write_leaves_no_snapshot(tmp_path, monkeypatch):
     cfg = write_context_task(tmp_path, n_train=10, n_test=3)
     save_trie = freqtrie.save_trie
 
-    def save_then_fail(trie, path):
-        save_trie(trie, path)
+    def save_then_fail(trie, path, tag):
+        save_trie(trie, path, tag)
         with open(path, "r+b") as out:
             out.truncate(out.seek(0, 2) // 2)
         raise OSError("disk full")
@@ -407,7 +490,7 @@ def test_failed_trie_snapshot_write_leaves_no_snapshot(tmp_path, monkeypatch):
     monkeypatch.setattr(freqtrie, "save_trie", save_trie)
     trie = load_resources(cfg)[2]
     [snapshot] = tmp_path.glob("*.trie")
-    assert load_trie(snapshot) == trie
+    assert _snapshot_trie(snapshot, cfg.wordlist) == trie
 
 
 def test_the_pruned_lexicon_has_its_own_trie_snapshot(tmp_path, monkeypatch):
@@ -415,10 +498,10 @@ def test_the_pruned_lexicon_has_its_own_trie_snapshot(tmp_path, monkeypatch):
     english.write_text("the\t100\n", encoding="utf-8")
     cfg = _trained(tmp_path, english_wordlist=str(english))
     [plex] = tmp_path.glob("words.txt.*.plex")
-    [snapshot] = tmp_path.glob("words.txt.*.trie")
-    assert snapshot.name.startswith(plex.name + ".")
+    [snapshot] = tmp_path.glob("*.trie")
+    assert snapshot.name == plex.name + ".trie"
     want = _list_trie(plex)
-    monkeypatch.setattr(freqtrie, "read_trie", _no_build)
+    _forbid_building(monkeypatch)
     assert load_model(cfg).trie == want
     snapshot.unlink()
     monkeypatch.undo()
@@ -442,28 +525,19 @@ def test_a_word_too_long_to_snapshot_trains_and_decodes(tmp_path):
 
 def test_a_new_trie_snapshot_replaces_the_lists_older_ones(tmp_path):
     cfg = _trained(tmp_path)
+    snapshot = tmp_path / "words.txt.trie"
+    older = snapshot.read_bytes()
+    # a snapshot named by a hash, as older versions wrote, stays
+    stale = tmp_path / "words.txt.0123456789.trie"
+    stale.write_bytes(older)
     with open(cfg.wordlist, "a", encoding="utf-8") as out:
         out.write("zz\t2\n")
     cmd_train(cfg)
-    [snapshot] = tmp_path.glob("words.txt.*.trie")
-    assert load_trie(snapshot) == _list_trie(cfg.wordlist)
-    # only this list's own snapshot names go: not a pruned list's, nor a
-    # near miss in any part of the name, nor another list's, nor any cache
-    others = [
-        "words.txt.0123456789.plex.0123456789.trie", "words.txt.0123456789.trie.bak",
-        "words.txt.ABCDEF0123.trie", "words.txt.012345678.trie",
-        "words.txt.0123456789a.trie", "other.txt.0123456789.trie",
-    ]
-    for name in others:
-        (tmp_path / name).write_bytes(b"")
-    with open(cfg.wordlist, "a", encoding="utf-8") as out:
-        out.write("zy\t3\n")
-    cmd_train(cfg)
-    [newer] = [p for p in tmp_path.glob("*.trie*") if p.name not in others]
-    assert newer != snapshot
-    assert load_trie(newer) == _list_trie(cfg.wordlist)
-    assert all((tmp_path / name).exists() for name in others)
-    assert len(list(tmp_path.glob("words.txt.*.lm"))) == 3
+    assert sorted(tmp_path.glob("*.trie")) == [stale, snapshot]
+    assert snapshot.read_bytes() != older and stale.read_bytes() == older
+    assert _snapshot_trie(snapshot, cfg.wordlist) == _list_trie(cfg.wordlist)
+    assert load_model(cfg).trie == _list_trie(cfg.wordlist)
+    assert len(list(tmp_path.glob("words.txt.*.lm"))) == 2
 
 
 def _aligned(tmp_path, pairs, words, **settings):

@@ -17,7 +17,6 @@ from chartrans.freqtrie import (
     parse_lexicon,
     prefix_count,
     prune_lexicon,
-    read_trie,
     save_trie,
     serialize_lexicon,
     trie_words,
@@ -87,12 +86,13 @@ def test_walk_returns_nodes():
 
 
 def test_prune_removes_english_heavy_words():
-    target = lex(the=1, niño=99)
-    english = lex(the=999, of=1)
-    pruned = prune_lexicon(target, english)
-    # P_en(the) = 999/1000 > P_tgt(the) = 1/100: dropped
-    assert tuple("the") not in pruned.counts
-    assert tuple("niño") in pruned.counts
+    # either lexicon may key its words by tuple or, as parse_lexicon does,
+    # by string
+    for english in (lex(the=999, of=1), parse_lexicon("the\t999\nof\t1\n")):
+        for target in (lex(the=1, niño=99), parse_lexicon("the\t1\nniño\t99\n")):
+            pruned = prune_lexicon(target, english)
+            # P_en(the) = 999/1000 > P_tgt(the) = 1/100: dropped
+            assert [tuple(w) for w in pruned.counts] == [tuple("niño")]
 
 
 def test_prune_keeps_words_unknown_to_english():
@@ -128,8 +128,7 @@ def test_prune_idempotent_and_never_increases():
 
 def test_parse_lexicon_formats():
     lexicon = parse_lexicon("abc\t5\nxyz\nabc\t2\n")
-    assert lexicon.counts[tuple("abc")] == 7
-    assert lexicon.counts[tuple("xyz")] == 1
+    assert lexicon.counts == {"abc": 7, "xyz": 1}
     again = parse_lexicon(serialize_lexicon(lexicon))
     assert again.counts == lexicon.counts
 
@@ -204,9 +203,13 @@ def _assert_lean(root):
 
 @settings(max_examples=200, deadline=None)
 @given(text=_WORD_LIST)
-def test_read_trie_is_the_trie_of_the_parsed_lexicon(text):
-    want, got = build_trie(parse_lexicon(text)), read_trie(text)
-    assert trie_words(got) == trie_words(want) == parse_lexicon(text).counts
+def test_a_parsed_word_list_builds_the_trie_of_its_tuple_keyed_lexicon(text):
+    # parse_lexicon keys words by string; a caller's Lexicon keys them by
+    # symbol tuple, and both build the same trie
+    counts = {tuple(word): count for word, count in parse_lexicon(text).counts.items()}
+    assert len(counts) == len(parse_lexicon(text).counts)
+    want, got = build_trie(Lexicon(counts)), build_trie(parse_lexicon(text))
+    assert trie_words(got) == trie_words(want) == counts
     assert prefix_count(got, ()) == prefix_count(want, ())
     assert got == want
     words = trie_words(want)
@@ -223,12 +226,13 @@ def test_read_trie_is_the_trie_of_the_parsed_lexicon(text):
 @given(text=_WORD_LIST, bad=st.sampled_from(["ab\t0", "ab\tx", "ñ\t-3", "a\t2 5"]),
        at=st.integers(0, 30))
 def test_both_readers_fail_on_the_same_line(text, bad, at):
+    # the one reader's two ways in: a whole text, or its lines
     lines = text.splitlines(keepends=True)
     text = "".join(lines[:at]) + bad + "\n" + "".join(lines[at:])
     failures = []
-    for reader in (parse_lexicon, read_trie):
+    for stream in (text, text.splitlines(keepends=True)):
         with pytest.raises(ParseError) as info:
-            reader(text)
+            parse_lexicon(stream)
         failures.append(info.value.lineno)
     assert failures == [min(at, len(lines)) + 1] * 2
 
@@ -247,11 +251,23 @@ def test_trie_nodes_hold_a_dict_only_for_two_or_more_children():
 
 
 def test_both_readers_read_an_nfd_word_list_as_nfc():
+    # the one reader's two ways in: a whole text, or its lines
     nfd = unicodedata.normalize("NFD", "café\t50\n")
     cafe = parse_seq("c a f é")
-    assert prefix_count(read_trie(nfd), cafe, end_of_word=True) == 50
-    assert parse_lexicon(nfd).counts == {cafe: 50}
-    assert parse_lexicon(nfd.splitlines()).counts == {cafe: 50}
+    assert prefix_count(build_trie(parse_lexicon(nfd)), cafe, end_of_word=True) == 50
+    assert parse_lexicon(nfd).counts == {"".join(cafe): 50}
+    assert parse_lexicon(nfd.splitlines()).counts == {"".join(cafe): 50}
+
+
+def test_a_word_list_line_is_split_at_its_tab_before_it_is_stripped():
+    for stream in ("abc \t5\n ab\t 2 \n", ["abc \t5\n", " ab\t 2 \n"]):
+        lexicon = parse_lexicon(stream)
+        assert lexicon.counts == {"abc": 5, "ab": 2}
+        assert prefix_count(build_trie(lexicon), "abc", end_of_word=True) == 5
+    for text, lineno in [("\t5\n", 1), ("ab\t2\n \t7\n", 2), ("ab\t2\nab\t\n", 2)]:
+        with pytest.raises(ParseError) as info:
+            parse_lexicon(text)
+        assert info.value.lineno == lineno
 
 
 _ENTRY = st.tuples(st.lists(st.sampled_from("abñ"), min_size=1, max_size=4).map("".join),
@@ -268,10 +284,12 @@ def test_trie_survives_marshal_and_counts_as_brute_force(entries, tmp_path_facto
     text = "".join(f"{word}\t{count}\n" for word, count in entries)
     prefixes = {w[:k] for w in counts for k in range(len(w) + 1)} | {("z",), ("a", "z")}
     path = tmp_path_factory.mktemp("snapshot") / "words.trie"
-    for trie in (read_trie(text), build_trie(Lexicon(counts))):
+    for trie in (build_trie(parse_lexicon(text)), build_trie(Lexicon(counts))):
         assert marshal.loads(marshal.dumps(trie)) == trie
-        save_trie(trie, path)
-        again = load_trie(path)
+        save_trie(trie, path, "tag of the list")
+        with pytest.raises(ValueError, match="tagged"):
+            load_trie(path, "tag of another list")
+        again = load_trie(path, "tag of the list")
         assert again == trie
         for prefix in prefixes:
             brute = sum(c for w, c in counts.items() if w[: len(prefix)] == prefix)
@@ -284,7 +302,7 @@ def test_trie_survives_marshal_and_counts_as_brute_force(entries, tmp_path_facto
 @pytest.mark.parametrize("text", ["ab\t3\nabc\t4\n", "ab\t3\nabc\t4\nb\t1\n"],
                          ids=["one-child root", "two-child root"])
 def test_a_multi_character_symbol_never_matches(text):
-    trie = read_trie(text)
+    trie = build_trie(parse_lexicon(text))
     assert prefix_count(trie, ("a", "b")) == 7
     assert prefix_count(trie, ("ab",)) == 0
     assert walk(trie, ("ab",)) is None

@@ -15,17 +15,27 @@ such a record would compare unlike runs.  It then prints, per workload
 and metric, the ratio of each new median to the same median in the newest
 earlier record, the BENCH_<n>.json in the output directory with the
 highest n below <pr>.  The record also holds src_lines, the total lines of
-src/chartrans/*.py in this checkout, printed beside the earlier record's
-when that has it too.
+src/chartrans/*.py in this checkout, and src_code_lines, those of its lines
+that are not blank, not comments and not docstrings, each printed beside
+the earlier record's when that has it too.
 """
 
 import argparse
+import ast
+import io
 import json
 import statistics
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "chartrans"
+# Tokens that are no code of their own: a line holding only these is blank
+# or a comment.
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def collect(results):
@@ -61,8 +71,26 @@ def collect(results):
 
 def src_lines():
     """The total lines of src/chartrans/*.py, as wc -l counts them."""
-    return sum(path.read_bytes().count(b"\n")
-               for path in (ROOT / "src" / "chartrans").glob("*.py"))
+    return sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+
+
+def src_code_lines(folder=SRC):
+    """The lines of folder/*.py that hold code: every line a token other
+    than a comment spans, less the lines of each module, class and function
+    docstring."""
+    total = 0
+    for path in folder.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        lines = set()
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type not in _NOT_CODE:
+                lines.update(range(token.start[0], token.end[0] + 1))
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, _DOCUMENTED) and ast.get_docstring(node) is not None:
+                doc = node.body[0]
+                lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
+        total += len(lines)
+    return total
 
 
 def earlier_record(out_dir, pr):
@@ -102,7 +130,8 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    record = {"pr": args.pr, "src_lines": src_lines(), **record}
+    record = {"pr": args.pr, "src_lines": src_lines(),
+              "src_code_lines": src_code_lines(), **record}
     out = args.out_dir / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}")
@@ -112,8 +141,9 @@ def main(argv=None):
         print(f"medians against {earlier.name} (new / earlier = ratio):")
         for line in ratio_lines(record, old):
             print(f"  {line}")
-        if "src_lines" in old:
-            print(f"src_lines: {record['src_lines']} ({earlier.name}: {old['src_lines']})")
+        for key in ("src_lines", "src_code_lines"):
+            if key in old:
+                print(f"{key}: {record[key]} ({earlier.name}: {old[key]})")
     return 0
 
 
