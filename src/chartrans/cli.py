@@ -242,7 +242,8 @@ def load_resources(cfg):
     word list; caches live beside the word list, keyed by a content hash.
     Only the resources of enabled features are built: the LM and its bins
     unless disable_lm, the trie (built, then snapshotted to <list>.trie with
-    the tag of the list's text) and its bins unless disable_freq."""
+    the tag of the list's text, unless that file already has the tag) and
+    its bins unless disable_freq."""
     lm = lm_bins = trie = freq_bins = None
     refs = {}
     if not cfg.wordlist or (cfg.disable_lm and cfg.disable_freq):
@@ -280,11 +281,12 @@ def load_resources(cfg):
                 _write_cache(lex_path, lambda tmp: _write(tmp, text))
         refs["lexicon"] = lex_path
         trie = freqtrie.build_trie(lex)
-        tag = _hash_inputs(text, freqtrie.LAYOUT)
-        # ValueError: a word nests the trie deeper than marshal can write,
-        # and decode, refusing an older snapshot's tag, builds the trie
-        with contextlib.suppress(ValueError):
-            _write_cache(f"{lex_path}.trie", lambda tmp: freqtrie.save_trie(trie, tmp, tag))
+        snapshot, tag = f"{lex_path}.trie", _hash_inputs(text, freqtrie.LAYOUT)
+        if freqtrie.trie_tag(snapshot) != tag:
+            # ValueError: a word nests the trie deeper than marshal can
+            # write, and decode, refusing an older snapshot's tag, builds it
+            with contextlib.suppress(ValueError):
+                _write_cache(snapshot, lambda tmp: freqtrie.save_trie(trie, tmp, tag))
         freq_bins = freqtrie.FreqBinConfig(cfg.freq_thresholds)
     return lm, lm_bins, trie, freq_bins, refs
 

@@ -13,8 +13,9 @@ symbol and child if it has one child, or a dict from symbol to child if
 more.  The collector stops tracking a tuple of untracked values, so a full
 collection walks only the dicts; and marshal writes or reads a whole
 subtree at once.  save_trie writes a snapshot after a tag naming what it was
-built from (cli's tag hashes the list's text and LAYOUT), and load_trie
-refuses a snapshot of any other tag."""
+built from (cli's tag hashes the list's text and LAYOUT); trie_tag reads
+that tag alone, and load_trie refuses a snapshot of any other tag as soon
+as it has read the tag."""
 
 import marshal
 import unicodedata
@@ -176,17 +177,33 @@ def save_trie(trie, path, tag):
             out.write(data)
 
 
+def _records(src):
+    """The length-prefixed marshal records of the open snapshot src."""
+    while head := src.read(4):
+        yield marshal.loads(src.read(int.from_bytes(head, "little")))
+
+
+def trie_tag(path):
+    """The tag save_trie wrote at the head of path, read alone; None if
+    path is missing or empty, or its first record is not whole."""
+    try:
+        with open(path, "rb") as src:
+            return next(_records(src), None)
+    except (OSError, ValueError, EOFError, TypeError):
+        return None
+
+
 def load_trie(path, tag):
     """The trie save_trie wrote to path with tag; ValueError if it was
-    written with another tag, and ValueError, EOFError or TypeError if path
-    holds no whole trie."""
-    records = []
+    written with another tag, found before any record after the tag is
+    read, and ValueError, EOFError or TypeError if path holds no whole
+    trie."""
     with open(path, "rb") as src:
-        while head := src.read(4):
-            records.append(marshal.loads(src.read(int.from_bytes(head, "little"))))
-    found, (prefix, word), *kids = records
-    if found != tag:
-        raise ValueError(f"{path} is tagged {found!r}, not {tag!r}")
+        records = _records(src)
+        found = next(records, None)
+        if found != tag:
+            raise ValueError(f"{path} is tagged {found!r}, not {tag!r}")
+        (prefix, word), *kids = records
     if prefix != word + sum(kid[0] for _, kid in kids):
         raise ValueError(f"{path} lacks some of the trie's root children")
     if len(kids) > 1:

@@ -17,13 +17,15 @@ the LM sum, tail and trie node the derivation carries.  A part is a tuple
 of feature ids, each an indicator valued 1.0, so weighing it adds its
 ids' weights.  The model memoises the history part per (merge state,
 rule); train memoises the rule part per (source, position, rule) for its
-run only (Model.rule_parts).  decode_nbest strings the parts together in
-the beam, and _derivation_parts along one given derivation, such as a
-gold one, building them alike.  Candidates keep their hypothesis's trail
-of parts and sum it only when their features are read.  Training is
-online large-margin (MIRA) against the k-best list, with optional weight
-averaging; MIRA subtracts each candidate's trail from the gold features
-part by part, so training sums only the gold derivations.
+run only (Model.rule_parts).  Outside train no rule part is memoised:
+within one call no (position, rule) comes twice.  decode_nbest strings
+the parts together in the beam, and _derivation_parts along one given
+derivation, such as a gold one, building them alike.  Candidates keep
+their hypothesis's trail of parts and sum it only when their features
+are read.  Training is online large-margin (MIRA) against the k-best
+list, with optional weight averaging; MIRA subtracts each candidate's
+trail from the gold features part by part, so training sums only the
+gold derivations.
 
 A Model is frozen and builds its rule index and _CorpusScorer once;
 training updates its weights in place.
@@ -38,13 +40,19 @@ collide; save_model writes them in repr order and load_model interns
 them, so no output depends on the value of an id.  A loaded model's
 alphabet is read-only: a name no weight has gets one shared id, so
 decoding never grows it, and a part may list that id more than once
-(each copy adds 0.0).
+(each copy adds 0.0).  Its feature-id index (_ids_by_rule) gives each
+rule's R and C ids without building a name.  It is built from the names
+when the model builds its first rule part and kept with the alphabet, so
+every model replace makes from it shares the index; it holds ids, never
+weights, so it never needs rebuilding, and never grows.
 """
 
 import json
 import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from functools import cache
+from itertools import repeat
 
 from .charlm import EOS, history_tail, lm_bin_features, BinConfig
 from .charlm import extend_score  # noqa: F401  unused: perfbench traces it by this name
@@ -155,14 +163,16 @@ class Alphabet(dict):
     lacks the next id, so ids are dense, in first-seen order, and a name
     keeps its id.  Once read_only() is called, the alphabet takes no new
     name: every name it lacks gets one id, unknown, which no weight holds
-    and names[unknown] names as None, so such a name adds 0.0 to a score."""
+    and names[unknown] names as None, so such a name adds 0.0 to a score.
+    by_rule holds a read-only alphabet's _ids_by_rule, None until built."""
 
-    __slots__ = ("names", "unknown")
+    __slots__ = ("names", "unknown", "by_rule")
 
     def __init__(self):
         super().__init__()
         self.names = []
         self.unknown = None
+        self.by_rule = None
 
     def __missing__(self, name):
         if self.unknown is not None:
@@ -174,6 +184,13 @@ class Alphabet(dict):
     def read_only(self):
         self.unknown = len(self.names)
         self.names.append(None)
+
+    def ids(self, names):
+        """The ids of names, in order; a read-only alphabet reads them with
+        dict.get, so no name reaches __missing__."""
+        if self.unknown is None:
+            return tuple([self[name] for name in names])
+        return tuple(map(self.get, names, repeat(self.unknown)))
 
 
 @dataclass(frozen=True)
@@ -254,27 +271,56 @@ def extract_rules(alignments):
     return frozenset(rules), golds
 
 
+@cache
+def _spans(c, n, left, right):
+    """The (offset, end offset) of each n-gram _contexts lists, for
+    context_window c and max_source_ngram n, at a position with left
+    symbols before it and right from it on, clipped to c and c + n, past
+    which they change nothing."""
+    return tuple(
+        (off, off + length)
+        for off in range(-left, c + 1)
+        for length in range(1, min(n, c - off + 1, right - off) + 1)
+    )
+
+
 def _contexts(x, pos, cfg):
     """The (offset, source n-gram) pairs the C features at pos name, by
     offset, then length: each n-gram of up to max_source_ngram symbols
     that starts within context_window of pos, ends at most context_window
-    past it and lies inside x."""
+    past it and lies inside x.  Which offsets these are depends only on
+    how near pos lies to each end of x, so _spans lists them once."""
     c, n = cfg.context_window, cfg.max_source_ngram
-    return [
-        (off, x[pos + off : pos + off + length])
-        for off in range(max(-c, -pos), c + 1)
-        for length in range(1, min(n, c - off + 1, len(x) - pos - off) + 1)
-    ]
+    spans = _spans(c, n, min(pos, c), min(len(x) - pos, c + n))
+    return [(off, x[pos + off : pos + end]) for off, end in spans]
+
+
+def _ids_by_rule(ids):
+    """The read-only alphabet ids' R and C ids by rule: (source, target) ->
+    {(): R id, (offset, n-gram): C id}, each id keyed by its name less the
+    tag and the rule.  Built from ids.names on first use and kept in
+    ids.by_rule."""
+    if ids.by_rule is None:
+        index = ids.by_rule = {}
+        for i, name in enumerate(ids.names):
+            if name and (name[0], len(name)) in (("R", 3), ("C", 5)):
+                index.setdefault(name[-2:], {})[name[1:-2]] = i
+    return ids.by_rule
 
 
 def _rule_features(contexts, rule, model):
     """R and C features of applying rule where _contexts gave contexts: the
     rule itself and the source n-grams around the application point.  They
     read only (position, rule), so the beam search computes them once per
-    call, from one contexts list per position, and train once per run."""
+    call, from one contexts list per position, and train once per run.  A
+    read-only alphabet gives the same ids through _ids_by_rule."""
     ids, source, target = model.alphabet, rule.source, rule.target
-    return (ids["R", source, target],
-            *[ids["C", off, gram, source, target] for off, gram in contexts])
+    unknown = ids.unknown
+    if unknown is None:
+        return (ids["R", source, target],
+                *[ids["C", off, gram, source, target] for off, gram in contexts])
+    row = _ids_by_rule(ids).get((source, target), {})
+    return (row.get((), unknown), *map(row.get, contexts, repeat(unknown)))
 
 
 def _history_features(head, recent, rule, model):
@@ -283,27 +329,24 @@ def _history_features(head, recent, rule, model):
     whose last rules' pairs are recent: the beam's merge state (head,
     recent), which is all the features read.  The merge state after is
     (the new output's last target_order symbols, the new recent pairs)."""
-    cfg, ids = model.config, model.alphabet
-    feats = []
+    cfg = model.config
+    names = []
     tail = head + rule.target
     for m in range(1, cfg.target_order + 1):
         if len(tail) >= m:
-            feats.append(ids["T", tail[-m:]])
+            names.append(("T", tail[-m:]))
     seq = recent + ((rule.source, rule.target),)
     for j in range(1, cfg.joint_order + 1):
         if len(seq) >= j:
-            feats.append(ids["J", seq[-j:]])
+            names.append(("J", seq[-j:]))
     if cfg.copy_feature and rule.source == rule.target:
-        feats.append(ids[("COPY",)])
+        names.append(("COPY",))
     j_keep = cfg.joint_order - 1
-    return tuple(feats), (tail[-cfg.target_order:], seq[-j_keep:] if j_keep else ())
+    merge = tail[-cfg.target_order:], seq[-j_keep:] if j_keep else ()
+    return model.alphabet.ids(names), merge
 
 
 _END = (EOS,)
-
-
-def _part(tag, fired, ids):
-    return tuple([ids[tag, idx] for idx in sorted(fired)])
 
 
 class _CorpusScorer:
@@ -330,7 +373,7 @@ class _CorpusScorer:
             # (increasing) thresholds; k = catch_all: none is.
             self._neg_thresholds = [-t for t in bins.thresholds]
             lm_parts = [
-                _part("LMB", lm_bin_features(score, bins), ids)
+                ids.ids([("LMB", i) for i in sorted(lm_bin_features(score, bins))])
                 for score in (*bins.thresholds, float("-inf"))
             ]
         if self.trie is not None:
@@ -339,7 +382,7 @@ class _CorpusScorer:
             # count; the last index is the zero count's.
             self._freq_thresholds = bins.thresholds
             freq_parts = [
-                _part("FQB", freq_bin_features(count, bins), ids)
+                ids.ids([("FQB", i) for i in sorted(freq_bin_features(count, bins))])
                 for count in (bins.thresholds[0] / 2, *bins.thresholds, 0)
             ]
         self._merged = [[a + b for b in freq_parts] for a in lm_parts]
@@ -397,13 +440,13 @@ def _summed(parts):
 def _derivation_parts(x, derivation, model):
     """(Feature parts of derivation applied to x, output): per step, the
     rule, history and corpus parts, first step first, each built as
-    decode_nbest builds it (the rule and history parts read from or added
-    to their memos, the corpus part from the LM sum, tail and trie node
-    carried on), so they equal a decoded candidate's trail part by part
-    (Candidate._parts).  Raises ValueError when the derivation's source
-    spans do not spell x."""
-    cfg, corpus_step = model.config, model.scorer.step
-    memo = {} if model.rule_parts is None else model.rule_parts
+    decode_nbest builds it (the history part read from or added to its
+    memo, the rule part read from or added to train's memo inside train
+    and built anew outside it, the corpus part from the LM sum, tail and
+    trie node carried on), so they equal a decoded candidate's trail part
+    by part (Candidate._parts).  Raises ValueError when the derivation's
+    source spans do not spell x."""
+    cfg, corpus_step, memo = model.config, model.scorer.step, model.rule_parts
     x, parts, out, pos, merge = tuple(x), [], (), 0, ((), ())
     lm_sum, tail, node = model.scorer.start
     for step, rule in enumerate(derivation):
@@ -419,9 +462,11 @@ def _derivation_parts(x, derivation, model):
             len(out), rule.target, lm_sum, tail, node, end == len(x)
         )
         key = x, pos, rule.source, rule.target
-        static = memo.get(key)
+        static = None if memo is None else memo.get(key)
         if static is None:
-            static = memo[key] = _rule_features(_contexts(x, pos, cfg), rule, model)
+            static = _rule_features(_contexts(x, pos, cfg), rule, model)
+            if memo is not None:
+                memo[key] = static
         parts += (static, history, corpus)
         out += rule.target
         pos = end
@@ -464,13 +509,13 @@ def decode_nbest(x, model, beam_width, n):
 
     Each step is scored from its three parts, each where it is first
     known: the rule part once per (position, rule), from the position's
-    source contexts listed once or from train's memo, weighed in a table
-    that lives for this call only, under this call's weights; the history
-    part once per (state, rule), in the model's history memo; the corpus
-    part per hypothesis, from the LM sum, tail and trie node it carries,
-    starting at the scorer's start.  _dot is a left fold over keys in part
-    order, so continuing the table's partial sums gives the step score bit
-    for bit.  A candidate's features are the trail of parts its hypothesis
+    source contexts listed once (inside train, from its memo), weighed in
+    a table that lives for this call only, under this call's weights; the
+    history part once per (state, rule), in the model's history memo; the
+    corpus part per hypothesis, from the LM sum, tail and trie node it
+    carries, starting at the scorer's start.  _dot is a left fold over
+    keys in part order, so continuing the table's partial sums gives the
+    step score bit for bit.  A candidate's features are the trail of parts its hypothesis
     carried, the parts _derivation_parts builds for its derivation, summed
     as derivation_features sums them when first read, so no derivation is
     scored twice and none is summed unless asked for; mira_update reads
@@ -483,7 +528,7 @@ def decode_nbest(x, model, beam_width, n):
     max_src = max(model.max_source, 1)
     weights = model.weights
     corpus_step = model.scorer.step
-    memo = {} if model.rule_parts is None else model.rule_parts
+    memo = model.rule_parts
 
     # beams[t]: merge state (last target_order output symbols, recent rule
     # pairs) -> {output: (score, state, trail)}, so equal-output items in
@@ -508,10 +553,12 @@ def decode_nbest(x, model, beam_width, n):
         contexts, table = None, []
         for rule in matches:
             key = x, t, rule.source, rule.target
-            static = memo.get(key)
+            static = None if memo is None else memo.get(key)
             if static is None:
                 contexts = contexts or _contexts(x, t, model.config)
-                static = memo[key] = _rule_features(contexts, rule, model)
+                static = _rule_features(contexts, rule, model)
+                if memo is not None:
+                    memo[key] = static
             end = t + len(rule.source)
             table.append((rule, (rule.source, rule.target), static,
                           _dot(weights, static), end, end == len(x)))

@@ -473,6 +473,42 @@ def test_a_damaged_trie_snapshot_falls_back_to_the_build(tmp_path, damage):
     assert load_model(cfg).trie == _list_trie(cfg.wordlist)
 
 
+def test_a_second_train_leaves_an_unchanged_trie_snapshot_alone(tmp_path, monkeypatch):
+    cfg = _trained(tmp_path)
+    snapshot = tmp_path / "words.txt.trie"
+    before = snapshot.stat()
+
+    def refused(trie, path, tag):
+        raise AssertionError("the trie snapshot was written again")
+
+    monkeypatch.setattr(freqtrie, "save_trie", refused)
+    cmd_train(cfg)
+    after = snapshot.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert _snapshot_trie(snapshot, cfg.wordlist) == _list_trie(cfg.wordlist)
+
+
+@pytest.mark.parametrize("change", ["edited list", "another tag", "garbage", "empty", "missing"])
+def test_train_rewrites_a_trie_snapshot_not_tagged_with_the_list(tmp_path, change):
+    cfg = _trained(tmp_path)
+    snapshot = tmp_path / "words.txt.trie"
+    data = snapshot.read_bytes()
+    tag_end = 4 + int.from_bytes(data[:4], "little")
+    if change == "edited list":
+        with open(cfg.wordlist, "a", encoding="utf-8") as out:
+            out.write("zz\t2\n")
+    elif change == "missing":
+        snapshot.unlink()
+    else:
+        snapshot.write_bytes({
+            "another tag": _record("0123456789") + data[tag_end:],
+            "garbage": b"not a trie",
+            "empty": b"",
+        }[change])
+    cmd_train(cfg)
+    assert _snapshot_trie(snapshot, cfg.wordlist) == _list_trie(cfg.wordlist)
+
+
 def test_failed_trie_snapshot_write_leaves_no_snapshot(tmp_path, monkeypatch):
     cfg = write_context_task(tmp_path, n_train=10, n_test=3)
     save_trie = freqtrie.save_trie

@@ -19,6 +19,7 @@ from chartrans.freqtrie import (
     prune_lexicon,
     save_trie,
     serialize_lexicon,
+    trie_tag,
     trie_words,
     walk,
 )
@@ -297,6 +298,27 @@ def test_trie_survives_marshal_and_counts_as_brute_force(entries, tmp_path_facto
             assert prefix_count(again, prefix, end_of_word=True) == counts.get(prefix, 0)
         assert trie_words(again) == counts
         _assert_lean(again)
+
+
+def test_a_snapshot_of_another_tag_is_refused_after_its_tag(tmp_path):
+    # what follows the tag is never read: junk there raises no marshal error
+    path = tmp_path / "words.trie"
+    save_trie(build_trie(parse_lexicon("ab\t3\nb\t1\n")), path, "tag of the list")
+    assert trie_tag(path) == "tag of the list"
+    tag = marshal.dumps("tag of another list")
+    path.write_bytes(len(tag).to_bytes(4, "little") + tag + b"\xff" * 9)
+    assert trie_tag(path) == "tag of another list"
+    with pytest.raises(ValueError, match="is tagged 'tag of another list', not 'tag of the list'"):
+        load_trie(path, "tag of the list")
+
+
+@pytest.mark.parametrize("data", [None, b"", b"\x05\x00\x00\x00ab", b"not a trie"],
+                         ids=["missing", "empty", "cut", "garbage"])
+def test_a_snapshot_with_no_whole_first_record_has_no_tag(tmp_path, data):
+    path = tmp_path / "words.trie"
+    if data is not None:
+        path.write_bytes(data)
+    assert trie_tag(path) is None
 
 
 @pytest.mark.parametrize("text", ["ab\t3\nabc\t4\n", "ab\t3\nabc\t4\nb\t1\n"],

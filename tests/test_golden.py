@@ -5,18 +5,23 @@ the 2-2 baseline aligner with LM features off.  The same full system on a
 small inflection task, with one copy instance, pins the tag symbols and
 the +COPY pair.  The LM cases also pin the LM cache that train writes
 beside the word list.  A change that is meant
-to alter them updates the hashes and says why."""
+to alter them updates the hashes and says why.  The outputs rest on
+CPython's float arithmetic, so every other CPython 3.10 or later that
+starts here must write the same bytes too."""
 
-import hashlib
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from chartrans.cli import main
+from golden_cases import LM_CACHE, run_case
 
-from toytask import inflection_task, lexicon_task
-
-# The LM cache is named by a hash of the word list and LM order.
-LM_CACHE = "words.txt.*.lm"
+ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN = {
     "full": ("", {
@@ -45,68 +50,65 @@ GOLDEN = {
 }
 
 
-def _golden_file(tmp_path, name):
-    """The file a golden name stands for: the LM cache beside the word
-    list, or an output file."""
-    if name == LM_CACHE:
-        [path] = tmp_path.glob(name)
-        return path
-    return tmp_path / "out" / name
-
-
-def _text(seq):
-    return " ".join(seq)
-
-
-def _write_words(path, lexicon):
-    path.write_text(
-        "".join(f"{''.join(w)}\t{c}\n" for w, c in lexicon.counts.items()),
-        encoding="utf-8",
-    )
-
-
-def _write_lexicon_task(tmp_path):
-    lexicon, pairs, held = lexicon_task(11, lex_size=1500, n_train=60, n_test=60)
-    _write_words(tmp_path / "words.txt", lexicon)
-    (tmp_path / "train.txt").write_text(
-        "".join(f"{_text(p.source)}\t{_text(p.target)}\n" for p in pairs),
-        encoding="utf-8",
-    )
-    (tmp_path / "test.txt").write_text(
-        "".join(
-            f"{_text(h.source)}\t{'|'.join(sorted(map(_text, h.references)))}\n"
-            for h in held
-        ),
-        encoding="utf-8",
-    )
-
-
-def _write_inflection_task(tmp_path):
-    lexicon, train, held = inflection_task(11, lex_size=300, n_train=60, n_test=60)
-    _write_words(tmp_path / "words.txt", lexicon)
-    for name, triples in (("train.txt", train), ("test.txt", held)):
-        (tmp_path / name).write_text(
-            "".join("\t".join(t) + "\n" for t in triples), encoding="utf-8"
-        )
-
-
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_pipeline_output_bytes(tmp_path, monkeypatch, case):
+def test_pipeline_output_bytes(tmp_path, case):
     extra, golden = GOLDEN[case]
-    if case == "inflection":
-        _write_inflection_task(tmp_path)
-    else:
-        _write_lexicon_task(tmp_path)
-    (tmp_path / "run.cfg").write_text(
-        "pairs = train.txt\ntest = test.txt\nwordlist = words.txt\n"
-        "outdir = out\nepochs = 2\ndecode_nbest = 5\n" + extra,
-        encoding="utf-8",
-    )
-    monkeypatch.chdir(tmp_path)
-    for command in ("align", "train", "decode"):
-        assert main([command, "--config", "run.cfg"]) == 0
-    hashes = {
-        name: hashlib.sha256(_golden_file(tmp_path, name).read_bytes()).hexdigest()
-        for name in golden
-    }
-    assert hashes == golden
+    assert run_case(tmp_path, case, extra, golden) == golden
+
+
+def _started(command, env):
+    """(realpath of its executable, version) of the CPython 3.10 or later
+    that command starts, or None."""
+    probe = ("import os, platform, sys; print(platform.python_implementation(), "
+             "int(sys.version_info >= (3, 10)), os.path.realpath(sys.executable), "
+             "platform.python_version(), sep='\\n')")
+    try:
+        done = subprocess.run([*command, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=60, check=False)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    fields = done.stdout.splitlines()
+    if done.returncode or fields[:2] != ["CPython", "1"]:
+        return None
+    return fields[2], fields[3]
+
+
+def _other_interpreters():
+    """{realpath: (version, command, environment)} of every CPython 3.10
+    or later this machine starts, but the one running the tests: python3.N
+    on PATH, and each version pyenv knows, when pyenv is on PATH."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(map(str, (ROOT / "src", ROOT / "tests"))))
+    candidates = [([f"python3.{minor}"], env) for minor in range(10, 30)
+                  if shutil.which(f"python3.{minor}")]
+    if shutil.which("pyenv"):
+        listed = subprocess.run(["pyenv", "versions", "--bare"], capture_output=True,
+                                text=True, timeout=60, check=False).stdout.split()
+        candidates += [(["pyenv", "exec", "python3"], dict(env, PYENV_VERSION=version))
+                       for version in listed if re.fullmatch(r"3\.\d\d+\.\d+", version)]
+    found = {}
+    for command, cmd_env in candidates:
+        started = _started(command, cmd_env)
+        if started and started[0] != os.path.realpath(sys.executable):
+            found.setdefault(started[0], (started[1], command, cmd_env))
+    return found
+
+
+def test_pipeline_output_bytes_on_every_other_cpython():
+    # the outputs rest on CPython's float folds, and sum() compensates from
+    # 3.12 on, so each installed CPython must write the same bytes
+    interpreters = _other_interpreters()
+    if not interpreters:
+        pytest.skip("no other CPython 3.10 or later starts here")
+    cases = json.dumps({case: [extra, list(golden)] for case, (extra, golden) in GOLDEN.items()})
+    script = str(ROOT / "tests" / "golden_cases.py")
+    runs = [
+        (version, subprocess.Popen([*command, script, cases], env=env, text=True,
+                                   stdout=subprocess.PIPE, stderr=subprocess.PIPE))
+        for version, command, env in interpreters.values()
+    ]
+    done = [(version, *run.communicate(timeout=600), run.returncode) for version, run in runs]
+    want = {case: golden for case, (_, golden) in GOLDEN.items()}
+    for version, out, err, code in done:
+        assert code == 0, f"Python {version}: {err}"
+        assert json.loads(out) == want, f"Python {version}"

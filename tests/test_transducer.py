@@ -1166,3 +1166,120 @@ def test_no_returned_or_loaded_model_carries_a_rule_part_memo(corpus_model, tmp_
         for cand in decode_nbest(inst.source, loaded, 10, 5):
             _derivation_parts(inst.source, cand.derivation, loaded)
     assert loaded.rule_parts is None
+
+
+def _name_built_part(x, pos, rule, model):
+    """The rule part of rule at x[pos] from the feature names, each looked
+    up in the alphabet with a name it lacks read as its unknown id."""
+    ids, source, target = model.alphabet, rule.source, rule.target
+    unknown = ids.unknown
+    return (ids.get(("R", source, target), unknown),
+            *[ids.get(("C", off, gram, source, target), unknown)
+              for off, gram in _contexts(x, pos, model.config)])
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), window=st.integers(0, 3), ngram=st.integers(1, 3))
+def test_a_loaded_models_rule_parts_are_its_name_built_ones(
+    tmp_path_factory, seed, window, ngram
+):
+    # the feature-id index gives every rule part, including those of rules
+    # and contexts the model never saw and of the identity fallback, as the
+    # names give it, repeated unknown ids included, and adds no name
+    lexicon, pairs, held = lexicon_task(seed, lex_size=120, n_train=8, n_test=4)
+    model = train(
+        pairs, precision_align(pairs), cfg=TrainConfig(epochs=1, nbest=3, beam=5),
+        feature_config=FeatureConfig(lm_features=False, freq_features=False,
+                                     context_window=window, max_source_ngram=ngram),
+    )
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    save_model(model, path)
+    loaded, _ = load_model(path)
+    size = len(loaded.alphabet.names)
+    words = [p.source for p in pairs] + [inst.source for inst in held]
+    words.append(words[0][:1] + ("§",) + words[-1])
+    unknown, r_unknown, repeats = loaded.alphabet.unknown, set(), False
+    for x in words:
+        for pos in range(len(x)):
+            rules = [r for n in range(1, len(x) - pos + 1)
+                     for r in loaded.index.get(x[pos : pos + n], ())]
+            rules += [Rule((x[pos],), (x[pos],)), Rule(x[pos:], ("§",))]
+            for rule in rules:
+                part = _rule_features(_contexts(x, pos, loaded.config), rule, loaded)
+                assert type(part) is tuple
+                assert part == _name_built_part(x, pos, rule, loaded)
+                r_unknown.add(part[0] == unknown)
+                repeats |= part.count(unknown) > 1
+    assert r_unknown == {False, True} and repeats
+    assert len(loaded.alphabet.names) == size
+
+
+def _index_size(alphabet):
+    return len(alphabet.by_rule), sum(map(len, alphabet.by_rule.values()))
+
+
+def test_decoding_grows_neither_a_loaded_alphabet_nor_its_index(corpus_model, tmp_path):
+    model, held = corpus_model
+    save_model(model, tmp_path / "model.txt")
+    loaded, _ = load_model(tmp_path / "model.txt")
+    loaded = dataclasses.replace(loaded, lm=model.lm, trie=model.trie)
+    assert loaded.alphabet.by_rule is None
+    decode_nbest(held[0].source, loaded, 10, 5)
+    size, index = len(loaded.alphabet.names), _index_size(loaded.alphabet)
+    assert index[0] and index[1]
+    for inst in held[1:]:
+        assert decode_nbest(inst.source, loaded, 10, 5)
+        assert len(loaded.alphabet.names) == size
+        assert _index_size(loaded.alphabet) == index
+    # a replaced model shares the alphabet, and so the index
+    replaced = dataclasses.replace(loaded, weights=dict(loaded.weights))
+    assert replaced.alphabet.by_rule is loaded.alphabet.by_rule
+
+
+def _reached(x, model):
+    """The (position, rule) pairs decode_nbest weighs for x: every rule
+    matched at each position some tiling of x reaches, or the identity
+    fallback where none matches."""
+    reached, todo, pairs = {0}, [0], set()
+    while todo:
+        t = todo.pop()
+        if t == len(x):
+            continue
+        rules = [r for n in range(1, len(x) - t + 1)
+                 for r in model.index.get(x[t : t + n], ())]
+        for rule in rules or [Rule((x[t],), (x[t],))]:
+            pairs.add((t, rule))
+            if t + len(rule.source) not in reached:
+                reached.add(t + len(rule.source))
+                todo.append(t + len(rule.source))
+    return pairs
+
+
+def test_decoding_outside_train_builds_each_rule_part_once(corpus_model, tmp_path):
+    # no memo outside train: one _rule_features call per reached position
+    # and matched rule, trained or loaded, and model.rule_parts stays None
+    model, held = corpus_model
+    save_model(model, tmp_path / "model.txt")
+    loaded, _ = load_model(tmp_path / "model.txt")
+    loaded = dataclasses.replace(loaded, lm=model.lm, trie=model.trie)
+    positions, calls = {}, []
+    contexts_of, rule_features = transducer._contexts, transducer._rule_features
+
+    def listed(x, pos, cfg):
+        contexts = contexts_of(x, pos, cfg)
+        positions[id(contexts)] = pos, contexts
+        return contexts
+
+    def counted(contexts, rule, model):
+        calls.append((positions[id(contexts)][0], rule))
+        return rule_features(contexts, rule, model)
+
+    with mock.patch.object(transducer, "_contexts", listed), \
+            mock.patch.object(transducer, "_rule_features", counted):
+        for decoded in (model, loaded):
+            for inst in held:
+                calls.clear()
+                decode_nbest(inst.source, decoded, 10, 5)
+                assert len(calls) == len(set(calls))
+                assert set(calls) == _reached(inst.source, decoded)
+                assert decoded.rule_parts is None
