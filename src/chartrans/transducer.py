@@ -8,19 +8,20 @@ output, joint rule n-grams, a copy indicator, and (when corpus resources
 are attached) cumulative language-model and frequency bin features
 computed on the output prefix.
 
-A step's features are three parts, each reading less than the last, and
-three builders are the only way a step is scored: the rule part (R, C;
-_rule_features) reads only the position and rule, the history part (T, J,
-COPY; _history_features) only the beam's merge state and the rule, and
-the corpus part (LMB, FQB; _CorpusScorer.step) the output's length and
-the LM sum, tail and trie node the derivation carries.  A part is a tuple
-of feature ids, each an indicator valued 1.0, so weighing it adds its
-ids' weights.  The model memoises the history part per (merge state,
-rule); train memoises the rule part per (source, position, rule) for its
-run only (Model.rule_parts).  Outside train no rule part is memoised:
-within one call no (position, rule) comes twice.  decode_nbest strings
-the parts together in the beam, and _derivation_parts along one given
-derivation, such as a gold one, building them alike.  Candidates keep
+A step's features are three parts, each reading less than the last: the
+rule part (R, C; _rule_features) reads only the position and rule, the
+history part (T, J, COPY; _history_features) only the beam's merge state
+and the rule, and the corpus part (LMB, FQB; _CorpusScorer.step) the
+output's length and the LM sum, tail and trie node the derivation
+carries.  A part is a tuple of feature ids, each an indicator valued 1.0,
+so weighing it adds its ids' weights.  The model memoises the history
+part per (merge state, rule); train memoises the rule part per (source,
+position, rule) for its run only (Model.rule_parts).  Outside train no
+rule part is memoised: within one call no (position, rule) comes twice.
+decode_nbest is the one step builder: it strings the parts together in
+the beam, and, given a derivation, such as a gold one, forces the beam
+along it (derivation_features, gold_candidate), so a derivation is built
+and scored as the beam builds and scores any other.  Candidates keep
 their hypothesis's trail of parts and sum it only when their features
 are read.  Training is online large-margin (MIRA) against the k-best
 list, with optional weight averaging; MIRA subtracts each candidate's
@@ -437,52 +438,19 @@ def _summed(parts):
     return feats
 
 
-def _derivation_parts(x, derivation, model):
-    """(Feature parts of derivation applied to x, output): per step, the
-    rule, history and corpus parts, first step first, each built as
-    decode_nbest builds it (the history part read from or added to its
-    memo, the rule part read from or added to train's memo inside train
-    and built anew outside it, the corpus part from the LM sum, tail and
-    trie node carried on), so they equal a decoded candidate's trail part
-    by part (Candidate._parts).  Raises ValueError when the derivation's
-    source spans do not spell x."""
-    cfg, corpus_step, memo = model.config, model.scorer.step, model.rule_parts
-    x, parts, out, pos, merge = tuple(x), [], (), 0, ((), ())
-    lm_sum, tail, node = model.scorer.start
-    for step, rule in enumerate(derivation):
-        end = pos + len(rule.source)
-        if x[pos:end] != rule.source:
-            raise ValueError(f"step {step} rewrites {rule.source}, not x[{pos}:{end}]")
-        row, pair = model.history.setdefault(merge, {}), (rule.source, rule.target)
-        part = row.get(pair)
-        if part is None:
-            part = row[pair] = _history_features(*merge, rule, model)
-        history, merge = part
-        corpus, lm_sum, tail, node = corpus_step(
-            len(out), rule.target, lm_sum, tail, node, end == len(x)
-        )
-        key = x, pos, rule.source, rule.target
-        static = None if memo is None else memo.get(key)
-        if static is None:
-            static = _rule_features(_contexts(x, pos, cfg), rule, model)
-            if memo is not None:
-                memo[key] = static
-        parts += (static, history, corpus)
-        out += rule.target
-        pos = end
-    if pos != len(x):
-        raise ValueError("derivation does not tile the source")
-    return parts, out
-
-
 def derivation_features(x, derivation, model):
     """(Summed step features of a full derivation, keyed by feature id,
-    output): _derivation_parts summed as a decoded candidate's trail is."""
-    parts, out = _derivation_parts(x, derivation, model)
-    return _summed(parts), out
+    output): the one candidate of decode_nbest forced along derivation,
+    its trail summed as any decoded candidate's is.  Raises ValueError
+    when the derivation's source spans do not spell x."""
+    cand, = decode_nbest(x, model, 1, 1, derivation=derivation)
+    return cand.features, cand.output
 
 
 def gold_candidate(x, derivation, model):
+    """The candidate of derivation applied to x, such as a gold one for
+    mira_update: derivation_features' features and output, scored as
+    _dot(model.weights, features)."""
     feats, out = derivation_features(x, derivation, model)
     return Candidate(out, tuple(derivation), _dot(model.weights, feats), feats)
 
@@ -494,7 +462,7 @@ def _order_key(item):
     return (-score, out, rules)
 
 
-def decode_nbest(x, model, beam_width, n):
+def decode_nbest(x, model, beam_width, n, *, derivation=None):
     """Beam n-best decode: distinct outputs, score-descending, ties broken
     by lexicographic output.
 
@@ -503,9 +471,20 @@ def decode_nbest(x, model, beam_width, n):
     highest target n-gram needs after a non-empty emission, so step
     features stay a pure function of the state even across empty-target
     (deletion) rules.  Each state keeps its n best distinct outputs and
-    each position keeps its beam_width best states, so with corpus
-    features disabled and a beam at least the state count the result
-    matches exhaustive enumeration.
+    each position keeps its beam_width best states.  Keeping n outputs
+    per state is exact only with corpus features off: the merge state
+    holds no LM sum, tail or trie node, so with them on two outputs of one
+    state score differently later, and at n = 1 the one kept is often not
+    the one that would have won (on the lexicon bench workloads, 8 to 10
+    points of word accuracy).  With corpus features off and a beam at
+    least the state count, the result matches exhaustive enumeration.
+
+    derivation, a sequence of rules, forces the decode: each position it
+    reaches offers only its rule there, so the one candidate returned is
+    that derivation, scored and built step by step as the beam builds any
+    other.  It raises ValueError when the derivation's source spans do not
+    spell x.  derivation_features reads a derivation this way, so a step
+    is built and weighed in this one place.
 
     Each step is scored from its three parts, each where it is first
     known: the rule part once per (position, rule), from the position's
@@ -515,11 +494,10 @@ def decode_nbest(x, model, beam_width, n):
     corpus part per hypothesis, from the LM sum, tail and trie node it
     carries, starting at the scorer's start.  _dot is a left fold over
     keys in part order, so continuing the table's partial sums gives the
-    step score bit for bit.  A candidate's features are the trail of parts its hypothesis
-    carried, the parts _derivation_parts builds for its derivation, summed
-    as derivation_features sums them when first read, so no derivation is
-    scored twice and none is summed unless asked for; mira_update reads
-    the trail without summing it.
+    step score bit for bit.  A candidate's features are the trail of
+    parts its hypothesis carried, summed when first read, so no
+    derivation is scored twice and none is summed unless asked for;
+    mira_update reads the trail without summing it.
     """
     if n < 1 or beam_width < n:
         raise ValueError("need beam >= n >= 1")
@@ -529,6 +507,17 @@ def decode_nbest(x, model, beam_width, n):
     weights = model.weights
     corpus_step = model.scorer.step
     memo = model.rule_parts
+    # forced[t]: the derivation's rule at each position it reaches.
+    forced = {}
+    if derivation is not None:
+        pos = 0
+        for step, rule in enumerate(derivation):
+            end = pos + len(rule.source)
+            if x[pos:end] != rule.source:
+                raise ValueError(f"step {step} rewrites {rule.source}, not x[{pos}:{end}]")
+            forced[pos], pos = [rule], end
+        if pos != len(x):
+            raise ValueError("derivation does not tile the source")
 
     # beams[t]: merge state (last target_order output symbols, recent rule
     # pairs) -> {output: (score, state, trail)}, so equal-output items in
@@ -545,11 +534,13 @@ def decode_nbest(x, model, beam_width, n):
             for merge, g in beams[t].items()
         ]
         ranked = sorted(groups, key=lambda group: _order_key(group[1][0]))[:beam_width]
-        matches = []
-        for length in range(1, min(max_src, len(x) - t) + 1):
-            matches.extend(index.get(x[t : t + length], ()))
-        if not matches:
-            matches = [Rule((x[t],), (x[t],))]
+        matches = forced.get(t)
+        if matches is None:
+            matches = []
+            for length in range(1, min(max_src, len(x) - t) + 1):
+                matches.extend(index.get(x[t : t + length], ()))
+            if not matches:
+                matches = [Rule((x[t],), (x[t],))]
         contexts, table = None, []
         for rule in matches:
             key = x, t, rule.source, rule.target

@@ -1,7 +1,7 @@
 """tools/bench_record.py: per-workload medians over the seeds run, with
 each seed's values and hashes, from the untraced result files, and their
 ratios to the newest earlier record, and the line and code-line counts of
-src/chartrans."""
+src/chartrans, in all and per file."""
 
 import importlib.util
 import json
@@ -165,3 +165,25 @@ def test_code_lines_leave_out_blanks_comments_and_docstrings(tmp_path):
     (tmp_path / "empty.py").write_text("", encoding="utf-8")
     (tmp_path / "two.py").write_text("a = 1\n\nb = 2\n", encoding="utf-8")
     assert _tool().src_code_lines(tmp_path) == want + 2
+
+
+def test_record_holds_code_lines_per_file_beside_the_earlier_ones(tmp_path, capsys):
+    _result(tmp_path, "lexicon-2x2", 1, 10.0)
+    tool = _tool()
+    by_file = tool.src_code_lines_by_file()
+    assert sorted(by_file) == sorted(p.name for p in (ROOT / "src" / "chartrans").glob("*.py"))
+    assert by_file["transducer.py"] > 0
+    # a file the earlier record lacks counts 0 there, and one it alone has
+    # counts 0 here
+    old = {**{name: 1 for name in by_file if name != "core.py"}, "gone.py": 7}
+    (tmp_path / "BENCH_6.json").write_text(json.dumps(
+        {"pr": 6, "src_code_lines_by_file": old, "workloads": {}}), encoding="utf-8")
+    args = ["--pr", "7", "--results", str(tmp_path), "--out-dir", str(tmp_path)]
+    assert tool.main(args) == 0
+    record = json.loads((tmp_path / "BENCH_7.json").read_text(encoding="utf-8"))
+    assert record["src_code_lines_by_file"] == by_file
+    assert sum(by_file.values()) == record["src_code_lines"]
+    want = [f"  {name}: {by_file.get(name, 0)} (BENCH_6.json: {old.get(name, 0)})"
+            for name in sorted({*by_file, "gone.py"})]
+    assert capsys.readouterr().out.splitlines()[2:] == want
+    assert "  core.py: %d (BENCH_6.json: 0)" % by_file["core.py"] in want

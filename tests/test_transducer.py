@@ -32,7 +32,6 @@ from chartrans.transducer import (
     Rule,
     TrainConfig,
     _contexts,
-    _derivation_parts,
     _dot,
     _history_features,
     _loss_bound,
@@ -57,6 +56,7 @@ from toytask import (
     context_pairs,
     digraph_pairs,
     lexicon_task,
+    reference_parts,
 )
 
 PLAIN = FeatureConfig(lm_features=False, freq_features=False)
@@ -93,13 +93,13 @@ def word_features(x, rule, model):
 
 def step_features(x, pos, rule, model):
     """The features of applying rule at pos, a step inside x: that step's
-    rule, history and corpus parts from _derivation_parts, merged in order,
+    rule, history and corpus parts from reference_parts, merged in order,
     with identity rules Rule((s,), (s,)) over the rest of x."""
     def identities(span):
         return tuple(Rule((s,), (s,)) for s in span)
 
     derivation = identities(x[:pos]) + (rule,) + identities(x[pos + len(rule.source):])
-    parts, _ = _derivation_parts(x, derivation, model)
+    parts, _ = reference_parts(x, derivation, model)
     return tuple(k for part in parts[3 * pos : 3 * pos + 3] for k in part)
 
 
@@ -630,9 +630,7 @@ def test_gold_candidate_score_matches_features():
         Rule(l.source, l.target) for l in aligns[0].links
     ), model)
     assert gold.output == pairs[0].target
-    assert gold.score == pytest.approx(
-        _dot(model.weights, gold.features), abs=1e-9
-    )
+    assert _bits(gold.score) == _bits(_dot(model.weights, gold.features))
 
 
 def test_bad_model_line_names_its_number(tmp_path):
@@ -706,9 +704,9 @@ def corpus_model():
 
 def _folded_score(x, derivation, model):
     """The derivation's score as a left fold over its steps, each step's
-    three parts from _derivation_parts weighted key by key, each id valued
+    three parts from reference_parts weighted key by key, each id valued
     1.0: no table."""
-    parts, _ = _derivation_parts(x, derivation, model)
+    parts, _ = reference_parts(x, derivation, model)
     score = 0.0
     for step in range(0, len(parts), 3):
         step_score = 0
@@ -719,22 +717,32 @@ def _folded_score(x, derivation, model):
     return score
 
 
-def test_derivation_parts_are_the_beams_parts(corpus_model):
-    # the walker over a given derivation and the beam search build each
-    # step's rule, history and corpus parts alike, key order included
+def test_a_forced_decode_is_the_candidate_it_forces(corpus_model, tmp_path):
+    # forcing a decoded candidate's derivation gives its output, the parts
+    # the reference walker builds, key order included, and its score bit
+    # for bit, from the trained model and from its saved and loaded copy
     model, held = corpus_model
+    save_model(model, tmp_path / "model.txt")
+    loaded, _ = load_model(tmp_path / "model.txt")
+    loaded = dataclasses.replace(loaded, lm=model.lm, trie=model.trie)
     checked = 0
-    for inst in held:
-        for cand in decode_nbest(inst.source, model, 10, 5):
-            parts, out = _derivation_parts(inst.source, cand.derivation, model)
-            assert out == cand.output
-            want = cand._parts()
-            assert len(parts) == len(want) == 3 * len(cand.derivation)
-            for got, built in zip(parts, want):
-                assert type(got) is type(built) is tuple
-                assert got == built
-            checked += 1
-    assert checked > len(held)
+    for decoded in (model, loaded):
+        for inst in held:
+            for cand in decode_nbest(inst.source, decoded, 10, 5):
+                forced, = decode_nbest(inst.source, decoded, 1, 1,
+                                       derivation=cand.derivation)
+                assert forced.output == cand.output
+                assert forced.derivation == cand.derivation
+                parts, out = reference_parts(inst.source, cand.derivation, decoded)
+                assert out == cand.output
+                got = forced._parts()
+                assert len(got) == len(parts) == 3 * len(cand.derivation)
+                for part, want in zip(got, parts):
+                    assert type(part) is type(want) is tuple
+                    assert part == want
+                assert _bits(forced.score) == _bits(cand.score)
+                checked += 1
+    assert checked > 2 * len(held)
 
 
 def test_candidate_scores_are_step_folds(corpus_model):
@@ -1057,10 +1065,10 @@ def _train_recording(pairs, alignments, **kwargs):
     memos, builds = [], [0]
     decode, rule_features = transducer.decode_nbest, transducer._rule_features
 
-    def recorded(x, model, *args):
+    def recorded(x, model, *args, **named):
         if all(m is not model.rule_parts for m in memos):
             memos.append(model.rule_parts)
-        return decode(x, model, *args)
+        return decode(x, model, *args, **named)
 
     def counted(*args):
         builds[0] += 1
@@ -1112,9 +1120,9 @@ def test_training_builds_each_rule_part_once(
     save_model(train(pairs, alignments, **kwargs), directory / "again.txt")
     decode = transducer.decode_nbest
 
-    def forgetful(x, model, *args):
+    def forgetful(x, model, *args, **named):
         object.__setattr__(model, "rule_parts", None)
-        return decode(x, model, *args)
+        return decode(x, model, *args, **named)
 
     with mock.patch.object(transducer, "decode_nbest", forgetful):
         save_model(train(pairs, alignments, **kwargs), directory / "fresh.txt")
@@ -1164,7 +1172,7 @@ def test_no_returned_or_loaded_model_carries_a_rule_part_memo(corpus_model, tmp_
     assert model.rule_parts is raw.rule_parts is loaded.rule_parts is None
     for inst in held:
         for cand in decode_nbest(inst.source, loaded, 10, 5):
-            _derivation_parts(inst.source, cand.derivation, loaded)
+            reference_parts(inst.source, cand.derivation, loaded)
     assert loaded.rule_parts is None
 
 

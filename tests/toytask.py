@@ -9,7 +9,14 @@ import random
 from chartrans.charlm import BOS, EOS
 from chartrans.core import NULL, EvalInstance, TrainingPair
 from chartrans.freqtrie import Lexicon
-from chartrans.transducer import Rule, derivation_features, _dot
+from chartrans.transducer import (
+    Rule,
+    _contexts,
+    _dot,
+    _history_features,
+    _rule_features,
+    _summed,
+)
 
 
 def brute_path_sum(x, y, delta, params):
@@ -100,17 +107,56 @@ def random_delta(x, y, rng, params):
     return DeltaTable(probs)
 
 
+def reference_parts(x, derivation, model):
+    """(Feature parts of derivation applied to x, output): per step, the
+    rule, history and corpus parts, first step first, each built as
+    decode_nbest builds it (the history part read from or added to its
+    memo, the rule part read from or added to train's memo inside train
+    and built anew outside it, the corpus part from the LM sum, tail and
+    trie node carried on), so they equal a decoded candidate's trail part
+    by part (Candidate._parts).  Raises ValueError when the derivation's
+    source spans do not spell x.  A walk along the one derivation, apart
+    from the beam, so the oracles judge decode_nbest by another path."""
+    cfg, corpus_step, memo = model.config, model.scorer.step, model.rule_parts
+    x, parts, out, pos, merge = tuple(x), [], (), 0, ((), ())
+    lm_sum, tail, node = model.scorer.start
+    for step, rule in enumerate(derivation):
+        end = pos + len(rule.source)
+        if x[pos:end] != rule.source:
+            raise ValueError(f"step {step} rewrites {rule.source}, not x[{pos}:{end}]")
+        row, pair = model.history.setdefault(merge, {}), (rule.source, rule.target)
+        part = row.get(pair)
+        if part is None:
+            part = row[pair] = _history_features(*merge, rule, model)
+        history, merge = part
+        corpus, lm_sum, tail, node = corpus_step(
+            len(out), rule.target, lm_sum, tail, node, end == len(x)
+        )
+        key = x, pos, rule.source, rule.target
+        static = None if memo is None else memo.get(key)
+        if static is None:
+            static = _rule_features(_contexts(x, pos, cfg), rule, model)
+            if memo is not None:
+                memo[key] = static
+        parts += (static, history, corpus)
+        out += rule.target
+        pos = end
+    if pos != len(x):
+        raise ValueError("derivation does not tile the source")
+    return parts, out
+
+
 def brute_decode(x, model, n):
     """Exhaustive tiling enumeration: best derivation per distinct output,
-    ranked like the decoder."""
+    ranked like the decoder, each tiling scored through reference_parts."""
     index = model.index
     maxlen = max((len(s) for s in index), default=1)
     best = {}
 
     def rec(t, deriv):
         if t == len(x):
-            feats, out = derivation_features(x, deriv, model)
-            score = _dot(model.weights, feats)
+            parts, out = reference_parts(x, deriv, model)
+            score = _dot(model.weights, _summed(parts))
             key = (-score, out, tuple((r.source, r.target) for r in deriv))
             old = best.get(out)
             if old is None or key < old[0]:

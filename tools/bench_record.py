@@ -15,9 +15,10 @@ such a record would compare unlike runs.  It then prints, per workload
 and metric, the ratio of each new median to the same median in the newest
 earlier record, the BENCH_<n>.json in the output directory with the
 highest n below <pr>.  The record also holds src_lines, the total lines of
-src/chartrans/*.py in this checkout, and src_code_lines, those of its lines
-that are not blank, not comments and not docstrings, each printed beside
-the earlier record's when that has it too.
+src/chartrans/*.py in this checkout, src_code_lines, those of its lines
+that are not blank, not comments and not docstrings, and
+src_code_lines_by_file, that count per file, each printed beside the
+earlier record's when that has it too.
 """
 
 import argparse
@@ -75,11 +76,17 @@ def src_lines():
 
 
 def src_code_lines(folder=SRC):
-    """The lines of folder/*.py that hold code: every line a token other
-    than a comment spans, less the lines of each module, class and function
-    docstring."""
-    total = 0
-    for path in folder.glob("*.py"):
+    """The lines of folder/*.py that hold code, as src_code_lines_by_file
+    counts them."""
+    return sum(src_code_lines_by_file(folder).values())
+
+
+def src_code_lines_by_file(folder=SRC):
+    """File name -> the lines of that file of folder/*.py that hold code:
+    every line a token other than a comment spans, less the lines of each
+    module, class and function docstring."""
+    counts = {}
+    for path in sorted(folder.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         lines = set()
         for token in tokenize.generate_tokens(io.StringIO(text).readline):
@@ -89,8 +96,8 @@ def src_code_lines(folder=SRC):
             if isinstance(node, _DOCUMENTED) and ast.get_docstring(node) is not None:
                 doc = node.body[0]
                 lines.difference_update(range(doc.lineno, doc.end_lineno + 1))
-        total += len(lines)
-    return total
+        counts[path.name] = len(lines)
+    return counts
 
 
 def earlier_record(out_dir, pr):
@@ -130,8 +137,10 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    by_file = src_code_lines_by_file()
     record = {"pr": args.pr, "src_lines": src_lines(),
-              "src_code_lines": src_code_lines(), **record}
+              "src_code_lines": sum(by_file.values()),
+              "src_code_lines_by_file": by_file, **record}
     out = args.out_dir / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}")
@@ -144,6 +153,11 @@ def main(argv=None):
         for key in ("src_lines", "src_code_lines"):
             if key in old:
                 print(f"{key}: {record[key]} ({earlier.name}: {old[key]})")
+        old_by_file = old.get("src_code_lines_by_file")
+        if old_by_file is not None:
+            for name in sorted(by_file.keys() | old_by_file.keys()):
+                print(f"  {name}: {by_file.get(name, 0)} "
+                      f"({earlier.name}: {old_by_file.get(name, 0)})")
     return 0
 
 
