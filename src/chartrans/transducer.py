@@ -21,12 +21,18 @@ rule part is memoised: within one call no (position, rule) comes twice.
 decode_nbest is the one step builder: it strings the parts together in
 the beam, and, given a derivation, such as a gold one, forces the beam
 along it (derivation_features, gold_candidate), so a derivation is built
-and scored as the beam builds and scores any other.  Candidates keep
-their hypothesis's trail of parts and sum it only when their features
-are read.  Training is online large-margin (MIRA) against the k-best
-list, with optional weight averaging; MIRA subtracts each candidate's
-trail from the gold features part by part, so training sums only the
-gold derivations.
+and scored as the beam builds and scores any other.  A beam hypothesis
+is one flat tuple, (-score, output, rules, LM sum, LM tail, trie node,
+trail), which sorts and compares as a tuple, with no key function: the
+outputs within a merge state are distinct, and so are the rules across
+merge states, so the first three fields always decide, and the order is
+score descending, then output, then rules.  Every part is weighed by the
+same left fold as _dot, so each step score keeps _dot's bits.
+Candidates keep their hypothesis's trail of parts and sum it only when
+their features are read.  Training is online large-margin (MIRA) against
+the k-best list, with optional weight averaging; MIRA subtracts each
+candidate's trail from the gold features part by part, so training sums
+only the gold derivations.
 
 A Model is frozen and builds its rule index and _CorpusScorer once;
 training updates its weights in place.
@@ -455,16 +461,9 @@ def gold_candidate(x, derivation, model):
     return Candidate(out, tuple(derivation), _dot(model.weights, feats), feats)
 
 
-def _order_key(item):
-    """Beam order: score descending, then output, then rules (Rule orders
-    as its (source, target) pair)."""
-    score, (out, rules, _, _, _), _ = item
-    return (-score, out, rules)
-
-
 def decode_nbest(x, model, beam_width, n, *, derivation=None):
     """Beam n-best decode: distinct outputs, score-descending, ties broken
-    by lexicographic output.
+    by lexicographic output, then by rules.
 
     States merge on (source position, last target_order output symbols,
     last joint_order - 1 rules); the symbol window is one longer than the
@@ -486,27 +485,38 @@ def decode_nbest(x, model, beam_width, n, *, derivation=None):
     spell x.  derivation_features reads a derivation this way, so a step
     is built and weighed in this one place.
 
+    A hypothesis is one flat tuple, (-score, output, rules, LM sum, LM
+    tail, trie node, trail), whose natural order is the beam's: score
+    descending, then output, then rules.  The first three fields always
+    decide: within a state's group the outputs are distinct, and two
+    groups never hold the same rules, since the rules fix the merge state.
+    So every sort and comparison runs in C, with no key function.  A step
+    whose parts weigh total stores -(total - (-score)): it negates after
+    adding, since -score - total, equal in value, can differ in the sign
+    of a zero.
+
     Each step is scored from its three parts, each where it is first
     known: the rule part once per (position, rule), from the position's
     source contexts listed once (inside train, from its memo), weighed in
     a table that lives for this call only, under this call's weights; the
     history part once per (state, rule), in the model's history memo; the
     corpus part per hypothesis, from the LM sum, tail and trie node it
-    carries, starting at the scorer's start.  _dot is a left fold over
-    keys in part order, so continuing the table's partial sums gives the
-    step score bit for bit.  A candidate's features are the trail of
-    parts its hypothesis carried, summed when first read, so no
+    carries, starting at the scorer's start.  Each part is weighed inline
+    by the same left fold as _dot, continuing the last part's sum, so the
+    step score is _dot's bit for bit.  A candidate's features are the
+    trail of parts its hypothesis carried, summed when first read, so no
     derivation is scored twice and none is summed unless asked for;
     mira_update reads the trail without summing it.
     """
     if n < 1 or beam_width < n:
         raise ValueError("need beam >= n >= 1")
     x = tuple(x)
-    index = model.index
+    size = len(x)
+    index, cfg = model.index, model.config
     max_src = max(model.max_source, 1)
-    weights = model.weights
+    weight = model.weights.get
     corpus_step = model.scorer.step
-    memo = model.rule_parts
+    memo, histories = model.rule_parts, model.history
     # forced[t]: the derivation's rule at each position it reaches.
     forced = {}
     if derivation is not None:
@@ -516,80 +526,81 @@ def decode_nbest(x, model, beam_width, n, *, derivation=None):
             if x[pos:end] != rule.source:
                 raise ValueError(f"step {step} rewrites {rule.source}, not x[{pos}:{end}]")
             forced[pos], pos = [rule], end
-        if pos != len(x):
+        if pos != size:
             raise ValueError("derivation does not tile the source")
 
     # beams[t]: merge state (last target_order output symbols, recent rule
-    # pairs) -> {output: (score, state, trail)}, so equal-output items in
-    # one state collapse; state is (output, rules, LM sum, LM tail, trie
-    # node).
-    beams = [{} for _ in range(len(x) + 1)]
-    beams[0][((), ())] = {(): (0.0, ((), (), *model.scorer.start), None)}
+    # pairs) -> {output: hypothesis}, so equal-output hypotheses of one
+    # state collapse.
+    beams = [{} for _ in range(size + 1)]
+    beams[0][((), ())] = {(): (-0.0, (), (), *model.scorer.start, None)}
 
-    for t in range(len(x)):
+    for t in range(size):
         if not beams[t]:
             continue
-        groups = [
-            (merge, sorted(g.values(), key=_order_key)[:n])
-            for merge, g in beams[t].items()
-        ]
-        ranked = sorted(groups, key=lambda group: _order_key(group[1][0]))[:beam_width]
+        ranked = sorted([(sorted(group.values())[:n], merge) for merge, group in beams[t].items()])
         matches = forced.get(t)
         if matches is None:
             matches = []
-            for length in range(1, min(max_src, len(x) - t) + 1):
+            for length in range(1, min(max_src, size - t) + 1):
                 matches.extend(index.get(x[t : t + length], ()))
             if not matches:
                 matches = [Rule((x[t],), (x[t],))]
-        contexts, table = None, []
+        contexts = None if memo is not None else _contexts(x, t, cfg)
+        table = []
         for rule in matches:
-            key = x, t, rule.source, rule.target
-            static = None if memo is None else memo.get(key)
-            if static is None:
-                contexts = contexts or _contexts(x, t, model.config)
+            source, target = rule.source, rule.target
+            if memo is None:
                 static = _rule_features(contexts, rule, model)
-                if memo is not None:
-                    memo[key] = static
-            end = t + len(rule.source)
-            table.append((rule, (rule.source, rule.target), static,
-                          _dot(weights, static), end, end == len(x)))
-        for (head, recent), items in ranked:
-            # Every item of a state shares what the history part reads.
-            row = model.history.setdefault((head, recent), {})
-            for rule, pair, static, static_dot, end, final in table:
+            else:
+                key = x, t, source, target
+                static = memo.get(key)
+                if static is None:
+                    contexts = contexts or _contexts(x, t, cfg)
+                    static = memo[key] = _rule_features(contexts, rule, model)
+            static_sum = 0.0  # _dot's fold from 0: 0.0 + w is 0 + w
+            for k in static:
+                static_sum += weight(k, 0.0)
+            end = t + len(source)
+            table.append((rule, (rule,), (source, target), target, static, static_sum,
+                          beams[end], end == size))
+        for items, merge in ranked[:beam_width]:
+            # Every hypothesis of a state shares what the history part reads.
+            row = histories.setdefault(merge, {})
+            for rule, step_rule, pair, target, static, static_sum, beam, final in table:
                 part = row.get(pair)
                 if part is None:
-                    part = row[pair] = _history_features(head, recent, rule, model)
-                history, merge = part
-                partial = _dot(weights, history, static_dot)
-                group = beams[end].setdefault(merge, {})
-                for score, (out, rules, lm_sum, tail, node), trail in items:
-                    corpus, new_sum, new_tail, new_node = corpus_step(
-                        len(out), rule.target, lm_sum, tail, node, final
+                    part = row[pair] = _history_features(*merge, rule, model)
+                history, after = part
+                partial = static_sum
+                for k in history:
+                    partial += weight(k, 0.0)
+                group = beam.get(after)
+                if group is None:
+                    group = beam[after] = {}
+                for neg, out, rules, lm_sum, tail, node, trail in items:
+                    corpus, lm_sum, tail, node = corpus_step(
+                        len(out), target, lm_sum, tail, node, final
                     )
-                    total = score + _dot(weights, corpus, partial)
-                    new_out = out + rule.target
-                    old = group.get(new_out)
-                    if old is not None and (
-                        total < old[0]
-                        or total == old[0] and rules + (rule,) >= old[1][1]
-                    ):
-                        continue
-                    group[new_out] = (
-                        total,
-                        (new_out, rules + (rule,), new_sum, new_tail, new_node),
-                        (trail, static, history, corpus),
-                    )
+                    total = partial
+                    for k in corpus:
+                        total += weight(k, 0.0)
+                    out += target
+                    item = (-(total - neg), out, rules + step_rule, lm_sum, tail, node,
+                            (trail, static, history, corpus))
+                    old = group.setdefault(out, item)
+                    # not old <= item, so a NaN score replaces the old one
+                    if old is not item and not old <= item:
+                        group[out] = item
     finals = {}
-    for group in beams[len(x)].values():
+    for group in beams[size].values():
         for out, item in group.items():
             old = finals.get(out)
-            if old is None or _order_key(item) < _order_key(old):
+            if old is None or item < old:
                 finals[out] = item
-    ranked = sorted(finals.values(), key=_order_key)[:n]
     return [
-        Candidate(output, rules, score, trail=trail)
-        for score, (output, rules, _, _, _), trail in ranked
+        Candidate(out, rules, -neg, trail=trail)
+        for neg, out, rules, _, _, _, trail in sorted(finals.values())[:n]
     ]
 
 

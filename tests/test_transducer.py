@@ -288,9 +288,13 @@ def test_decode_matches_exhaustive_tilings():
 
 
 def test_decode_exhaustive_randomized():
-    rng = random.Random(18)
+    # four more draws per instance, from {-1, 0, 1}, make scores tie exactly,
+    # so the beam's order after the score (output, then rules) decides:
+    # outputs, derivations and score bits must be brute_decode's.  They have
+    # a generator of their own, so the first draws stay as they were.
+    rng, ties = random.Random(18), random.Random(27)
     alpha, beta = "abc", "xy"
-    for _ in range(25):
+    for _ in range(100):
         rules = set()
         while len(rules) < rng.randint(2, 12):
             rules.add(
@@ -320,6 +324,14 @@ def test_decode_exhaustive_randomized():
             assert cand.score == pytest.approx(
                 _dot(model.weights, cand.features), abs=1e-9
             )
+        for _ in range(4):
+            model.weights.update({k: ties.choice((-1.0, 0.0, 1.0)) for k in keys})
+            n = ties.randint(1, 5)
+            want = brute_decode(x, model, n)
+            got = decode_nbest(x, model, 100000, n)
+            assert [(c.output, c.derivation, _bits(c.score)) for c in got] == [
+                (out, deriv, _bits(score)) for score, out, deriv in want
+            ]
 
 
 def test_decode_identity_fallback():
