@@ -21,9 +21,10 @@ its (len(x), len(y)) shape alone: EM builds each shape once per run
 (`_m2m_shape`) and labels it per pair with the pair's span keys.  A
 merging lattice depends on where the pair's nulls are, and is built
 whole per pair.  EM and the public forward/backward views sum
-probabilities, but a pair whose likelihood underflows (0.0 or subnormal),
-or has no path, is summed over log δ; charts store logs, and Viterbi
-runs over log δ.
+probabilities in floats; a pair whose float likelihood underflows (0.0 or
+subnormal), or has no path, is summed again, by the same algorithm, in
+Decimal, whose every value carries its own exponent.  Charts store logs,
+and Viterbi runs over log δ.
 
 EM's lattices are cut once, when built, to the edges on some start→goal
 path, and never change after; every node keeps its grid id.  The edges
@@ -45,6 +46,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from functools import cache, partial
 from itertools import chain, compress, groupby
 from operator import itemgetter
@@ -55,6 +57,9 @@ log = logging.getLogger(__name__)
 
 NEG_INF = float("-inf")
 MIN_NORMAL = sys.float_info.min
+# The arithmetic of an underflowing pair's sums, whatever the caller's own
+# decimal context: 30 digits, and exponents no path's product can leave.
+EXACT = Context(prec=30, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX)
 
 
 @dataclass(frozen=True)
@@ -119,8 +124,8 @@ class DeltaTable:
 
 class Chart:
     """Table of monotone path sums over (source prefix, target prefix)
-    cells, given as a list of rows of logs.  The sums are EM's: over
-    probabilities, or over log δ when the pair's likelihood underflows."""
+    cells, given as a list of rows of logs.  The sums are EM's: in floats,
+    or in Decimal when the pair's float likelihood underflows."""
 
     def __init__(self, log):
         self.log = log
@@ -134,18 +139,6 @@ class Chart:
 
     def log_corner(self):
         return self.log[-1][-1]
-
-
-def _logsum(values):
-    """log of the sum of exp(values), added in order.  A NEG_INF term adds
-    exp(NEG_INF) = 0.0, which leaves every partial sum as it was, and a
-    single term is its own log-sum: v + log(exp(v - v)) is v + 0.0."""
-    if len(values) == 1:
-        return values[0]
-    m = max(values)
-    if m == NEG_INF:
-        return NEG_INF
-    return m + math.log(sum([math.exp(v - m) for v in values]))
 
 
 @dataclass(frozen=True)
@@ -324,69 +317,59 @@ def _merge_edges(x, y, keys, live=False):
     return _lattice(len(x) + 1, edges, gamma_from_goal=True, live=live)
 
 
-def _inside(nodes, edges, d, start):
+def _inside(nodes, edges, d, start, one=1.0):
     """Sum over the paths from start to each node of their product of δ by
     key id d, along edges given as (from, to, key) triples grouped by to
-    node in topological order; each node's terms are added in edge order."""
-    value = [0.0] * nodes
-    value[start] = total = 1.0
+    node in topological order; each node's terms are added in edge order.
+    The sums have one's type: floats, or Decimal in the current context
+    when d holds Decimal."""
+    zero = one - one
+    value = [zero] * nodes
+    value[start] = total = one
     node = start
     for src, dst, key in _triples(edges):
         if dst != node:
             value[node] = total
-            node, total = dst, 0.0
+            node, total = dst, zero
         total += value[src] * d[key]
     value[node] = total
     return value
 
 
-def _log_inside(nodes, edges, logd, start):
-    """_inside over log δ, each node's terms log-summed in edge order.  A
-    term is NEG_INF exactly when its from node's value or its logd is."""
-    value = [NEG_INF] * nodes
-    value[start] = 0.0
-    node, terms = start, [0.0]
-    for src, dst, key in _triples(edges):
-        if dst != node:
-            value[node] = _logsum(terms)
-            node, terms = dst, []
-        terms.append(value[src] + logd[key])
-    value[node] = _logsum(terms)
-    return value
+def _decimals(values):
+    """Each float of values as the Decimal of its exact value."""
+    return list(map(Decimal, values))
 
 
-def _forward(lattice, logd):
-    """alpha[node]: log-sum over the paths from the start to node."""
-    return _log_inside(lattice.nodes, lattice.edges, logd, 0)
+def _log(v):
+    """The log of a sum, float or Decimal (taken in the current context and
+    rounded to float); NEG_INF for an empty sum."""
+    if isinstance(v, Decimal):
+        return float(v.ln())
+    return math.log(v) if v > 0.0 else NEG_INF
 
 
-def _backward(lattice, logd):
-    """beta[node]: _forward's log-sum over the reversed lattice."""
-    return _log_inside(lattice.nodes, lattice.out, logd, -1)
-
-
-def _logs(values):
-    return [math.log(v) if v > 0.0 else NEG_INF for v in values]
-
-
-def _estep(lattice, d, gamma, logd):
+def _estep(lattice, d, gamma, exact):
     """Add one pair's expected key counts under δ by key id d to gamma (key
     id → count), reading the lattice as built; returns log(Z), its
     log-likelihood.  An edge whose count is 0.0 adds no key to gamma.
-    When Z underflows, the sums run over log δ, logd(), and give NEG_INF
-    if no path reaches the goal."""
+    When the float Z underflows (0.0 or subnormal), forward, backward and
+    the counts run again in Decimal under EXACT, over exact(), d as exact
+    Decimals; only each count and log(Z) are rounded to float.  If no path
+    reaches the goal, log(Z) is NEG_INF and no edge has a count."""
     alpha = _inside(lattice.nodes, lattice.edges, d, 0)
     z = alpha[-1]
     if z < MIN_NORMAL:
-        logd = logd()
-        alpha, beta = _forward(lattice, logd), _backward(lattice, logd)
-        ll = alpha[-1]
-        if ll != NEG_INF:
+        with localcontext(EXACT):
+            d, one = exact(), Decimal(1)
+            alpha = _inside(lattice.nodes, lattice.edges, d, 0, one)
+            beta = _inside(lattice.nodes, lattice.out, d, -1, one)
+            z = alpha[-1]
             for src, dst, key in _triples(lattice.gamma):
-                path = alpha[src] + logd[key] + beta[dst]
-                if path != NEG_INF:
-                    gamma[key] = gamma.get(key, 0.0) + math.exp(path - ll)
-        return ll
+                path = alpha[src] * d[key] * beta[dst]
+                if path:
+                    gamma[key] = gamma.get(key, 0.0) + float(path / z)
+            return _log(z)
     beta = _inside(lattice.nodes, lattice.out, d, -1)
     for src, dst, key in _triples(lattice.gamma):
         path = alpha[src] * d[key] * beta[dst]
@@ -404,10 +387,10 @@ def _em(lattices, spans, params, history=None, run=None):
     positive δ after the iteration, counted only when INFO is on.  history,
     when given, collects one (log-likelihood, delta total mass) entry per
     iteration, and each iteration logs one INFO line naming the run ("m2m
-    X-Y" from params unless given).  δ is a dict from key id to its nonzero probabilities,
-    listed by key id for the E-steps; log δ is built only for an iteration
-    in which a likelihood underflows.  Returns (the DeltaTable of δ by
-    span, indices of the pairs kept)."""
+    X-Y" from params unless given).  δ is a dict from key id to its nonzero
+    probabilities, listed by key id for the E-steps; δ as Decimal is built
+    only for an iteration in which a likelihood underflows.  Returns (the
+    DeltaTable of δ by span, indices of the pairs kept)."""
     run = run or f"m2m {params.max_x}-{params.max_y}"
     message = (
         f"EM iteration %d ({run}): log-likelihood %.6f, %d pairs kept, "
@@ -418,12 +401,12 @@ def _em(lattices, spans, params, history=None, run=None):
     prev_ll = None
     for iteration in range(params.max_iterations):
         d = [delta.get(k, 0.0) for k in range(len(spans))]
-        logd = cache(partial(_logs, d))
+        exact = cache(partial(_decimals, d))
         gamma = {}
         total_ll = 0.0
         kept = []
         for idx in active:
-            ll = _estep(lattices[idx], d, gamma, logd)
+            ll = _estep(lattices[idx], d, gamma, exact)
             if ll == NEG_INF:
                 if iteration == 0:
                     log.warning("pair %d cannot be aligned; excluded", idx)
@@ -478,14 +461,18 @@ def _viterbi(lattice, logd, spans, ties, n):
 
 def _chart(lattice, keys, delta, backward=False):
     """The logs of alpha (or beta) over lattice, whose key ids number keys,
-    summed as _estep sums them under delta."""
+    summed as _estep sums them under delta: in Decimal under EXACT when
+    the float likelihood underflows."""
     d = [delta.prob(*key) for key in keys]
     value = _inside(lattice.nodes, lattice.edges, d, 0)
-    if value[-1] < MIN_NORMAL:
-        return (_backward if backward else _forward)(lattice, _logs(d))
-    if backward:
-        value = _inside(lattice.nodes, lattice.out, d, -1)
-    return _logs(value)
+    one = 1.0
+    with localcontext(EXACT):
+        if value[-1] < MIN_NORMAL:
+            d, one = _decimals(d), Decimal(1)
+            value = _inside(lattice.nodes, lattice.edges, d, 0, one)
+        if backward:
+            value = _inside(lattice.nodes, lattice.out, d, -1, one)
+        return list(map(_log, value))
 
 
 def _m2m_chart(x, y, delta, params, backward):

@@ -139,10 +139,8 @@ class Candidate:
         return self._features
 
     def _parts(self):
-        """The feature parts, in step order: the features alone once they
-        are known, else the trail's parts, first step first."""
-        if self._features is not None:
-            return (self._features,)
+        """The trail's feature parts, first step first; read only while the
+        features are not yet known."""
         steps = []
         trail = self._trail
         while trail is not None:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -109,8 +110,8 @@ def test_backward_empty_and_single():
 def test_em_keeps_a_pair_whose_likelihood_underflows():
     # 100 distinct symbols, one to one: the grid has 100 ** 2 span pairs,
     # so the only path's likelihood under uniform delta is 1e-400, 0.0 as a
-    # float, and that pair's E-step sums logs where the short pair's sums
-    # probabilities
+    # float, and that pair's E-step sums in Decimal where the short pair's
+    # sums in floats
     long = TrainingPair(tuple(f"a{i}" for i in range(100)),
                         tuple(f"b{i}" for i in range(100)))
     short = TrainingPair(("a0",), ("b0",))
@@ -120,11 +121,10 @@ def test_em_keeps_a_pair_whose_likelihood_underflows():
                 for p in (long, short)]
     d = [1.0 / len(keys)] * len(keys)
     assert aligner._inside(lattices[0].nodes, lattices[0].edges, d, 0)[-1] == 0.0
-    lls = [aligner._forward(lattice, aligner._logs(d))[-1] for lattice in lattices]
-    assert lls[0] == pytest.approx(-100 * math.log(100 ** 2), rel=1e-12)
     uniform = DeltaTable(dict.fromkeys(keys, 1.0 / len(keys)))
-    assert [forward(p.source, p.target, uniform, params).log_corner()
-            for p in (long, short)] == lls
+    lls = [forward(p.source, p.target, uniform, params).log_corner()
+           for p in (long, short)]
+    assert lls[0] == pytest.approx(-100 * math.log(100 ** 2), rel=1e-12)
     history = []
     delta = em_train([long, short], params, history)
     assert delta._take_fit()[2] == [0, 1]
@@ -135,7 +135,16 @@ def test_em_keeps_a_pair_whose_likelihood_underflows():
     assert len(delta) == 100
 
 
-def test_a_subnormal_likelihood_sums_logs():
+# Decimal arithmetic of the references below: 60 digits, no exponent limit
+# that a path's product could reach.
+REFERENCE = Context(prec=60, Emin=MIN_EMIN, Emax=MAX_EMAX)
+
+
+def _decimal_thunk(d):
+    return lambda: [Decimal(p) for p in d]
+
+
+def test_a_subnormal_likelihood_is_its_exact_log_rounded():
     x, y = ("a", "b"), ("p", "q")
     keys = {}
     lattice = aligner._m2m_edges(x, y, AlignParams(1, 1, False, False).moves(), keys)
@@ -144,9 +153,71 @@ def test_a_subnormal_likelihood_sums_logs():
     z = aligner._inside(lattice.nodes, lattice.edges, d, 0)[-1]
     assert 0.0 < z < aligner.MIN_NORMAL
     gamma = {}
-    ll = aligner._estep(lattice, d, gamma, lambda: aligner._logs(d))
-    assert ll == math.log(1e-160) + math.log(1e-155)
+    ll = aligner._estep(lattice, d, gamma, _decimal_thunk(d))
+    with localcontext(REFERENCE):
+        exact = float((Decimal(1e-160) * Decimal(1e-155)).ln())
+    assert ll == exact == -725.3143042931243
     assert gamma == {keys[(("a",), ("p",))]: 1.0, keys[(("b",), ("q",))]: 1.0}
+
+
+def _reference_estep(x, y, moves, prob):
+    """A pair's log-likelihood and expected span-pair counts under prob
+    (span pair → float probability), by forward-backward over the grid's
+    cells at 60 digits: alpha[t][v] sums the paths from (0, 0) to (t, v),
+    beta[t][v] those from (t, v) to the corner.  Each link's count is
+    rounded to float and added cell by cell, move by move, as EM adds
+    them."""
+    T, V = len(x), len(y)
+    with localcontext(REFERENCE):
+        link = {(t, i, v, j): Decimal(prob[(x[t - i:t], y[v - j:v])])
+                for t in range(T + 1) for v in range(V + 1) for i, j in moves
+                if i <= t and j <= v}
+        alpha = [[Decimal(0)] * (V + 1) for _ in range(T + 1)]
+        alpha[0][0] = Decimal(1)
+        for (t, i, v, j), p in link.items():
+            alpha[t][v] += alpha[t - i][v - j] * p
+        beta = [[Decimal(0)] * (V + 1) for _ in range(T + 1)]
+        beta[T][V] = Decimal(1)
+        for (t, i, v, j), p in reversed(link.items()):
+            beta[t - i][v - j] += p * beta[t][v]
+        z = alpha[T][V]
+        counts = {}
+        for (t, i, v, j), p in link.items():
+            path = alpha[t - i][v - j] * p * beta[t][v]
+            if path:
+                key = (x[t - i:t], y[v - j:v])
+                counts[key] = counts.get(key, 0.0) + float(path / z)
+        return float(z.ln()), counts
+
+
+def test_a_multi_path_underflowing_pair_is_summed_exactly():
+    # 40 distinct symbols a side under 2-2 moves with deletions: a path
+    # has 20 to 40 links of δ below 1e-16, so the float likelihood is 0.0,
+    # and the mass spreads over many paths
+    x = tuple(f"a{i}" for i in range(40))
+    y = tuple(f"b{i}" for i in range(40))
+    params = AlignParams(2, 2, True, False)
+    keys = {}
+    lattice = aligner._m2m_edges(x, y, params.moves(), keys)
+    rng = random.Random(28)
+    d = [rng.uniform(1e-18, 1e-16) for _ in keys]
+    assert aligner._inside(lattice.nodes, lattice.edges, d, 0)[-1] == 0.0
+    ll, counts = _reference_estep(x, y, params.moves(), dict(zip(keys, d)))
+    spans = list(keys)
+    gamma = {}
+    assert aligner._estep(lattice, d, gamma, _decimal_thunk(d)) == ll
+    assert {spans[k]: c for k, c in gamma.items()} == counts
+    assert len(counts) > 100
+    assert any(not target for _, target in counts)  # deletions carry mass
+    delta = DeltaTable(dict(zip(keys, d)))
+    assert forward(x, y, delta, params).log_corner() == ll
+    # the caller's own context, too coarse and too narrow for these sums,
+    # changes nothing
+    with localcontext(Context(prec=3, Emin=-10, Emax=10)):
+        again = {}
+        assert aligner._estep(lattice, d, again, _decimal_thunk(d)) == ll
+        assert forward(x, y, delta, params).log_corner() == ll
+    assert again == gamma
 
 
 small_pairs = st.lists(
@@ -429,7 +500,7 @@ def _pass2_loglik(x, y, delta):
     keys = {}
     lattice = aligner._merge_edges(x, y, keys)
     d = [delta.prob(*key) for key in keys]
-    return aligner._estep(lattice, d, {}, lambda: aligner._logs(d))
+    return aligner._estep(lattice, d, {}, _decimal_thunk(d))
 
 
 def _random_padded_pair(rng):

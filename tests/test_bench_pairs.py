@@ -49,6 +49,29 @@ def test_pair_statistics_on_fixed_pairs():
     ]
 
 
+def _records(pairs):
+    return [{"base": {"metrics": {"decode_words_per_s": b}},
+             "change": {"metrics": {"decode_words_per_s": c}}} for b, c in pairs]
+
+
+def test_pooled_statistics_on_fixed_records():
+    tool = _tool()
+    seed1 = [(100.0, 110.0), (90.0, 99.0), (110.0, 105.0)]
+    seed4 = [(100.0, 120.0), (120.0, 126.0)]
+    better = {"decode_words_per_s": "higher", "pipeline_s": "lower"}
+    alone = tool.metric_stats(_records(seed4), better)["decode_words_per_s"]
+    # 123 against the base's 110 is more than its quartile distance, 115 - 105
+    assert (alone["wins"], alone["beyond_quartiles"]) == (2, True)
+    pooled = tool.metric_stats(_records(seed1) + _records(seed4), better)
+    # only the metrics the records report, each over every pair of both seeds
+    assert pooled == {"decode_words_per_s": tool.pair_stats(seed1 + seed4, "higher")}
+    speed = pooled["decode_words_per_s"]
+    assert (speed["wins"], speed["pairs"]) == (4, 5)
+    assert (speed["base_median"], speed["change_median"]) == (100.0, 110.0)
+    assert speed["base_quartiles"] == [100.0, 110.0]
+    assert speed["beyond_quartiles"] is False
+
+
 # A stand-in for perfbench/run.py: it reports the speed in speed.txt and,
 # as peak_rss_mb, how many runs its directory has made, writes its record
 # where run.py writes it, and prints run.py's summary line.
@@ -124,6 +147,10 @@ def test_a_toy_series_alternates_keeps_every_record_and_refuses_other_outputs(
     assert (speed["wins"], speed["ratios"]) == (3, [1.25] * 3)
     assert set(record["seeds"]["1"]["metrics"]) == {"decode_words_per_s", "peak_rss_mb"}
     assert "  pair 1: 34.00 (2) | 34.00 (2), change first" in printed
+    assert record["pooled"] == tool.metric_stats(runs, {
+        "decode_words_per_s": "higher", "peak_rss_mb": "lower"})
+    assert record["pooled"]["decode_words_per_s"]["pairs"] == 6
+    assert "pooled over seeds 1 2, 6 pairs:" in printed
     assert run(other) == 1
     assert "different outputs" in capsys.readouterr().err
     assert run(other, "--outputs-change") == 0

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from array import array
+from decimal import Decimal
 from operator import itemgetter
 
 import pytest
@@ -135,7 +136,7 @@ def _pass2_history_matches_estep(pairs):
         d = [delta.prob(*span) for span in spans]
         lls = [
             aligner._estep(aligner._merge_edges(p.source, p.target, keys), d, {},
-                           lambda: aligner._logs(d))
+                           lambda: [Decimal(v) for v in d])
             for p in pairs
         ]
         assert ll == _fold(lls)  # bit-exact
@@ -243,16 +244,15 @@ def test_trims_keep_grid_node_ids():
     trimmed = [aligner._m2m_edges(p.source, p.target, moves, keys, live=True)
                for p in pairs]
     delta, active = aligner._em(trimmed, list(keys), TWO_TWO)
-    logd = [delta.logp(*key) for key in keys]
     for idx in active:
         x, y = pairs[idx].source, pairs[idx].target
         fresh = aligner._m2m_edges(x, y, moves, keys)
         assert trimmed[idx].nodes == fresh.nodes == (len(x) + 1) * (len(y) + 1)
         assert len(trimmed[idx].edges) < len(fresh.edges)
-        alpha, beta = aligner._forward(fresh, logd), aligner._backward(fresh, logd)
+        alpha, beta = (aligner._chart(fresh, keys, delta, b) for b in (False, True))
         live = [n for n in range(fresh.nodes) if alpha[n] + beta[n] != NEG_INF]
-        for chart, full in ((aligner._forward, alpha), (aligner._backward, beta)):
-            values = chart(trimmed[idx], logd)
+        for backward, full in ((False, alpha), (True, beta)):
+            values = aligner._chart(trimmed[idx], keys, delta, backward)
             assert [values[n] for n in live] == [full[n] for n in live]
 
 

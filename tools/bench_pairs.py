@@ -18,8 +18,10 @@ Per seed it prints each run's peak_rss_mb beside its round count, and per
 end-to-end metric of BENCHMARK.json each pair's ratio (change / base), the
 pairs the change won (better by the metric's direction), the base median
 with its quartiles, the change median, and whether the medians differ, in
-the better direction, by more than the base's quartile distance.  The same
-figures go to <scratch>/pairs.json, rewritten after each seed.
+the better direction, by more than the base's quartile distance.  With
+more than one seed, it then prints the same figures pooled over every pair
+of every seed.  The same figures go to <scratch>/pairs.json, rewritten
+after each seed, the pooled ones under "pooled".
 """
 
 import argparse
@@ -95,6 +97,17 @@ def pair_stats(pairs, better):
     }
 
 
+def metric_stats(runs, better):
+    """pair_stats of each end-to-end metric that runs (pair records of
+    base and change metrics) report, by name; better maps each name to
+    "higher" or "lower"."""
+    return {
+        name: pair_stats([(r["base"]["metrics"][name], r["change"]["metrics"][name])
+                          for r in runs], better[name])
+        for name in better if name in runs[0]["base"]["metrics"]
+    }
+
+
 def metric_lines(stats):
     """Printed lines of pair_stats results, by metric name."""
     lines = []
@@ -160,11 +173,7 @@ def main(argv=None):
                 side: {"metrics": {k: m["value"] for k, m in r["metrics"].items()},
                        "rounds": len(r["rounds"])}
                 for side, r in records.items()}})
-        stats = {
-            name: pair_stats([(r["base"]["metrics"][name], r["change"]["metrics"][name])
-                              for r in runs], better[name])
-            for name in better if name in runs[0]["base"]["metrics"]
-        }
+        stats = metric_stats(runs, better)
         out["seeds"][str(seed)] = {"runs": runs, "metrics": stats}
         print(f"seed {seed}: peak_rss_mb (rounds), base | change, first side")
         for i, r in enumerate(runs, start=1):
@@ -172,6 +181,12 @@ def main(argv=None):
             print(f"  pair {i}: {b['metrics']['peak_rss_mb']:.2f} ({b['rounds']}) | "
                   f"{c['metrics']['peak_rss_mb']:.2f} ({c['rounds']}), {r['first']} first")
         print("\n".join(metric_lines(stats)))
+        (args.scratch / "pairs.json").write_text(json.dumps(out, indent=1), encoding="utf-8")
+    if len(out["seeds"]) > 1:
+        runs = [r for entry in out["seeds"].values() for r in entry["runs"]]
+        out["pooled"] = metric_stats(runs, better)
+        print(f"pooled over seeds {' '.join(out['seeds'])}, {len(runs)} pairs:")
+        print("\n".join(metric_lines(out["pooled"])))
         (args.scratch / "pairs.json").write_text(json.dumps(out, indent=1), encoding="utf-8")
     print(f"wrote {args.scratch / 'pairs.json'}")
     return 0
