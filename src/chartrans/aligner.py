@@ -131,8 +131,7 @@ class Chart:
         self.log = log
 
     def value(self, t, v):
-        lv = self.log[t][v]
-        return math.exp(lv) if lv > NEG_INF else 0.0
+        return math.exp(self.log[t][v])
 
     def corner(self):
         return self.value(-1, -1)

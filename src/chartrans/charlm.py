@@ -14,24 +14,23 @@ per-transition log10 likelihoods, so they are comparable across prefix
 lengths during incremental decoding.
 
 A transition reads only the last order-1 symbols of its BOS-padded
-history (history_tail), so extend_score carries that tail from symbol to
-symbol instead of the whole prefix, and CharLM.logprob memoises
-(tail, symbol) -> log10 p on the model.  The memo returns the floats the
-recursion computes, so scores are unchanged; it serves the decoder's step
-features and the end transition of complete words, and holds at most one
-entry per distinct (tail, symbol) asked for.  A decoder carries the tail
-with each hypothesis and moves it, with the running sum, through
-CharLM.advance, which reads the memo rows without a call per transition.
+history (history_tail), and CharLM.logprob memoises (tail, symbol) ->
+log10 p on the model.  The memo returns the floats the recursion computes,
+so scores are unchanged, and holds at most one entry per distinct
+(tail, symbol) asked for.  CharLM.advance is the one fold over transitions:
+it moves a running sum and a tail through a suffix, reading the memo rows
+without a call per transition.  A decoder carries the tail with each
+hypothesis and moves it through advance; extend_score and score_prefix are
+advance from a start tail (a prefix's, or the empty prefix's), so every
+score of a word is the same additions in the same order, bit for bit.
 
 train_charlm reads each word as its full-order n-grams (_grams): one per
 transition, a tail followed by its symbol.  It counts the distinct grams of
 the word list once and adds each count to every level.  make_bins scores a
-word with the decoder's fold, CharLM.advance from the start tail through the
-word and its end, which also fills the memo the decoder reads later, and
-divides the sum by the word's number of transitions.  Those are
-score_prefix's additions in score_prefix's order, so every score, and so
-every threshold, keeps its bits.  The fold adds with +=, not with sum(),
-which compensates float sums from Python 3.12 on.
+word as score_prefix does, advance from the start tail through the word and
+its end, which also fills the memo the decoder reads later, and divides the
+sum by the word's number of transitions.  The fold adds with +=, not with
+sum(), which compensates float sums from Python 3.12 on.
 
 The bins fired by a score are always a contiguous run: every threshold
 from the highest one at or below the score down, or the catch-all alone.
@@ -108,9 +107,9 @@ class CharLM:
 
     def advance(self, logsum, tail, suffix):
         """(logsum plus the transitions of suffix, tail after suffix) for a
-        sequence whose history_tail is tail: extend_score over a carried
-        tail, in the same summation order, reading the memo rows directly
-        and asking logprob only for the transitions they lack."""
+        sequence whose history_tail is tail, added in suffix's order,
+        reading the memo rows directly and asking logprob only for the
+        transitions they lack."""
         memo = self._memo
         for sym in suffix:
             row = memo.get(tail)
@@ -151,14 +150,13 @@ def train_charlm(words, order):
 
 def score_prefix(lm, prefix, complete=False):
     """Normalized log10 likelihood of a prefix: the mean over its
-    transitions, including the end transition iff complete."""
+    transitions, including the end transition iff complete.  The sum is
+    CharLM.advance from the empty prefix's tail through prefix, and then
+    its end iff complete."""
     if not prefix:
         raise ValueError("cannot score an empty prefix")
-    logsum, n = extend_score(lm, 0.0, (), prefix)
-    if complete:
-        logsum += lm.logprob(history_tail(lm, prefix), EOS)
-        n += 1
-    return logsum / n
+    steps = (*prefix, EOS) if complete else prefix
+    return lm.advance(0.0, history_tail(lm, ()), steps)[0] / len(steps)
 
 
 def history_tail(lm, prefix):
@@ -174,14 +172,9 @@ def history_tail(lm, prefix):
 def extend_score(lm, logsum, prefix, suffix):
     """Add the transitions of suffix (appended after the sequence prefix)
     to a running log10 sum; returns (sum, len(prefix) + len(suffix)).
-    Only the tail of prefix is read, and it moves on one symbol per
-    transition.  Summation order matches score_prefix exactly, so
-    incremental decoding reproduces from-scratch scores bit for bit."""
-    tail = history_tail(lm, prefix)
-    for sym in suffix:
-        logsum += lm.logprob(tail, sym)
-        tail = (tail + (sym,))[1:]
-    return logsum, len(prefix) + len(suffix)
+    The sum is CharLM.advance from prefix's tail, the only part of prefix
+    read, so incremental decoding reproduces score_prefix bit for bit."""
+    return lm.advance(logsum, history_tail(lm, prefix), suffix)[0], len(prefix) + len(suffix)
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,14 @@ def _read_words(path):
     return unicodedata.normalize("NFC", _read(path))
 
 
+def _path(cfg, key, given=None):
+    """given, or else the path that cfg's key names; a ValueError names the
+    key when neither is set, before anything is read or written."""
+    if not (path := given or getattr(cfg, key)):
+        raise ValueError(f"configuration key {key!r} is not set")
+    return path
+
+
 def _parse(path, parse, read=_read):
     """parse(read(path)); a ParseError it raises names path."""
     text = read(path)
@@ -176,13 +184,8 @@ def _parse(path, parse, read=_read):
 
 
 def read_training_pairs(cfg):
-    if cfg.task == "inflection":
-        pairs = _parse(cfg.pairs, core.parse_inflections)
-    else:
-        pairs = _parse(cfg.pairs, core.parse_pairs)
-    if cfg.copy_instances:
-        pairs = core.copy_augment(pairs, cfg.copy_instances)
-    return pairs
+    parse = core.parse_inflections if cfg.task == "inflection" else core.parse_pairs
+    return core.copy_augment(_parse(_path(cfg, "pairs"), parse), cfg.copy_instances)
 
 
 def read_eval_instances(cfg, path):
@@ -379,7 +382,7 @@ def _sources(cfg, path):
 
 def cmd_decode(cfg, input_path=None, output_path=None):
     model = load_model(cfg)
-    sources = _sources(cfg, input_path or cfg.test)
+    sources = _sources(cfg, _path(cfg, "test", input_path))
     output_path = output_path or cfg.nbest_file
     beam = max(cfg.beam, cfg.decode_nbest)
     with open(output_path, "w", encoding="utf-8") as out:
@@ -420,7 +423,7 @@ def read_nbest(path):
 
 def cmd_evaluate(cfg, nbest_path=None, refs_path=None):
     blocks = read_nbest(nbest_path or cfg.nbest_file)
-    instances = read_eval_instances(cfg, refs_path or cfg.test)
+    instances = read_eval_instances(cfg, _path(cfg, "test", refs_path))
     if len(blocks) != len(instances):
         raise ValueError(
             f"{len(blocks)} n-best blocks but {len(instances)} eval instances"
@@ -443,8 +446,8 @@ def cmd_evaluate(cfg, nbest_path=None, refs_path=None):
 
 
 def cmd_prune(cfg):
-    target = _parse(cfg.wordlist, freqtrie.parse_lexicon, _read_words)
-    english = _parse(cfg.english_wordlist, freqtrie.parse_lexicon, _read_words)
+    target = _parse(_path(cfg, "wordlist"), freqtrie.parse_lexicon, _read_words)
+    english = _parse(_path(cfg, "english_wordlist"), freqtrie.parse_lexicon, _read_words)
     pruned = freqtrie.prune_lexicon(target, english)
     os.makedirs(cfg.outdir, exist_ok=True)
     out_path = cfg.path("pruned_lexicon.txt")
@@ -468,8 +471,8 @@ def cmd_ablate(cfg):
     and print one accuracy row per variant."""
     results = []
     for name, switches in ABLATION_VARIANTS:
-        sub = dataclasses.replace(cfg, **switches)
-        sub.outdir = os.path.join(cfg.outdir, name.strip("-").lower() or "full")
+        sub = dataclasses.replace(
+            cfg, outdir=os.path.join(cfg.outdir, name.strip("-").lower()), **switches)
         cmd_align(sub)
         cmd_train(sub)
         cmd_decode(sub)
@@ -499,12 +502,9 @@ def main(argv=None):
             "--set", dest="overrides", action="append", default=[],
             metavar="KEY=VALUE",
         )
-        if name == "decode":
-            p.add_argument("--input", default=None)
-            p.add_argument("--output", default=None)
-        if name == "evaluate":
-            p.add_argument("--nbest", default=None)
-            p.add_argument("--refs", default=None)
+        for option in {"decode": ("--input", "--output"),
+                       "evaluate": ("--nbest", "--refs")}.get(name, ()):
+            p.add_argument(option, default=None)
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

@@ -174,8 +174,6 @@ def inflection_to_pairs(lemma, tags, form):
     """
     if not lemma or not form:
         raise ValidationError("empty lemma or form")
-    if not tags.strip():
-        raise ValidationError("empty tag string")
     tag_syms = tuple(
         make_symbol(TAG_MARKER + piece.strip())
         for piece in tags.split(";")

@@ -167,8 +167,9 @@ class Alphabet(dict):
     names maps an id back to its name.  alphabet[name] gives a name it
     lacks the next id, so ids are dense, in first-seen order, and a name
     keeps its id.  Once read_only() is called, the alphabet takes no new
-    name: every name it lacks gets one id, unknown, which no weight holds
-    and names[unknown] names as None, so such a name adds 0.0 to a score.
+    name: alphabet[name] answers every name it lacks with one id, unknown,
+    which no weight holds and names[unknown] names as None, so such a name
+    adds 0.0 to a score.
     by_rule holds a read-only alphabet's _ids_by_rule, None until built."""
 
     __slots__ = ("names", "unknown", "by_rule")
@@ -189,13 +190,6 @@ class Alphabet(dict):
     def read_only(self):
         self.unknown = len(self.names)
         self.names.append(None)
-
-    def ids(self, names):
-        """The ids of names, in order; a read-only alphabet reads them with
-        dict.get, so no name reaches __missing__."""
-        if self.unknown is None:
-            return tuple([self[name] for name in names])
-        return tuple(map(self.get, names, repeat(self.unknown)))
 
 
 @dataclass(frozen=True)
@@ -348,7 +342,8 @@ def _history_features(head, recent, rule, model):
         names.append(("COPY",))
     j_keep = cfg.joint_order - 1
     merge = tail[-cfg.target_order:], seq[-j_keep:] if j_keep else ()
-    return model.alphabet.ids(names), merge
+    ids = model.alphabet
+    return tuple([ids[name] for name in names]), merge
 
 
 _END = (EOS,)
@@ -378,7 +373,7 @@ class _CorpusScorer:
             # (increasing) thresholds; k = catch_all: none is.
             self._neg_thresholds = [-t for t in bins.thresholds]
             lm_parts = [
-                ids.ids([("LMB", i) for i in sorted(lm_bin_features(score, bins))])
+                tuple([ids["LMB", i] for i in sorted(lm_bin_features(score, bins))])
                 for score in (*bins.thresholds, float("-inf"))
             ]
         if self.trie is not None:
@@ -387,7 +382,7 @@ class _CorpusScorer:
             # count; the last index is the zero count's.
             self._freq_thresholds = bins.thresholds
             freq_parts = [
-                ids.ids([("FQB", i) for i in sorted(freq_bin_features(count, bins))])
+                tuple([ids["FQB", i] for i in sorted(freq_bin_features(count, bins))])
                 for count in (bins.thresholds[0] / 2, *bins.thresholds, 0)
             ]
         self._merged = [[a + b for b in freq_parts] for a in lm_parts]
@@ -751,11 +746,6 @@ def _accuracy(model, instances, beam):
     return word_accuracy([c[0].output if c else None for c in best], instances)
 
 
-def _plain(key):
-    return [_plain(k) if isinstance(k, tuple) else k for k in key] \
-        if isinstance(key, (tuple, list)) else key
-
-
 def _tupled(key):
     return tuple(_tupled(k) if isinstance(k, list) else k for k in key)
 
@@ -779,13 +769,13 @@ def save_model(model, path, lm_path=None, lexicon_path=None):
             }) + "\n")
         for rule in sorted(model.rules):
             out.write("#rule\t" + json.dumps(
-                [_plain(rule.source), _plain(rule.target)], ensure_ascii=False
+                [rule.source, rule.target], ensure_ascii=False
             ) + "\n")
         names = model.alphabet.names
         for key in sorted(model.weights, key=lambda i: repr(names[i])):
             w = model.weights[key]
             if w != 0.0:
-                name = json.dumps(_plain(names[key]), ensure_ascii=False)
+                name = json.dumps(names[key], ensure_ascii=False)
                 out.write(f"{name}\t{w!r}\n")
 
 

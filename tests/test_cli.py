@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import marshal
 import random
+import re
 import unicodedata
 from pathlib import Path
 
@@ -807,6 +808,62 @@ def test_ablate_produces_four_rows(tmp_path):
     assert [name for name, _ in results] == ["full", "-LM", "-Freq", "-Precision"]
     table = (tmp_path / "out" / "ablation.txt").read_text(encoding="utf-8")
     assert len(table.strip().splitlines()) == 4
+
+
+def test_ablate_writes_each_variant_in_its_own_directory(tmp_path):
+    cfg = write_context_task(tmp_path, n_train=10, n_test=3)
+    cfg.epochs = 1
+    outdir = cfg.outdir
+    cmd_ablate(cfg)
+    assert cfg.outdir == outdir
+    out = Path(outdir)
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == [
+        "freq", "full", "lm", "precision"]
+    for variant in ("full", "lm", "freq", "precision"):
+        for name in ("alignments.txt", "model.txt", "nbest.txt", "report.txt"):
+            assert (out / variant / name).is_file(), (variant, name)
+    # each directory holds its own variant: its switch drops that bin header
+    headers = {v: (out / v / "model.txt").read_text(encoding="utf-8").split("\n#rule")[0]
+               for v in ("full", "lm", "freq")}
+    assert "#lmbins" in headers["full"] and "#freqbins" in headers["full"]
+    assert "#lmbins" not in headers["lm"] and "#freqbins" in headers["lm"]
+    assert "#lmbins" in headers["freq"] and "#freqbins" not in headers["freq"]
+
+
+@pytest.mark.parametrize("command, unset, written", [
+    ("align", "pairs", "alignments.txt"),
+    ("prune", "wordlist", "pruned_lexicon.txt"),
+    ("prune", "english_wordlist", "pruned_lexicon.txt"),
+    ("decode", "test", "nbest.txt"),
+    ("evaluate", "test", "report.txt"),
+])
+def test_an_unset_input_key_is_named_before_anything_is_written(
+    tmp_path, capsys, command, unset, written
+):
+    cfg = write_context_task(tmp_path, n_train=10, n_test=3)
+    cfg = dataclasses.replace(cfg, english_wordlist=cfg.wordlist, epochs=1)
+    if command in ("decode", "evaluate"):
+        cmd_align(cfg)
+        cmd_train(cfg)
+    if command == "evaluate":
+        cmd_decode(cfg)
+    out = Path(cfg.outdir)
+    before = sorted(out.rglob("*")) if out.exists() else []
+    keys = ("pairs", "test", "wordlist", "english_wordlist", "outdir")
+    argv = [arg for key in keys if key != unset for arg in ("--set", f"{key}={getattr(cfg, key)}")]
+    capsys.readouterr()
+    assert main([command, *argv]) == 1
+    assert capsys.readouterr().err == f"error: configuration key {unset!r} is not set\n"
+    assert not (out / written).exists()
+    assert (sorted(out.rglob("*")) if out.exists() else []) == before
+
+
+def test_readme_lists_exactly_the_configuration_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    documented = [key for cell in rows for key in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(documented) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
 
 def test_inflection_task_pipeline(tmp_path):
