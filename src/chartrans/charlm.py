@@ -4,8 +4,8 @@ scoring, and cumulative bin features.
 The model is trained on a list of word types (duplicates ignored).  Each
 conditional interpolates the maximum-likelihood estimate with the
 next-lower order, weighting the backoff by the number of distinct
-continuations seen after the history; the recursion bottoms out in a
-uniform distribution over the alphabet plus the end sentinel.  That
+continuations seen after the history; the lowest order interpolates
+with a uniform distribution over the alphabet plus the end sentinel.  That
 distribution over the alphabet plus the end sentinel sums to 1 at every
 history; a symbol outside the alphabet maps to <unk>, which gets the same
 uniform base mass on top of it, outside the normalised distribution, so an
@@ -14,23 +14,29 @@ per-transition log10 likelihoods, so they are comparable across prefix
 lengths during incremental decoding.
 
 A transition reads only the last order-1 symbols of its BOS-padded
-history (history_tail), and CharLM.logprob memoises (tail, symbol) ->
-log10 p on the model.  The memo returns the floats the recursion computes,
-so scores are unchanged, and holds at most one entry per distinct
-(tail, symbol) asked for.  CharLM.advance is the one fold over transitions:
-it moves a running sum and a tail through a suffix, reading the memo rows
-without a call per transition.  A decoder carries the tail with each
-hypothesis and moves it through advance; extend_score and score_prefix are
-advance from a start tail (a prefix's, or the empty prefix's), so every
-score of a word is the same additions in the same order, bit for bit.
+history (history_tail), so the model is a deterministic automaton over
+those tails, and CharLM keeps it as its memo: one row per tail asked for,
+which knows its own tail, and in each row one entry per symbol asked for:
+its log10 p, a float (_Step) that also holds the row of the tail after the
+symbol, so an entry is one object, as a bare float was.  CharLM.logprob
+fills an entry the first time its (tail, symbol) is asked for, from prob's
+one Witten-Bell loop, lowest order up; every later step reads it.
+CharLM.advance is the one fold over transitions: it moves a running sum
+through a suffix by following entries row to row, building no tuple, and
+returns the last row's tail.  A decoder carries the tail with each
+hypothesis and moves it through advance; extend_score and score_prefix
+are advance from a start tail (a prefix's, or the empty prefix's), so
+every score of a word is the same additions in the same order, bit for
+bit.
 
-train_charlm reads each word as its full-order n-grams (_grams): one per
-transition, a tail followed by its symbol.  It counts the distinct grams of
-the word list once and adds each count to every level.  make_bins scores a
-word as score_prefix does, advance from the start tail through the word and
-its end, which also fills the memo the decoder reads later, and divides the
-sum by the word's number of transitions.  The fold adds with +=, not with
-sum(), which compensates float sums from Python 3.12 on.
+train_charlm reads each word as its full-order n-grams, one per
+transition (a tail followed by its symbol), by zipping shifted copies of
+the padded word.  It counts the distinct grams of the word list once and
+adds each count to every level.  make_bins scores a word as score_prefix
+does, advance from the start tail through the word and its end, which
+also fills the memo the decoder reads later, and divides the sum by the
+word's number of transitions.  The fold adds with +=, not with sum(),
+which compensates float sums from Python 3.12 on.
 
 The bins fired by a score are always a contiguous run: every threshold
 from the highest one at or below the score down, or the catch-all alone.
@@ -54,6 +60,30 @@ BIN_SPREAD = 3
 BIN_STEP = 0.5
 
 
+class _Row(dict):
+    """A state of the LM's transition automaton: symbol -> _Step for the
+    history tail the row knows."""
+
+    __slots__ = ("tail",)
+
+
+class _Step(float):
+    """A transition's log10 p that also holds the row of the tail after
+    it: one object per memo entry, as a bare float would be."""
+
+    __slots__ = ("row",)
+
+
+class _Memo(dict):
+    """The automaton's rows by tail; a tail asked for the first time gets
+    an empty row."""
+
+    def __missing__(self, tail):
+        row = self[tail] = _Row()
+        row.tail = tail
+        return row
+
+
 class CharLM:
     def __init__(self, order, alphabet, tables):
         self.order = order
@@ -66,65 +96,56 @@ class CharLM:
         # Uniform base mass shared by every symbol, end sentinel, and UNK;
         # UNK's share is extra mass (see the module docstring).
         self._base = 1.0 / (len(self.alphabet) + 1)
-        # last order-1 history symbols -> {symbol: log10 probability}.
-        self._memo = {}
-
-    def _map(self, sym):
-        if sym in self.alphabet or sym in (BOS, EOS):
-            return sym
-        return UNK
+        self._known = self.alphabet | {BOS, EOS}
+        # last order-1 history symbols -> their _Row.
+        self._memo = _Memo()
 
     def prob(self, history, nxt):
-        """Interpolated Witten-Bell probability of nxt after history."""
-        k = self.order - 1
-        h = tuple(self._map(s) for s in (tuple(history)[-k:] if k else ()))
-        w = self._map(nxt)
-        return self._prob(h, w)
-
-    def _prob(self, h, w):
-        m = len(h)
-        lower = self._prob(h[1:], w) if m > 0 else self._base
-        counts = self.tables[m].get(h)
-        if counts is None:
-            return lower  # unseen history: the lower order alone
-        distinct = len(counts)
-        return (counts.get(w, 0) + distinct * lower) / (
-            self._sums[m][h] + distinct
-        )
+        """Interpolated Witten-Bell probability of nxt after history: from
+        the uniform base up, each order m mixes its counts after the last m
+        history symbols with the order below; an unseen history keeps the
+        order below."""
+        k, known = self.order - 1, self._known
+        h = tuple(s if s in known else UNK for s in (tuple(history)[-k:] if k else ()))
+        w, p, n = nxt if nxt in known else UNK, self._base, len(h)
+        for m in range(n + 1):
+            hm = h[n - m:]
+            counts = self.tables[m].get(hm)
+            if counts is not None:
+                distinct = len(counts)
+                p = (counts.get(w, 0) + distinct * p) / (self._sums[m][hm] + distinct)
+        return p
 
     def logprob(self, history, nxt):
-        """log10 of prob(history, nxt), memoised on the last order-1
-        symbols of history, which are all that prob reads."""
+        """log10 of prob(history, nxt), memoised in the row of the last
+        order-1 symbols of history, which are all that prob reads.  A
+        first-time transition fills its entry: the log10 of prob's one
+        Witten-Bell loop, which also holds the row of the tail after nxt."""
         k = self.order - 1
-        tail = tuple(history)[-k:] if k else ()
-        row = self._memo.get(tail)
-        if row is None:
-            row = self._memo[tail] = {}
-        lp = row.get(nxt)
-        if lp is None:
-            lp = row[nxt] = math.log10(self.prob(tail, nxt))
-        return lp
+        row = self._memo[tuple(history)[-k:] if k else ()]
+        step = row.get(nxt)
+        if step is None:
+            step = row[nxt] = _Step(math.log10(self.prob(row.tail, nxt)))
+            step.row = self._memo[(*row.tail, nxt)[-k:] if k else ()]
+        return float(step)
 
     def advance(self, logsum, tail, suffix):
         """(logsum plus the transitions of suffix, tail after suffix) for a
-        sequence whose history_tail is tail, added in suffix's order,
-        reading the memo rows directly and asking logprob only for the
-        transitions they lack."""
-        memo = self._memo
+        sequence whose history_tail is tail, added in suffix's order.  tail
+        must be a history_tail, order-1 symbols long, as every tail this
+        returns is: its row is looked up as it is.  It walks the automaton
+        from tail's row, each entry giving the step's log10 p and the next
+        row, and returns the last row's tail; only a transition whose entry
+        is missing builds a tuple, in logprob."""
+        row = self._memo[tail]
         for sym in suffix:
-            row = memo.get(tail)
-            lp = None if row is None else row.get(sym)
-            if lp is None:
-                lp = self.logprob(tail, sym)
-            logsum += lp
-            tail = (tail + (sym,))[1:]
-        return logsum, tail
-
-
-def _grams(word, order):
-    """The full-order n-grams of the BOS/EOS-padded word, one per transition."""
-    seq = (BOS,) * (order - 1) + word + (EOS,)
-    return [seq[i : i + order] for i in range(len(word) + 1)]
+            step = row.get(sym)
+            if step is None:
+                self.logprob(row.tail, sym)
+                step = row[sym]
+            logsum += step
+            row = step.row
+        return logsum, row.tail
 
 
 def train_charlm(words, order):
@@ -137,7 +158,10 @@ def train_charlm(words, order):
     if not words:
         raise ValueError("empty training word list")
     alphabet = {sym for w in words for sym in w}
-    grams = Counter(chain.from_iterable(_grams(w, order) for w in words))
+    pad = (BOS,) * (order - 1)
+    seqs = (pad + w + (EOS,) for w in words)
+    # each full-order gram: a transition's tail followed by its symbol
+    grams = Counter(chain.from_iterable(zip(*[s[i:] for i in range(order)]) for s in seqs))
     tables = [{} for _ in range(order)]
     k = order - 1
     for gram, count in grams.items():
@@ -228,6 +252,12 @@ def lm_bin_features(score, bins):
 
 
 def save_charlm(lm, path):
+    """Write lm's order, alphabet and tables, one count a line; a symbol
+    load_charlm could not read back, empty or with whitespace in it, raises
+    ValueError before anything is written."""
+    for sym in lm.alphabet:
+        if sym.split() != [sym]:
+            raise ValueError(f"symbol {sym!r} cannot be written to a charlm file")
     with open(path, "w", encoding="utf-8") as out:
         out.write(f"#charlm\torder={lm.order}\n")
         out.write("#alphabet\t" + " ".join(sorted(lm.alphabet)) + "\n")

@@ -240,23 +240,33 @@ def _write(path, text):
         out.write(text)
 
 
-def load_resources(cfg):
+def load_resources(cfg, text=None):
     """Build (or reuse cached) character LM and pruned lexicon from the
-    word list; caches live beside the word list, keyed by a content hash.
+    word list, whose text (_read_words) is text when the caller has read
+    it; caches live beside the word list, keyed by a content hash.
     Only the resources of enabled features are built: the LM and its bins
-    unless disable_lm, the trie (built, then snapshotted to <list>.trie with
-    the tag of the list's text, unless that file already has the tag) and
-    its bins unless disable_freq."""
+    unless disable_lm (refusing first a word with whitespace inside), the
+    trie (built, then snapshotted to <list>.trie with the tag of the list's
+    text, unless that file already has the tag) and its bins unless
+    disable_freq."""
     lm = lm_bins = trie = freq_bins = None
     refs = {}
     if not cfg.wordlist or (cfg.disable_lm and cfg.disable_freq):
         return lm, lm_bins, trie, freq_bins, refs
-    raw = _read_words(cfg.wordlist)
+    raw = _read_words(cfg.wordlist) if text is None else text
     with core.reading(cfg.wordlist):
         lex = freqtrie.parse_lexicon(raw)
 
     if not cfg.disable_lm:
-        words = list(lex.counts)
+        words = lex.counts  # its keys: no copy is held through the trie build
+        # parse_lexicon strips each word, so whitespace left is inside one
+        if (spaced := next((w for w in words if len(w.split()) > 1), None)) is not None:
+            # the first line holding it is its own: an earlier one would
+            # hold a word with whitespace inside too
+            lineno = next(n for n, line in enumerate(raw.splitlines(), 1) if spaced in line)
+            with core.reading(cfg.wordlist):
+                raise core.ParseError(lineno, f"word {spaced!r} has whitespace inside, "
+                                      "which no target spells and the LM cannot save")
         lm_tag = _hash_inputs(raw, cfg.lm_order, "lm-v1")
         lm_path = refs["lm"] = f"{cfg.wordlist}.{lm_tag}.lm"
         if os.path.exists(lm_path):
@@ -294,12 +304,13 @@ def load_resources(cfg):
     return lm, lm_bins, trie, freq_bins, refs
 
 
-def _check_target_symbols(cfg, alignments):
-    """When the LM or frequency features read the word list, which both
-    match a target one character at a time: refuse a target symbol longer
-    than one character, and warn about those the word list never spells."""
+def _checked_word_list(cfg, alignments):
+    """The word list's text (_read_words) when the LM or frequency features
+    read it, which both match a target one character at a time, else None.
+    Refuse a target symbol longer than one character, and warn about the
+    target symbols the word list never spells."""
     if not cfg.wordlist or (cfg.disable_lm and cfg.disable_freq):
-        return
+        return None
     uses = Counter(s for a in alignments for link in a.links for s in link.target)
     long = sorted(s for s in uses if len(s) > 1)
     if long:
@@ -317,14 +328,15 @@ def _check_target_symbols(cfg, alignments):
             "in the word list %s, so the LM and frequency features never match "
             "them: %s", len(missing), len(uses), sum(uses[s] for s in missing),
             sum(uses.values()), cfg.wordlist, " ".join(map(repr, missing[:5])))
+    return raw
 
 
 def cmd_train(cfg):
     alignments = _parse(cfg.alignment_file, aligner.read_alignments)
     if not alignments:
         raise ValueError(f"no alignments in {cfg.alignment_file}")
-    _check_target_symbols(cfg, alignments)
-    lm, lm_bins, trie, freq_bins, refs = load_resources(cfg)
+    lm, lm_bins, trie, freq_bins, refs = load_resources(
+        cfg, _checked_word_list(cfg, alignments))
     dev = read_eval_instances(cfg, cfg.dev) if cfg.dev else None
     model = transducer.train(
         None, alignments, cfg=cfg.build(transducer.TrainConfig),

@@ -23,7 +23,7 @@ from chartrans.charlm import (
     train_charlm,
 )
 
-from toytask import brute_ngram_tables
+from toytask import brute_ngram_tables, witten_bell
 
 
 def test_counts_single_word():
@@ -386,6 +386,138 @@ def test_advance_is_extend_score_over_the_carried_tail(order):
             extend_score(lm, start, prefix, suffix)[0],
             history_tail(lm, prefix + suffix),
         )
+
+
+def _oracle_sum(lm, logsum, prefix, suffix):
+    """(logsum plus each transition of suffix after the BOS-padded prefix,
+    scored by the witten_bell oracle, tail after suffix), added in order."""
+    seq = (BOS,) * (lm.order - 1) + tuple(prefix)
+    for sym in suffix:
+        logsum += math.log10(witten_bell(lm, seq, sym))
+        seq += (sym,)
+    return logsum, seq[len(seq) - lm.order + 1:]
+
+
+def _oracle_bins(lm, words):
+    """(thresholds, mu, sigma) of the distinct words' oracle scores."""
+    scores = [_oracle_sum(lm, 0.0, (), w + (EOS,))[0] / (len(w) + 1)
+              for w in dict.fromkeys(map(tuple, words))]
+    mu, sigma = mean(scores), pstdev(scores)
+    thresholds = tuple(mu + k * BIN_STEP * sigma for k in range(BIN_SPREAD, -BIN_SPREAD - 1, -1))
+    if len(set(thresholds)) < len(thresholds):
+        thresholds = (mu,)
+    return thresholds, mu, sigma
+
+
+def _bits(value):
+    """value with every float spelled by float.hex, so == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_bits, value))
+    return value
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_every_score_is_the_witten_bell_oracle_bit_for_bit(order):
+    # histories shorter and longer than order - 1, BOS inside a history,
+    # and symbols outside the alphabet; each check runs on a fresh LM, then
+    # again on the same LM, where every value comes from the memo
+    rng = random.Random(70 + order)
+    words = [tuple(rng.choice(_SEEN) for _ in range(rng.randint(1, 6))) for _ in range(30)]
+    histories = [tuple(rng.choice(_ASKED[:-1] + [BOS]) for _ in range(rng.randint(0, 7)))
+                 for _ in range(150)]
+    queries = [(h, rng.choice(_ASKED)) for h in histories]
+    paths = [(tuple(rng.choice(_ASKED[:-1]) for _ in range(rng.randint(0, 6))),
+              tuple(rng.choice(_ASKED) for _ in range(rng.randint(0, 5))),
+              rng.uniform(-5.0, 0.0)) for _ in range(150)]
+    scored = [w for w in (p + s for p, s, _ in paths) if w and EOS not in w]
+    asked = words[:10] + [("x", "a"), ("b", "yz", "yz")]
+    checks = {
+        "prob": lambda lm: [(lm.prob(h, w), witten_bell(lm, h, w)) for h, w in queries],
+        "logprob": lambda lm: [(lm.logprob(h, w), math.log10(witten_bell(lm, h, w)))
+                               for h, w in queries],
+        "advance": lambda lm: [(lm.advance(x, history_tail(lm, p), s),
+                                _oracle_sum(lm, x, p, s)) for p, s, x in paths],
+        "extend_score": lambda lm: [(extend_score(lm, x, p, s),
+                                     (_oracle_sum(lm, x, p, s)[0], len(p) + len(s)))
+                                    for p, s, x in paths],
+        "score_prefix": lambda lm: [
+            (score_prefix(lm, w, complete), _oracle_sum(lm, 0.0, (), w + (EOS,) * complete)[0]
+             / (len(w) + complete)) for w in scored for complete in (False, True)],
+        "make_bins": lambda lm: [((b.thresholds, b.mu, b.sigma), _oracle_bins(lm, asked))
+                                 for b in [make_bins(lm, asked)]],
+    }
+    for name, check in checks.items():
+        lm = train_charlm(words, order)
+        fresh = check(lm)
+        filled = len(lm._memo), sum(map(len, lm._memo.values()))
+        again = check(lm)
+        assert filled == (len(lm._memo), sum(map(len, lm._memo.values()))), name
+        for got, want in fresh + again:
+            assert _bits(got) == _bits(want), name
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_advance_takes_and_returns_a_history_tail(order):
+    # advance looks its tail's row up as it is; the tail it returns is the
+    # extended sequence's history_tail, so a carried tail keeps that
+    # contract, and every row the walks reach is keyed by order-1 symbols
+    rng = random.Random(90 + order)
+    words = [tuple(rng.choice(_SEEN) for _ in range(rng.randint(1, 6))) for _ in range(30)]
+    lm = train_charlm(words, order)
+    for _ in range(100):
+        prefix = tuple(rng.choice(_ASKED[:-1] + [BOS]) for _ in range(rng.randint(0, 7)))
+        suffix = tuple(rng.choice(_ASKED[:-1]) for _ in range(rng.randint(0, 5)))
+        tail = lm.advance(0.0, history_tail(lm, prefix), suffix)[1]
+        assert tail == history_tail(lm, prefix + suffix)
+    assert {len(tail) for tail in lm._memo} == {order - 1}
+
+
+def _counting_logprob(monkeypatch):
+    """The (tail, symbol) of each CharLM.logprob call, as they are made."""
+    calls, logprob = [], CharLM.logprob
+
+    def counted(lm, history, nxt):
+        calls.append((tuple(history), nxt))
+        return logprob(lm, history, nxt)
+
+    monkeypatch.setattr(CharLM, "logprob", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_logprob_runs_once_per_distinct_transition(order, monkeypatch, tmp_path):
+    rng = random.Random(80 + order)
+    words = [tuple(rng.choice(_SEEN) for _ in range(rng.randint(1, 6))) for _ in range(40)]
+    lm = train_charlm(words, order)
+    calls = _counting_logprob(monkeypatch)
+    make_bins(lm, words)
+    # one call per distinct full-order gram train_charlm counted, each a
+    # (tail, symbol) make_bins asks for the first time
+    distinct_grams = sum(map(len, lm.tables[order - 1].values()))
+    assert len(calls) == len(set(calls)) == distinct_grams
+    make_bins(lm, words)
+    assert len(calls) == distinct_grams
+    # the reloaded LM fills every memo entry with the same bits
+    path = tmp_path / "words.lm"
+    save_charlm(lm, path)
+    again = load_charlm(path)
+    make_bins(again, words)
+    assert len(calls) == 2 * distinct_grams
+    entries = {(tail, sym): (lp.hex(), lp.row.tail) for tail, row in lm._memo.items()
+               for sym, lp in row.items()}
+    assert entries == {(tail, sym): (lp.hex(), lp.row.tail) for tail, row in again._memo.items()
+                       for sym, lp in row.items()}
+
+
+@pytest.mark.parametrize("alphabet", [{"a", "b c"}, {"a", " "}, {"a", "\u00a0"}, {"a", ""}])
+def test_save_charlm_refuses_a_symbol_it_cannot_read_back(alphabet, tmp_path):
+    lm = CharLM(2, alphabet, [{(): {"a": 1}}, {(BOS,): {"a": 1}}])
+    path = tmp_path / "words.lm"
+    with pytest.raises(ValueError, match="cannot be written to a charlm file"):
+        save_charlm(lm, path)
+    assert not path.exists()
 
 
 # Word lists with repeats and one-symbol words; "x" and "y" stand outside

@@ -413,6 +413,16 @@ def test_set_up_reads_the_word_list_through_the_traced_reader(
     assert calls == {"parse_lexicon": 0, "build_trie": 0}
 
 
+def test_train_reads_the_word_list_once(tmp_path, monkeypatch):
+    # the symbol checks and the set-up share one read
+    cfg = dataclasses.replace(write_context_task(tmp_path, n_train=10, n_test=3), epochs=1)
+    cmd_align(cfg)
+    reads, read = [], cli._read_words
+    monkeypatch.setattr(cli, "_read_words", lambda path: reads.append(path) or read(path))
+    cmd_train(cfg)
+    assert reads == [cfg.wordlist]
+
+
 def test_a_word_list_edited_after_train_is_counted_from_its_new_text(tmp_path):
     cfg = _trained(tmp_path)
     words = tmp_path / "words.txt"
@@ -619,6 +629,20 @@ def test_train_warns_about_target_symbols_the_word_list_never_spells(tmp_path, c
     with caplog.at_level(logging.WARNING):
         cmd_train(dataclasses.replace(cfg, disable_lm=True, disable_freq=True))
     assert not caplog.records
+
+
+@pytest.mark.parametrize("space", [" ", "\u00a0", "\u3000 "])
+def test_train_refuses_a_word_with_whitespace_inside_before_writing(tmp_path, capsys, space):
+    cfg = _aligned(tmp_path, "K A\tc a\nK A T\tc a t\n", f"ca\t7\n\nc{space}at \t3\n")
+    assert main(["train", *_run_argv(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg.wordlist}: line 3: word {f'c{space}at'!r} has whitespace ")
+    # no LM cache, trie snapshot or model
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "pairs.txt", "words.txt"]
+    assert not (tmp_path / "out" / "model.txt").exists()
+    # without the LM nothing writes the symbol back; the word matches no target
+    cmd_train(dataclasses.replace(cfg, disable_lm=True))
+    assert (tmp_path / "out" / "model.txt").exists()
 
 
 NFC_WORDS = "café\t50\ncafe\t3\nvoilà\t7\n"

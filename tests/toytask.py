@@ -6,7 +6,7 @@ or textbook recursions, independent of the library's DP code paths.
 
 import random
 
-from chartrans.charlm import BOS, EOS
+from chartrans.charlm import BOS, EOS, UNK
 from chartrans.core import NULL, EvalInstance, TrainingPair
 from chartrans.freqtrie import Lexicon
 from chartrans.transducer import (
@@ -189,6 +189,31 @@ def brute_ngram_tables(words, order):
                 row = tables[m].setdefault(history, {})
                 row[sym] = row.get(sym, 0) + 1
     return tables
+
+
+def witten_bell(lm, history, nxt):
+    """The interpolated Witten-Bell probability of nxt after history, by
+    the textbook recursion over lm's count tables alone: the order of the
+    last m history symbols mixes its counts with the order of the last
+    m - 1, down to the uniform base over the alphabet and the end sentinel;
+    an unseen history is its lower order alone.  A symbol outside the
+    alphabet (and not BOS or EOS) counts as UNK."""
+
+    def mapped(sym):
+        return sym if sym in lm.alphabet or sym in (BOS, EOS) else UNK
+
+    k = lm.order - 1
+    w = mapped(nxt)
+
+    def rec(h):
+        lower = rec(h[1:]) if h else 1.0 / (len(lm.alphabet) + 1)
+        counts = lm.tables[len(h)].get(h)
+        if counts is None:
+            return lower
+        distinct = len(counts)
+        return (counts.get(w, 0) + distinct * lower) / (sum(counts.values()) + distinct)
+
+    return rec(tuple(mapped(s) for s in (tuple(history)[-k:] if k else ())))
 
 
 def brute_edit_distance(a, b):
